@@ -18,6 +18,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,6 +131,15 @@ class LognormalKernel:
             raise ValueError("kernel horizon must be nonnegative")
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built once per order and shared read-only."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def lognormal_expectation(fn: Callable[[np.ndarray], np.ndarray],
                           kernel: LognormalKernel, order: int = 64) -> float:
     """E[fn(S_h)] under ``kernel`` by Gauss-Hermite quadrature.
@@ -145,7 +155,7 @@ def lognormal_expectation(fn: Callable[[np.ndarray], np.ndarray],
     if kernel.horizon == 0.0 or kernel.sigma == 0.0:
         drift_move = kernel.spot * np.exp(kernel.drift * kernel.horizon)
         return float(np.asarray(fn(np.asarray([drift_move])), dtype=float)[0])
-    x, w = np.polynomial.hermite.hermgauss(order)
+    x, w = _hermite_rule(order)
     m = (kernel.drift - 0.5 * kernel.sigma ** 2) * kernel.horizon
     scale = kernel.sigma * np.sqrt(kernel.horizon) * _SQRT2
     levels = kernel.spot * np.exp(m + scale * x)

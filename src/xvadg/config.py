@@ -252,6 +252,15 @@ _RUN_KEYS = ("driver", "domain_multiple", "cells", "degree", "cfl_constant")
 _ALL_KEYS = frozenset(_OPTION_KEYS + _MARKET_KEYS + _CAPITAL_KEYS + _RUN_KEYS)
 
 
+def _loss_rate(recovery: float, prefix: str) -> float:
+    """1 - recovery, the divisor that turns a spread into an intensity."""
+    if recovery == 1.0:
+        raise ValueError(
+            f"{prefix}_recovery = 1 leaves {prefix}_intensity undetermined "
+            f"by the spread; give {prefix}_intensity explicitly")
+    return 1.0 - recovery
+
+
 def _derive_issuer(d: dict, base: dict) -> None:
     """Fill whichever of funding rate / intensity is missing, in place."""
     r = d.get("risk_free_rate", base["risk_free_rate"])
@@ -259,7 +268,7 @@ def _derive_issuer(d: dict, base: dict) -> None:
     have_rate = "issuer_funding_rate" in d
     have_int = "issuer_intensity" in d
     if have_rate and not have_int:
-        d["issuer_intensity"] = (d["issuer_funding_rate"] - r) / (1.0 - rec)
+        d["issuer_intensity"] = (d["issuer_funding_rate"] - r) / _loss_rate(rec, "issuer")
     elif not have_rate:
         lam = d.get("issuer_intensity", base["issuer_intensity"])
         d["issuer_intensity"] = lam
@@ -274,7 +283,8 @@ def _derive_cpty(d: dict, base: dict) -> None:
     have_repo = "cpty_repo_rate" in d
     have_int = "cpty_intensity" in d
     if have_bond and have_repo and not have_int:
-        d["cpty_intensity"] = (d["cpty_bond_yield"] - d["cpty_repo_rate"]) / (1.0 - rec)
+        d["cpty_intensity"] = (d["cpty_bond_yield"] - d["cpty_repo_rate"]) \
+            / _loss_rate(rec, "cpty")
         return
     if have_bond and have_repo and have_int:
         return

@@ -4,8 +4,8 @@ The LDG semidiscretization yields  M du/dtau = L u + E(u, tau)  with M the
 diagonal mass matrix, L the stiff composed diffusion operator and E the
 nonstiff remainder (convection plus collocated source).  Both schemes here
 treat L implicitly and E explicitly, and both place *every* implicit stage
-at the same coefficient delta*gamma, so a single sparse factorization of
-(M - delta*gamma*L) serves the entire march.
+at the same coefficient delta*gamma, so a single banded LAPACK factorization
+of (M - delta*gamma*L) serves the entire march.
 
 Second order (two implicit stages, stage times tau, tau+gamma*delta):
 

@@ -31,9 +31,10 @@ S=0 identically and is taken one-sided from the interior at s_max (outflow
 for c > 0).
 
 The composed linear diffusion operator u -> diffusion(gradient(u)) is also
-assembled as a sparse block-tridiagonal matrix so the implicit stages can
-factorize M - coef * L once and back-substitute every step
-(``assemble_implicit``).
+assembled as a sparse block-tridiagonal matrix L, so M - coef * L is banded
+with kl = ku = 2*degree+1: ``assemble_implicit`` factors it once with LAPACK
+``dgbtrf`` and every implicit stage back-substitutes with ``dgbtrs``.  The
+linear convection form becomes a matrix by probing (``assemble_form_matrix``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import OptionSpec, payoff
 
@@ -158,29 +159,28 @@ class DGField:
     basis: Basis
     coeffs: np.ndarray  # (cells, degree+1)
 
-    def copy(self) -> "DGField":
-        return DGField(self.mesh, self.basis, self.coeffs.copy())
-
-    def _locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _locate(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and basis values at each query spot; outside [0, s_max] raises."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        outside = ~((s >= 0.0) & (s <= self.mesh.s_max))
+        if np.any(outside):
+            raise ValueError(f"query spot {s[outside][0]!r} lies outside the "
+                             f"solution domain [0, {self.mesh.s_max:g}]")
         h = self.mesh.width
         j = np.clip(np.floor(s / h).astype(int), 0, self.mesh.cells - 1)
         xi = 2.0 * (s - j * h) / h - 1.0
-        return j, xi
+        return j, _lagrange_eval_raw(xi, self.basis.nodes, self.basis.bary)
 
     def evaluate(self, s: np.ndarray | float) -> np.ndarray | float:
         """Pointwise values; an interior cell edge evaluates the right cell's trace."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        j, xi = self._locate(arr)
-        phi = _lagrange_eval_raw(xi, self.basis.nodes, self.basis.bary)
+        j, phi = self._locate(s)
         out = np.einsum("pi,pi->p", phi, self.coeffs[j])
         return out if np.ndim(s) else float(out[0])
 
     def derivative(self, s: np.ndarray | float) -> np.ndarray | float:
         """In-cell derivative d/dS of the local polynomial (not a DG gradient)."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        j, xi = self._locate(arr)
+        j, phi = self._locate(s)
         dvals = self.coeffs[j] @ self.basis.diff.T  # derivative at the nodes
-        phi = _lagrange_eval_raw(xi, self.basis.nodes, self.basis.bary)
         out = np.einsum("pi,pi->p", phi, dvals) * (2.0 / self.mesh.width)
         return out if np.ndim(s) else float(out[0])
 
@@ -312,97 +312,90 @@ def source_form(values: np.ndarray, mesh: Mesh, basis: Basis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _block_tridiagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """Sparse matrix from (3, cells, k, k) sub/diagonal/super blocks; off-mesh ones drop."""
+    _, n, k, _ = blocks.shape
+    offset, row, a, b = np.ogrid[-1:2, :n, :k, :k]
+    rows = np.broadcast_to(row * k + a, blocks.shape)
+    cols = np.broadcast_to((row + offset) * k + b, blocks.shape)
+    keep = (cols >= 0) & (cols < n * k)
+    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+                         shape=(n * k, n * k))
+
+
 def assemble_diffusion_matrix(mesh: Mesh, basis: Basis, variant: FluxVariant,
                               diffusion: Callable[[np.ndarray], np.ndarray]) -> sp.csr_matrix:
-    """Sparse matrix of u -> diffusion_form(gradient_form(u)); block tridiagonal."""
-    n, k1 = mesh.cells, basis.n_nodes
+    """Sparse matrix of u -> diffusion_form(gradient_form(u)), composed as D M^-1 K.
+
+    The (sub, diagonal, super) blocks of the gradient K and of the diffusion D
+    are block bidiagonal in opposite directions, so the product is block
+    tridiagonal; its terms add in the order of a cellwise composition.
+    """
+    n, k = mesh.cells, basis.n_nodes
     volmat = _vol_mat(basis)
     tl, tr = basis.trace_left, basis.trace_right
-    minv = 2.0 / (mesh.width * basis.weights)
-
-    # gradient (K) blocks: q_cells = Minv (Kdiag u_j + Ksub u_{j-1} + Ksuper u_{j+1})
-    if variant is FluxVariant.UPWIND_LEFT:
-        k_diag = -volmat + np.outer(tr, tr)
-        k_sub = -np.outer(tl, tr)
-        k_super = None
-    else:
-        k_diag = -volmat - np.outer(tl, tl)
-        k_sub = None
-        k_super = np.outer(tr, tl)
-
     a_edge = diffusion(mesh.edges)
-    a_quad = diffusion(mesh.quad_points(basis))
+    grad = np.zeros((3, k, k))
+    div = np.zeros((3, n, k, k))
+    div[1] = -volmat * diffusion(mesh.quad_points(basis))[:, None, :]
+    if variant is FluxVariant.UPWIND_LEFT:
+        grad[0] = -np.outer(tl, tr)
+        grad[1] = -volmat + np.outer(tr, tr)
+        div[1] -= a_edge[:-1, None, None] * np.outer(tl, tl)
+        div[1, -1] += a_edge[n] * np.outer(tr, tr)
+        div[2, :-1] = a_edge[1:-1, None, None] * np.outer(tr, tl)
+    else:
+        grad[1] = -volmat - np.outer(tl, tl)
+        grad[2] = np.outer(tr, tl)
+        div[1] += a_edge[1:, None, None] * np.outer(tr, tr)
+        div[1, 0] -= a_edge[0] * np.outer(tl, tl)
+        div[0, 1:] = -a_edge[1:-1, None, None] * np.outer(tl, tr)
+    sub, diag, sup = div * (2.0 / (mesh.width * basis.weights))
+    k_sub, k_diag, k_sup = grad
+    return _block_tridiagonal(np.stack([
+        diag @ k_sub + sub @ k_diag,
+        diag @ k_diag + sup @ k_sub + sub @ k_sup,
+        diag @ k_sup + sup @ k_diag]))
 
-    rows, cols, data = [], [], []
 
-    def put(jr: int, jc: int, block: np.ndarray) -> None:
-        r, c = np.meshgrid(np.arange(k1) + jr * k1, np.arange(k1) + jc * k1,
-                           indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        data.append(block.ravel())
+def assemble_form_matrix(mesh: Mesh, basis: Basis,
+                         form: Callable[[DGField], np.ndarray]) -> sp.csr_matrix:
+    """Sparse matrix of a linear form that couples each cell to its neighbours only.
 
-    for j in range(n):
-        vol_g = volmat * a_quad[j][None, :]
-        if variant is FluxVariant.UPWIND_LEFT:
-            d_diag = -vol_g - a_edge[j] * np.outer(tl, tl)
-            if j == n - 1:
-                d_diag = d_diag + a_edge[n] * np.outer(tr, tr)
-                d_super = None
-            else:
-                d_super = a_edge[j + 1] * np.outer(tr, tl)
-            d_sub = None
-        else:
-            d_diag = -vol_g + a_edge[j + 1] * np.outer(tr, tr)
-            if j == 0:
-                d_diag = d_diag - a_edge[0] * np.outer(tl, tl)
-                d_sub = None
-            else:
-                d_sub = -a_edge[j] * np.outer(tl, tr)
-            d_super = None
-
-        # compose with q = Minv K: contributions to row-cell j from u-cells
-        pieces: dict[int, np.ndarray] = {}
-
-        def add(jq: int, dblock: np.ndarray) -> None:
-            """Accumulate dblock @ Minv @ (K blocks feeding q-cell jq)."""
-            if jq < 0 or jq >= n:
-                return
-            core = dblock * minv[None, :]
-            pieces.setdefault(jq, np.zeros((k1, k1)))
-            pieces[jq] += core @ k_diag
-            if k_sub is not None and jq - 1 >= 0:
-                pieces.setdefault(jq - 1, np.zeros((k1, k1)))
-                pieces[jq - 1] += core @ k_sub
-            if k_super is not None and jq + 1 < n:
-                pieces.setdefault(jq + 1, np.zeros((k1, k1)))
-                pieces[jq + 1] += core @ k_super
-
-        add(j, d_diag)
-        if d_super is not None:
-            add(j + 1, d_super)
-        if d_sub is not None:
-            add(j - 1, d_sub)
-        for jc, block in pieces.items():
-            put(j, jc, block)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * k1, n * k1))
-    return mat.tocsr()
+    Probe (colour, i) sets node i of every cell j with j % 3 == colour; one of
+    cells c-1, c, c+1 has that colour, so the residual in c is one block column.
+    """
+    n, k = mesh.cells, basis.n_nodes
+    cell = np.arange(n)
+    blocks = np.zeros((3, n, k, k))
+    for colour in range(3):
+        offset = (colour - cell + 1) % 3   # 0, 1, 2: the coloured cell is c-1, c, c+1
+        for i in range(k):
+            probe = np.zeros((n, k))
+            probe[cell % 3 == colour, i] = 1.0
+            blocks[offset, cell, :, i] = form(DGField(mesh, basis, probe))
+    return _block_tridiagonal(blocks)
 
 
 @dataclass(eq=False)
 class ImplicitOperator:
-    """Prefactorized solve of (M - coef * L) x = rhs on flat vectors."""
+    """Prefactorized solve of (M - coef * L) x = rhs on flat vectors.
 
-    coef: float
+    ``lu`` and ``pivots`` are the ``dgbtrf`` factors in LAPACK band
+    storage, with kl = ku = ``bandwidth`` = 2*degree+1.
+    """
+
     mass: np.ndarray              # flat diagonal of M
     diffusion_matrix: sp.csr_matrix
-    _lu: object
+    bandwidth: int
+    lu: np.ndarray
+    pivots: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs, self.pivots)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgbtrs failed with info={info}")
+        return x
 
     def apply_diffusion(self, u: np.ndarray) -> np.ndarray:
         return self.diffusion_matrix @ u
@@ -412,9 +405,15 @@ def assemble_implicit(mesh: Mesh, basis: Basis, variant: FluxVariant, coef: floa
                       diffusion: Callable[[np.ndarray], np.ndarray]) -> ImplicitOperator:
     ldg_matrix = assemble_diffusion_matrix(mesh, basis, variant, diffusion)
     mass = mass_diag(mesh, basis).ravel()
-    system = (sp.diags(mass) - coef * ldg_matrix).tocsc()
-    return ImplicitOperator(coef=coef, mass=mass, diffusion_matrix=ldg_matrix,
-                            _lu=splu(system))
+    system = (sp.diags(mass) - coef * ldg_matrix).tocoo()
+    bw = 2 * basis.degree + 1
+    band = np.zeros((3 * bw + 1, mass.size))   # dgbtrf needs bw spare rows on top
+    band[2 * bw + system.row - system.col, system.col] = system.data
+    lu, pivots, info = dgbtrf(band, bw, bw, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgbtrf: M - coef*L is singular (info={info})")
+    return ImplicitOperator(mass=mass, diffusion_matrix=ldg_matrix, bandwidth=bw,
+                            lu=lu, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

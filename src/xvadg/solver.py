@@ -39,8 +39,8 @@ from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig
 from .drivers import ALL_DRIVER_KINDS, CapitalFn, source_term
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
-    assemble_implicit, convection_form, gradient_form, make_basis, mass_diag, \
-    project_payoff, source_form, variant_for_option
+    assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
+    make_basis, project_payoff, source_form, variant_for_option
 
 __all__ = [
     "SolveResult", "SolverDivergedError", "XVABreakdown", "GarciaScalingCheck",
@@ -147,7 +147,8 @@ def solve(config: RunConfig, kind: str | None = None,
     order = config.degree + 1
     coef = grid.delta * imex.implicit_coefficient(order)
     op: ImplicitOperator = assemble_implicit(mesh, basis, variant, coef, diffusion)
-    mass = mass_diag(mesh, basis).ravel()
+    convection = assemble_form_matrix(mesh, basis,
+                                      lambda u: convection_form(u, speed))
 
     if kind in _ADJUSTMENT_KINDS:
         u0 = np.zeros((mesh.cells, basis.n_nodes))
@@ -159,17 +160,16 @@ def solve(config: RunConfig, kind: str | None = None,
     riskfree_fn = (lambda t, s: bs_value(option, s, t, market)) if needs_mark else None
 
     def explicit_fn(u_flat: np.ndarray, tau: float) -> np.ndarray:
-        u = DGField(mesh, basis, u_flat.reshape(mesh.cells, basis.n_nodes))
-        conv = convection_form(u, speed)
-        h_vals = source_term(kind, tau, quad, u.coeffs, option, market, capital,
+        u = u_flat.reshape(mesh.cells, basis.n_nodes)
+        h_vals = source_term(kind, tau, quad, u, option, market, capital,
                              riskfree_fn, capital_fn)
-        return (conv + source_form(h_vals, mesh, basis)).ravel()
+        return convection @ u_flat + source_form(h_vals, mesh, basis).ravel()
 
     started = time.perf_counter()
     u = u0.ravel()
     tau = 0.0
     for n in range(grid.steps):
-        u = imex.step(order, u, tau, grid.delta, mass, op.apply_diffusion,
+        u = imex.step(order, u, tau, grid.delta, op.mass, op.apply_diffusion,
                       op.solve, explicit_fn)
         tau += grid.delta
         if not np.all(np.isfinite(u)):

@@ -16,7 +16,7 @@ The criteria:
     adjustment of the marched linear equation
  7. the reduced capital equation versus the rescaled issuer-kernel
     reference (expected red: the relation does not hold at these
-    parameters; see the decisions ledger)
+    parameters; see "Known negative result" in README.md)
  8. regulatory capital chain identities
  9. adjustment monotonicity across parameter sweeps, with the labeled
     baseline rows
@@ -211,7 +211,7 @@ def test_criterion_06_term_decomposition(criterion_report):
     reason="the constant-factor rescaling of the reduced capital equation "
            "does not hold at the benchmark parameters: the put-side gap "
            "plateaus at 5.695e-03 (5.700e-03 at double resolution), far "
-           "above the 1e-3 bar; analysis in /root/notes/decisions.md")
+           "above the 1e-3 bar; see \"Known negative result\" in README.md")
 def test_criterion_07_reduced_equation_rescaling(criterion_report):
     chk = garcia_scaling_check(benchmark_config(option_kind="put",
                                                 driver="garcia", cells=640))
@@ -219,7 +219,7 @@ def test_criterion_07_reduced_equation_rescaling(criterion_report):
     criterion_report(7, ok, "reduced capital equation equals the rescaled "
                      f"issuer-kernel reference within 1e-3 "
                      f"(measured {chk.max_abs_diff:.6e}; expected red, "
-                     "see decisions ledger)")
+                     "see README.md, Known negative result)")
     assert ok
 
 

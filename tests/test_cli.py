@@ -149,6 +149,17 @@ def test_breakdown_cli(tmp_path):
     assert gap < 2e-3
 
 
+def test_breakdown_outside_domain_reports_json_error(tmp_path, capsys):
+    # spot 100 lies beyond s_max = 60: no PDE value exists there
+    rc = main(["breakdown", "--option", "call", "--spot", "100", "--cells", "40",
+               "--out", str(tmp_path / "b")])
+    assert rc != 0
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "outside the solution domain" in record["message"]
+    assert not (tmp_path / "b" / "breakdown.csv").exists()
+
+
 def test_garcia_cli(tmp_path):
     out = tmp_path / "g"
     rc = main(["garcia-check", "--cells", "80", "--out", str(out)])

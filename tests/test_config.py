@@ -115,6 +115,17 @@ def test_config_from_dict_rejects_unknown_and_inconsistent():
                           "cpty_intensity": 0.0103})
 
 
+def test_issuer_recovery_one_leaves_intensity_undetermined():
+    with pytest.raises(ValueError, match="issuer_recovery"):
+        config_from_dict({"issuer_recovery": 1.0, "issuer_funding_rate": 0.07})
+
+
+def test_cpty_recovery_one_leaves_intensity_undetermined():
+    with pytest.raises(ValueError, match="cpty_recovery"):
+        config_from_dict({"cpty_recovery": 1.0, "cpty_bond_yield": 0.07,
+                          "cpty_repo_rate": 0.06})
+
+
 def test_config_immutable():
     cfg = benchmark_config()
     with pytest.raises(dataclasses.FrozenInstanceError):

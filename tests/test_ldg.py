@@ -8,9 +8,10 @@ import pytest
 
 from xvadg.config import OptionSpec
 from xvadg.ldg import (DGField, FluxVariant, Mesh, assemble_diffusion_matrix,
-                       assemble_implicit, convection_form, diffusion_form,
-                       field_error_norms, gradient_form, make_basis, mass_diag,
-                       project_payoff, source_form, variant_for_option)
+                       assemble_form_matrix, assemble_implicit, convection_form,
+                       diffusion_form, field_error_norms, gradient_form,
+                       make_basis, mass_diag, project_payoff, source_form,
+                       variant_for_option)
 
 SIGMA = 0.3
 
@@ -71,6 +72,18 @@ def test_field_evaluate_and_derivative_reproduce_polynomials():
     assert np.allclose(u.evaluate(s), poly(s), atol=1e-11)
     assert np.allclose(u.derivative(s), dpoly(s), atol=1e-10)
     assert isinstance(u.evaluate(3.3), float)
+
+
+def test_field_queries_outside_domain_raise():
+    mesh = Mesh(s_max=10.0, cells=5)
+    u = _field_from(lambda s: s, mesh, make_basis(1))
+    assert u.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert u.evaluate(10.0) == pytest.approx(10.0, rel=1e-12)
+    for bad in (-5.0, 10.5, np.nan, np.array([1.0, 11.0])):
+        with pytest.raises(ValueError, match="outside the solution domain"):
+            u.evaluate(bad)
+        with pytest.raises(ValueError, match="outside the solution domain"):
+            u.derivative(bad)
 
 
 def test_convection_form_polynomial_exactness():
@@ -186,16 +199,108 @@ def test_matrix_matches_composed_forms():
             assert np.allclose(via_matrix, via_forms, rtol=1e-12, atol=1e-11)
 
 
-def test_implicit_operator_solves_shifted_system():
-    rng = np.random.default_rng(8)
+def _cellwise_diffusion_matrix(mesh, basis, variant, diffusion):
+    """Reference assembly of diffusion_form(gradient_form(.)), one cell at a time."""
+    n, k1 = mesh.cells, basis.n_nodes
+    volmat = (basis.diff * basis.weights[:, None]).T
+    tl, tr = basis.trace_left, basis.trace_right
+    minv = 2.0 / (mesh.width * basis.weights)
+    if variant is FluxVariant.UPWIND_LEFT:
+        k_diag, k_sub, k_super = -volmat + np.outer(tr, tr), -np.outer(tl, tr), None
+    else:
+        k_diag, k_sub, k_super = -volmat - np.outer(tl, tl), None, np.outer(tr, tl)
+    a_edge = diffusion(mesh.edges)
+    a_quad = diffusion(mesh.quad_points(basis))
+    dense = np.zeros((n * k1, n * k1))
+    for j in range(n):
+        vol_g = volmat * a_quad[j][None, :]
+        if variant is FluxVariant.UPWIND_LEFT:
+            d_diag = -vol_g - a_edge[j] * np.outer(tl, tl)
+            d_off, jq = None, j + 1
+            if j == n - 1:
+                d_diag = d_diag + a_edge[n] * np.outer(tr, tr)
+            else:
+                d_off = a_edge[j + 1] * np.outer(tr, tl)
+        else:
+            d_diag = -vol_g + a_edge[j + 1] * np.outer(tr, tr)
+            d_off, jq = None, j - 1
+            if j == 0:
+                d_diag = d_diag - a_edge[0] * np.outer(tl, tl)
+            else:
+                d_off = -a_edge[j] * np.outer(tl, tr)
+        pieces = {}
+        for q_cell, dblock in ((j, d_diag), (jq, d_off)):
+            if dblock is None:
+                continue
+            core = dblock * minv[None, :]
+            for u_cell, kblock in ((q_cell, k_diag), (q_cell - 1, k_sub),
+                                   (q_cell + 1, k_super)):
+                if kblock is not None and 0 <= u_cell < n:
+                    pieces[u_cell] = pieces.get(u_cell, 0.0) + core @ kblock
+        for u_cell, block in pieces.items():
+            dense[j * k1:(j + 1) * k1, u_cell * k1:(u_cell + 1) * k1] = block
+    return dense
+
+
+def test_matrix_equals_cellwise_reference():
+    # the whole-array assembly sums the same products in the same order
+    for cells in (2, 3, 17):
+        mesh = Mesh(s_max=60.0, cells=cells)
+        for deg in (1, 2):
+            basis = make_basis(deg)
+            for variant in FluxVariant:
+                mat = assemble_diffusion_matrix(mesh, basis, variant, _diffusion)
+                ref = _cellwise_diffusion_matrix(mesh, basis, variant, _diffusion)
+                assert np.array_equal(mat.toarray(), ref)
+
+
+def test_convection_matrix_matches_form():
+    rng = np.random.default_rng(11)
     mesh = Mesh(s_max=60.0, cells=10)
-    basis = make_basis(1)
+    for deg in (1, 2):
+        basis = make_basis(deg)
+        u = DGField(mesh, basis, rng.standard_normal((mesh.cells, basis.n_nodes)))
+        for speed in (0.03, -0.05, 0.0):
+            mat = assemble_form_matrix(mesh, basis,
+                                       lambda v: convection_form(v, speed))
+            via_form = convection_form(u, speed)
+            via_matrix = (mat @ u.coeffs.ravel()).reshape(u.coeffs.shape)
+            assert np.allclose(via_matrix, via_form, rtol=1e-13, atol=1e-13)
+
+
+def test_implicit_operator_solves_shifted_system():
+    # the banded LU is backward stable: the residual is rounding-sized
+    # against the magnitudes that cancel in it, entry by entry, even where
+    # the degree-2 call system amplifies it to 1e-8 in absolute terms
     coef = 0.013
-    op = assemble_implicit(mesh, basis, FluxVariant.UPWIND_RIGHT, coef, _diffusion)
-    rhs = rng.standard_normal(mesh.cells * basis.n_nodes)
-    x = op.solve(rhs)
-    back = op.mass * x - coef * op.apply_diffusion(x)
-    assert np.allclose(back, rhs, atol=1e-10)
+    for deg in (1, 2):
+        basis = make_basis(deg)
+        for cells in (10, 1280):
+            mesh = Mesh(s_max=60.0, cells=cells)
+            rhs = np.random.default_rng(8).standard_normal(cells * basis.n_nodes)
+            for variant in FluxVariant:
+                op = assemble_implicit(mesh, basis, variant, coef, _diffusion)
+                x = op.solve(rhs)
+                back = op.mass * x - coef * op.apply_diffusion(x)
+                scale = (op.mass * np.abs(x)
+                         + coef * (abs(op.diffusion_matrix) @ np.abs(x))
+                         + np.abs(rhs))
+                assert np.all(np.abs(back - rhs) <= 1e-14 * scale)
+
+
+def test_implicit_band_storage_width():
+    # M - coef*L couples each cell to its neighbours: kl = ku = 2*degree+1,
+    # and the outermost diagonals are occupied, so no narrower band fits
+    mesh = Mesh(s_max=60.0, cells=10)
+    for deg in (1, 2):
+        basis = make_basis(deg)
+        for variant in FluxVariant:
+            op = assemble_implicit(mesh, basis, variant, 0.013, _diffusion)
+            bw = 2 * deg + 1
+            assert op.bandwidth == bw
+            assert op.lu.shape == (3 * bw + 1, mesh.cells * basis.n_nodes)
+            ldg = op.diffusion_matrix.tocoo()
+            assert np.max(np.abs(ldg.row - ldg.col)) == bw
 
 
 def test_payoff_projection_interpolates_when_strike_on_edge():

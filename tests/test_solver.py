@@ -67,6 +67,13 @@ def test_accessor_identities_both_families():
     assert meta["kind"] == "linear" and meta["option"] == "put"
 
 
+def test_put_query_outside_domain_raises():
+    result = solve(benchmark_config(option_kind="put", cells=40))
+    for accessor in (result.value, result.delta, result.gamma, result.xva):
+        with pytest.raises(ValueError, match="outside the solution domain"):
+            accessor(-5.0)
+
+
 def test_call_delta_has_no_oscillation():
     # total variation of the call delta stays within a whisker of its range,
     # so the gradient field is monotone up to quadrature wiggle
