@@ -45,6 +45,7 @@ from .drivers import (
     ALL_DRIVER_KINDS,
     closeout_value,
     collateral_amount,
+    driver_level,
     driver_value,
     source_term,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "collateral_amount",
     "config_from_dict",
     "config_to_dict",
+    "driver_level",
     "driver_value",
     "ead_saccr",
     "garcia_scaling_check",

@@ -18,7 +18,9 @@ for puts and then never binds, since the CCR+CVA branch is >= 0).
 
 Everything is vectorized over ``t``, ``spot`` and ``mark`` with numpy
 broadcasting; the total is what the pricing drivers consume, the breakdown
-is exposed for audit.
+is exposed for audit.  The stack splits at the add-on: ``saccr_addon``
+holds what depends on (t, S) alone and ``capital_on_addon`` the rest, so a
+caller that prices many marks at one (t, S) computes the add-on once.
 """
 
 from __future__ import annotations
@@ -103,13 +105,28 @@ def ead_saccr(mark: np.ndarray | float, collateral: np.ndarray | float,
 def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
                               capital: CapitalParams) -> CapitalBreakdown:
     """Full capital stack for explicit collateral; see ``capital_requirement``."""
-    m_ = np.asarray(mark, dtype=float)
-    x_ = np.asarray(collateral, dtype=float)
-    gap = m_ - x_
+    return capital_on_addon(mark, collateral, t, option, capital,
+                            saccr_addon(spot, t, option, capital))
 
+
+def saccr_addon(spot, t, option: OptionSpec, capital: CapitalParams) -> tuple:
+    """The mark-free part of the capital stack at (t, S): the supervisory
+    delta, the maturity factor and the signed SA-CCR add-on
+    ``supervisory_factor * S * maturity_factor * delta``."""
     delta = supervisory_delta(option, spot, t, capital.supervisory_vol)
     mf = maturity_factor(t, option.maturity, capital)
     addon = capital.supervisory_factor * np.asarray(spot, dtype=float) * mf * delta
+    return delta, mf, addon
+
+
+def capital_on_addon(mark, collateral, t, option: OptionSpec, capital: CapitalParams,
+                     addon_parts: tuple) -> CapitalBreakdown:
+    """Capital stack on a mark and collateral, given the ``saccr_addon``
+    of the same (t, S); the rest of ``capital_requirement_parts``."""
+    delta, mf, addon = addon_parts
+    m_ = np.asarray(mark, dtype=float)
+    x_ = np.asarray(collateral, dtype=float)
+    gap = m_ - x_
 
     rc = np.maximum(gap, 0.0)
     mult = _pfe_multiplier(np.asarray(gap, dtype=float), np.asarray(addon, dtype=float),

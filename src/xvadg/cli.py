@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -85,6 +86,11 @@ def _write_meta(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (Linux reports KiB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
 def _out_dir(args) -> Path:
@@ -326,6 +332,7 @@ def _cmd_table3(args) -> None:
         "seed": args.seed,
         "outputs": ["table3.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"{'option':>7s} {'driver':>10s} {'spot':>6s} {'xva_pde':>13s} "
           f"{'xva_mc':>13s} {'stderr':>10s}")
@@ -439,6 +446,7 @@ def _cmd_fbsde(args) -> None:
         "mc": sol.meta,
         "outputs": ["fbsde.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"{'spot':>8s} {'xva_mc':>14s} {'stderr':>10s}")
     for i in range(s.size):

@@ -29,6 +29,17 @@ their current spot at every step (they drift across strata), and the
 geometric Brownian motion is stepped exactly, so the only discretization
 errors are the driver's explicit time stepping and the regression bias.
 
+The backward pass works level by level.  Every driver splits into a part
+that depends only on (t, S) (the closed-form mark and the capital on it,
+or the SA-CCR add-on; see :func:`xvadg.drivers.driver_level`) and an
+evaluation in Y.  The pass builds that part, the float64 spots, their
+strata and the regressor moments once per time level t_i, uses them for
+the corrector of step i and, with the same spots, for the predictor of
+step i-1, and then frees them: 21 levels serve the 40 driver evaluations
+of a 20-step pass.  Driver work runs in chunks of ``_CHUNK`` paths, so its
+temporaries stay bounded at any path budget.  The results are those of
+evaluating the driver and the moments afresh at every use, bit for bit.
+
 This route shares with the PDE engine only the driver evaluation and the
 closed-form mark; the discretization, the state storage and the
 expectation operator are all different, which is what makes the
@@ -37,7 +48,9 @@ cross-check meaningful.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -46,21 +59,22 @@ import numpy as np
 
 from .black_scholes import bs_value
 from .config import CapitalParams, MarketParams, OptionSpec, payoff
-from .drivers import ALL_DRIVER_KINDS, CapitalFn, driver_value
+from .drivers import (ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, CapitalFn,
+                      DriverEval, driver_level)
+# not called here; it stays a name of this module for tools that wrap the
+# driver where each module looks it up (bench/tracing.py)
+from .drivers import driver_value  # noqa: F401
 
 _log = logging.getLogger(__name__)
 
-#: kinds whose backward variable is the adjustment itself (zero terminal
-#: data); every other kind carries the full price and reports the
-#: adjustment as value minus the closed-form mark.
-_ADJUSTMENT_KINDS = ("garcia", "garcia_ref")
-
-#: driver evaluations are chunked to keep the capital chain's temporaries
+#: driver work is chunked to keep the capital chain's temporaries
 #: bounded (~1M points per chunk, a few hundred MB of scratch at peak)
 _CHUNK = 1 << 20
 
-#: drivers that price against the closed-form default-free mark
-_MARK_KINDS = ("linear", "garcia", "garcia_ref")
+#: float64 path-length arrays a backward pass holds at its peak: the
+#: values, the predictor, two driver evaluations, one level's strata,
+#: offsets and driver parts, and the regression temporaries
+_BACKWARD_ARRAYS = 12
 
 DriverFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
@@ -106,6 +120,12 @@ class RegressionGrid:
         e = self.log_edges
         return np.exp(0.5 * (e[:-1] + e[1:]))
 
+    @property
+    def memory_bytes(self) -> int:
+        """Estimated peak memory of a forward ensemble and one backward pass:
+        float32 spots at every level plus the backward working set."""
+        return (4 * (self.steps + 1) + 8 * _BACKWARD_ARRAYS) * self.n_paths
+
     def stratum_of(self, spot: np.ndarray | float) -> np.ndarray:
         """Stratum index of each spot, clipped to the grid (vectorized)."""
         s = np.asarray(spot, dtype=float)
@@ -140,10 +160,19 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
     Initial log-spots are uniform within each stratum; increments use the
     exact lognormal step.  Each stratum draws from its own spawned
     SeedSequence stream, so the ensemble is reproducible and strata are
-    independent.
+    independent.  A budget whose ``grid.memory_bytes`` exceeds the physical
+    memory raises ``ValueError`` before anything is allocated.
     """
     if not maturity > 0.0:
         raise ValueError(f"maturity must be positive, got {maturity}")
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if grid.memory_bytes > physical:
+        raise ValueError(
+            f"a Monte Carlo budget of {grid.strata} strata x "
+            f"{grid.paths_per_stratum} paths_per_stratum over {grid.steps} steps "
+            f"needs about {grid.memory_bytes / 2**30:.1f} GiB, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory; lower strata or "
+            f"paths_per_stratum")
     times = np.linspace(0.0, maturity, grid.steps + 1)
     dt = maturity / grid.steps
     drift_term = (market.drift - 0.5 * market.sigma ** 2) * dt
@@ -181,28 +210,36 @@ class _StrataFit:
     sxx: np.ndarray
     resid_var: np.ndarray
 
-    def predict(self, bins: np.ndarray, spot: np.ndarray,
-                centers: np.ndarray) -> np.ndarray:
-        return self.intercept[bins] + self.slope[bins] * (spot - centers[bins])
+    def predict(self, bins: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """Fitted value at offsets ``dx = S - center`` in strata ``bins``."""
+        return self.intercept[bins] + self.slope[bins] * dx
 
 
-def _fit_strata(bins: np.ndarray, spot: np.ndarray, y: np.ndarray,
-                grid: RegressionGrid) -> tuple[_StrataFit, int]:
-    """Ordinary least squares of y on {1, S} within each stratum.
-
-    Accumulation runs through bincount (one pass over the paths); the
-    regressor is centered on the stratum midpoint, which keeps the normal
-    equations conditioned even though a stratum spans only ~2% of its own
-    scale.  Strata that cannot support a line degrade gracefully: constant
-    fit below 2 usable points or at zero spread, and empty strata borrow
-    the nearest fitted stratum's line (re-centered), counted and logged by
-    the caller.  Returns the fit and the number of borrowed strata.
-    """
-    m = grid.strata
-    dx = spot - grid.centers[bins]
+def _moments(bins: np.ndarray, dx: np.ndarray,
+             m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regressor moments (n, sum dx, sum dx^2) of each of ``m`` strata."""
     n = np.bincount(bins, minlength=m).astype(float)
     sx = np.bincount(bins, weights=dx, minlength=m)
     sxx_raw = np.bincount(bins, weights=dx * dx, minlength=m)
+    return n, sx, sxx_raw
+
+
+def _fit_strata(bins: np.ndarray, dx: np.ndarray, moments: tuple, y: np.ndarray,
+                grid: RegressionGrid) -> tuple[_StrataFit, int]:
+    """Ordinary least squares of y on {1, S} within each stratum.
+
+    ``dx`` is S minus its stratum's center and ``moments`` is
+    ``_moments(bins, dx, grid.strata)``, shared by every fit on the same
+    spots.  Accumulation runs through bincount (one pass over the paths);
+    the regressor is centered on the stratum midpoint, which keeps the
+    normal equations conditioned even though a stratum spans only ~2% of
+    its own scale.  Strata that cannot support a line degrade gracefully:
+    constant fit below 2 usable points or at zero spread, and empty strata
+    borrow the nearest fitted stratum's line (re-centered), counted and
+    logged by the caller.  Returns the fit and the number of borrowed strata.
+    """
+    m = grid.strata
+    n, sx, sxx_raw = moments
     sy = np.bincount(bins, weights=y, minlength=m)
     syy = np.bincount(bins, weights=y * y, minlength=m)
     sxy = np.bincount(bins, weights=dx * y, minlength=m)
@@ -237,6 +274,7 @@ def _fit_strata(bins: np.ndarray, spot: np.ndarray, y: np.ndarray,
         intercept[holes] = intercept[nearest] + slope[nearest] * shift
         mean_x[holes] = mean_x[nearest] + shift
         cxx[holes] = cxx[nearest]
+        n = n.copy()
         n[holes] = n[nearest]
         resid_var[holes] = resid_var[nearest]
         borrowed = holes.size
@@ -269,11 +307,14 @@ class BackwardSolution:
     seed: int
     runtime: float
     borrowed_strata: int
+    levels_filled: int
+    driver_evaluations: int
+    driver_points: int
 
     def value(self, spot: np.ndarray | float) -> np.ndarray | float:
         s = np.asarray(spot, dtype=float)
         bins = self.grid.stratum_of(s)
-        out = self.fit.predict(bins, s, self.grid.centers)
+        out = self.fit.predict(bins, s - self.grid.centers[bins])
         return float(out) if np.ndim(spot) == 0 else out
 
     def stderr(self, spot: np.ndarray | float) -> np.ndarray | float:
@@ -305,8 +346,23 @@ class BackwardSolution:
             "steps": self.grid.steps,
             "seed": self.seed,
             "borrowed_strata": self.borrowed_strata,
+            "levels_filled": self.levels_filled,
+            "driver_evaluations": self.driver_evaluations,
+            "driver_points": self.driver_points,
             "runtime_seconds": round(self.runtime, 3),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """One time level of a backward pass: the driver in v on each chunk of
+    paths and, below maturity, the strata of the paths, their offsets from
+    the stratum centers and the regressor moments."""
+
+    drivers: list[DriverEval]
+    bins: np.ndarray | None = None
+    dx: np.ndarray | None = None
+    moments: tuple | None = None
 
 
 def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
@@ -317,7 +373,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
 
     ``driver_override(t, S, y)``, when given, replaces the driver entirely
     (the analytic test oracles use F = 0 and F = r*y); ``capital_fn``
-    passes through to :func:`xvadg.drivers.driver_value`.
+    passes through to :func:`xvadg.drivers.driver_level`.
     """
     started = time.perf_counter()
     if kind not in ALL_DRIVER_KINDS:
@@ -332,43 +388,62 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     grid = ensemble.grid
     times = ensemble.times
     dt = times[1] - times[0]
-    is_adjustment = kind in _ADJUSTMENT_KINDS
+    is_adjustment = kind in ADJUSTMENT_KINDS
 
     riskfree_fn = None
-    if driver_override is None and kind in _MARK_KINDS:
+    if driver_override is None and kind in MARK_KINDS:
         riskfree_fn = lambda t, s: bs_value(option, s, t, market)
+
+    n_paths = ensemble.spots.shape[1]
+    chunks = [slice(lo, min(lo + _CHUNK, n_paths))
+              for lo in range(0, n_paths, _CHUNK)]
+    counts = {"levels": 0, "evaluations": 0, "points": 0}
+
+    def level_at(i: int, spot: np.ndarray) -> _Level:
+        t = float(times[i])
+        if driver_override is None:
+            drivers = [driver_level(kind, t, spot[sl], option, market, capital,
+                                    riskfree_fn, capital_fn) for sl in chunks]
+        else:
+            drivers = [functools.partial(driver_override, t, spot[sl])
+                       for sl in chunks]
+        counts["levels"] += 1
+        if i == grid.steps:
+            return _Level(drivers)
+        bins = grid.stratum_of(spot)
+        dx = spot - grid.centers[bins]
+        return _Level(drivers, bins, dx, _moments(bins, dx, grid.strata))
+
+    def driver_at(level: _Level, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for sl, evaluate in zip(chunks, level.drivers):
+            out[sl] = evaluate(v[sl])
+        counts["evaluations"] += 1
+        counts["points"] += v.size
+        return out
 
     s_term = ensemble.spots[-1].astype(np.float64)
     y = np.zeros_like(s_term) if is_adjustment else payoff(option, s_term)
-
-    def driver_at(t: float, spot: np.ndarray, v: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-        for lo in range(0, v.size, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, v.size))
-            if driver_override is not None:
-                out[sl] = driver_override(t, spot[sl], v[sl])
-            else:
-                out[sl] = driver_value(kind, t, spot[sl], v[sl], option,
-                                       market, capital, riskfree_fn, capital_fn)
-        return out
+    level = level_at(grid.steps, s_term)
+    del s_term
 
     fit = None
     borrowed_total = 0
     f_right = np.empty_like(y)
     f_left = np.empty_like(y)
     for i in range(grid.steps - 1, -1, -1):
-        s_next = ensemble.spots[i + 1].astype(np.float64)
-        driver_at(float(times[i + 1]), s_next, y, f_right)
-        s_now = ensemble.spots[i].astype(np.float64)
-        bins = grid.stratum_of(s_now)
-        fit_pred, borrowed = _fit_strata(bins, s_now, y - dt * f_right, grid)
+        driver_at(level, y, f_right)
+        # free the level at t_{i+1} before building the one at t_i
+        level = bins = dx = moments = None
+        level = level_at(i, ensemble.spots[i].astype(np.float64))
+        bins, dx, moments = level.bins, level.dx, level.moments
+        fit_pred, borrowed = _fit_strata(bins, dx, moments, y - dt * f_right, grid)
         borrowed_total += borrowed
-        y_star = fit_pred.predict(bins, s_now, grid.centers)
-        driver_at(float(times[i]), s_now, y_star, f_left)
-        fit, borrowed = _fit_strata(bins, s_now,
+        y_star = fit_pred.predict(bins, dx)
+        driver_at(level, y_star, f_left)
+        fit, borrowed = _fit_strata(bins, dx, moments,
                                     y - 0.5 * dt * (f_right + f_left), grid)
         borrowed_total += borrowed
-        y = fit.predict(bins, s_now, grid.centers)
+        y = fit.predict(bins, dx)
 
     if borrowed_total:
         _log.warning("backward pass (%s %s): %d empty strata borrowed a "
@@ -376,4 +451,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     return BackwardSolution(kind=kind, option=option, market=market, grid=grid,
                             is_adjustment=is_adjustment, fit=fit, seed=ensemble.seed,
                             runtime=time.perf_counter() - started,
-                            borrowed_strata=borrowed_total)
+                            borrowed_strata=borrowed_total,
+                            levels_filled=counts["levels"],
+                            driver_evaluations=counts["evaluations"],
+                            driver_points=counts["points"])

@@ -37,7 +37,8 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
     lognormal_expectation
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig
-from .drivers import ALL_DRIVER_KINDS, CapitalFn, source_term
+from .drivers import (ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, CapitalFn,
+                      source_term)
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
     make_basis, project_payoff, source_form, variant_for_option
@@ -118,9 +119,6 @@ class SolveResult:
         }
 
 
-_ADJUSTMENT_KINDS = ("garcia", "garcia_ref")
-
-
 def solve(config: RunConfig, kind: str | None = None,
           capital_fn: CapitalFn | None = None) -> SolveResult:
     """March the configured problem to valuation time zero.
@@ -150,14 +148,14 @@ def solve(config: RunConfig, kind: str | None = None,
     convection = assemble_form_matrix(mesh, basis,
                                       lambda u: convection_form(u, speed))
 
-    if kind in _ADJUSTMENT_KINDS:
+    if kind in ADJUSTMENT_KINDS:
         u0 = np.zeros((mesh.cells, basis.n_nodes))
     else:
         u0 = project_payoff(option, mesh, basis).coeffs
 
     quad = mesh.quad_points(basis)
-    needs_mark = kind in ("linear", "garcia", "garcia_ref")
-    riskfree_fn = (lambda t, s: bs_value(option, s, t, market)) if needs_mark else None
+    riskfree_fn = ((lambda t, s: bs_value(option, s, t, market))
+                   if kind in MARK_KINDS else None)
 
     def explicit_fn(u_flat: np.ndarray, tau: float) -> np.ndarray:
         u = u_flat.reshape(mesh.cells, basis.n_nodes)
@@ -181,7 +179,7 @@ def solve(config: RunConfig, kind: str | None = None,
     q_field = gradient_form(value_field, variant)
     return SolveResult(config=config, kind=kind, variant=variant, mesh=mesh,
                        basis=basis, value_field=value_field, q_field=q_field,
-                       time_grid=grid, is_adjustment=kind in _ADJUSTMENT_KINDS,
+                       time_grid=grid, is_adjustment=kind in ADJUSTMENT_KINDS,
                        runtime=elapsed)
 
 

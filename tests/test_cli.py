@@ -108,6 +108,8 @@ def test_table3_with_tiny_mc(tmp_path):
     assert all(float(r[5]) > 0.0 for r in at_money)
     meta = json.loads((out / "table3.meta.json").read_text())
     assert meta["solver"]["put_linear_mc"]["seed"] == 11
+    assert meta["solver"]["put_linear_mc"]["levels_filled"] == 6
+    assert meta["peak_rss_mb"] > 0.0
 
 
 def test_sweep_cli_and_labels(tmp_path):
@@ -134,6 +136,22 @@ def test_fbsde_cli(tmp_path):
     assert header == ["spot", "xva_mc", "stderr"]
     assert [float(r[0]) for r in rows] == [10.0, 15.0]
     assert all(float(r[2]) > 0.0 for r in rows)
+    meta = json.loads((out / "fbsde.meta.json").read_text())
+    assert meta["mc"]["driver_evaluations"] == 10
+    assert meta["mc"]["driver_points"] == 10 * 60 * 50
+    assert meta["peak_rss_mb"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["table3", "fbsde"])
+def test_monte_carlo_budget_beyond_memory_reports_json_error(command, tmp_path,
+                                                             capsys):
+    rc = main([command, "--strata", "100000", "--paths", "1000000",
+               "--out", str(tmp_path / command)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "strata" in record["message"]
+    assert "paths_per_stratum" in record["message"]
 
 
 def test_breakdown_cli(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from xvadg.black_scholes import bs_value
+from xvadg.capital import capital_requirement
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 from xvadg.drivers import (ALL_DRIVER_KINDS, closeout_value, collateral_amount,
-                           driver_value, source_term)
+                           driver_level, driver_value, source_term)
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)
@@ -117,6 +118,49 @@ def test_garcia_and_reference_forms():
     expect_ref = (rb + MARKET.cpty_intensity) * v \
         + (MARKET.capital_hurdle - MARKET.capital_funding_fraction * rb) * k
     assert np.allclose(got_ref, expect_ref, rtol=1e-14)
+
+
+@pytest.mark.parametrize("option", [PUT, CALL], ids=["put", "call"])
+def test_driver_value_equals_hand_built_formulas_bitwise(option):
+    # driver_value is the (t, S) level part followed by the evaluation in v;
+    # both keep the arithmetic of the one-line formulas, so every kind
+    # matches them bit for bit, including the nonlinear capital stack split
+    # at the add-on, and one level serves any number of v
+    spot = np.linspace(0.5, 45.0, 13)
+    v = np.linspace(-1.5, 4.0, 13)
+    t = 0.35
+    mark = bs_value(option, spot, t, MARKET)
+    k_mark = capital_requirement(t, spot, mark, option, MARKET, CAP).k_total
+    rb = MARKET.issuer_funding_rate
+    lam = MARKET.cpty_intensity
+    loss = MARKET.cpty_spread
+    hurdle = MARKET.capital_hurdle
+    phi = MARKET.capital_funding_fraction
+    coll_mark = MARKET.collateral_fraction * mark
+
+    def nonlinear(v):
+        coll = MARKET.collateral_fraction * v
+        k = capital_requirement(t, spot, v, option, MARKET, CAP).k_total
+        return (rb * v + loss * np.maximum(v - coll, 0.0)
+                + (MARKET.collateral_rate - rb) * coll + (hurdle - phi * rb) * k)
+
+    hand = {
+        "linear": lambda v: ((rb + lam) * v - lam * mark
+                             + loss * np.maximum(mark - coll_mark, 0.0)
+                             + (MARKET.collateral_rate - rb) * coll_mark
+                             + (hurdle - phi * rb) * k_mark),
+        "nonlinear": nonlinear,
+        "garcia": lambda v: (hurdle + lam) * v + (hurdle - rb) * k_mark,
+        "garcia_ref": lambda v: (rb + lam) * v + (hurdle - phi * rb) * k_mark,
+        "riskfree": lambda v: MARKET.risk_free_rate * v,
+    }
+    assert set(hand) == set(ALL_DRIVER_KINDS)
+    for kind, formula in hand.items():
+        args = (option, MARKET, CAP, _mark_fn(option))
+        assert np.array_equal(driver_value(kind, t, spot, v, *args), formula(v)), kind
+        level = driver_level(kind, t, spot, *args)
+        for w in (v, 2.0 * v - 1.0):
+            assert np.array_equal(level(w), formula(w)), kind
 
 
 def test_riskfree_driver():

@@ -1,13 +1,20 @@
 """Regression Monte Carlo cross-checker: stratified forward simulation,
-analytic backward oracles, error-bar scaling, neighbor borrowing, and
+analytic backward oracles, error-bar scaling, neighbor borrowing, the
+per-level cache against the per-step reference loop, the memory guard, and
 input validation.  All randomness is seeded; every assertion is
 deterministic."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from xvadg import fbsde
 from xvadg.black_scholes import bs_value
-from xvadg.config import MarketParams, OptionSpec, benchmark_config
+from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, payoff
+from xvadg.drivers import ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, driver_value
 from xvadg.fbsde import (BackwardSolution, PathEnsemble, RegressionGrid,
                          simulate_forward, solve_backward)
 
@@ -186,3 +193,97 @@ def test_backward_input_validation(ensemble):
     short = OptionSpec(kind="put", strike=15.0, maturity=0.5)
     with pytest.raises(ValueError, match="maturity"):
         solve_backward(ensemble, "linear", short)
+
+
+def test_linear_pass_evaluates_capital_once_per_level(ensemble):
+    # the mark and the capital on it depend on (t, S) only: one evaluation
+    # per time level t_i serves the corrector of step i and the predictor of
+    # step i-1, so steps + 1 calls instead of 2 * steps
+    calls = []
+
+    def counting(t, spot, mark):
+        calls.append(t)
+        return 0.0 * mark
+
+    sol = solve_backward(ensemble, "linear", PUT, capital_fn=counting)
+    assert len(calls) == GRID.steps + 1
+    assert sorted(calls) == list(ensemble.times)
+    meta = sol.meta
+    assert meta["levels_filled"] == GRID.steps + 1
+    assert meta["driver_evaluations"] == 2 * GRID.steps
+    assert meta["driver_points"] == 2 * GRID.steps * GRID.n_paths
+
+
+def _reference_backward(ensemble, kind, option, capital_fn=None,
+                        driver_override=None):
+    """The per-step backward loop the level cache replaced: every driver
+    evaluation recomputes its (t, S) work, every step upcasts both levels
+    and every fit accumulates its own regressor moments."""
+    market, grid, times = ensemble.market, ensemble.grid, ensemble.times
+    capital = CapitalParams()
+    dt = times[1] - times[0]
+    riskfree_fn = None
+    if driver_override is None and kind in MARK_KINDS:
+        riskfree_fn = lambda t, s: bs_value(option, s, t, market)
+
+    def driver_at(t, spot, v):
+        if driver_override is not None:
+            return driver_override(t, spot, v)
+        return driver_value(kind, t, spot, v, option, market, capital,
+                            riskfree_fn, capital_fn)
+
+    def fit_at(bins, spot, y):
+        dx = spot - grid.centers[bins]
+        return fbsde._fit_strata(bins, dx, fbsde._moments(bins, dx, grid.strata),
+                                 y, grid)[0]
+
+    s_term = ensemble.spots[-1].astype(np.float64)
+    y = np.zeros_like(s_term) if kind in ADJUSTMENT_KINDS else payoff(option, s_term)
+    for i in range(grid.steps - 1, -1, -1):
+        s_next = ensemble.spots[i + 1].astype(np.float64)
+        f_right = driver_at(float(times[i + 1]), s_next, y)
+        s_now = ensemble.spots[i].astype(np.float64)
+        bins = grid.stratum_of(s_now)
+        y_star = fit_at(bins, s_now, y - dt * f_right).predict(
+            bins, s_now - grid.centers[bins])
+        f_left = driver_at(float(times[i]), s_now, y_star)
+        fit = fit_at(bins, s_now, y - 0.5 * dt * (f_right + f_left))
+        y = fit.predict(bins, s_now - grid.centers[bins])
+    return fit
+
+
+@pytest.mark.parametrize("option", [PUT, CALL], ids=["put", "call"])
+@pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
+@given(strata=st.integers(1, 20), paths=st.integers(2, 20),
+       steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       hook=st.sampled_from(["none", "capital_fn", "driver_override"]),
+       chunk=st.sampled_from([fbsde._CHUNK, 7]))
+def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
+                                                steps, seed, hook, chunk):
+    # the cached pass reorders no arithmetic: every fit array is identical
+    # to the per-step loop's, also across chunk boundaries, with a capital
+    # override, with a driver override and with borrowed empty strata
+    grid = RegressionGrid(strata=strata, paths_per_stratum=paths, steps=steps)
+    ens = simulate_forward(grid, MARKET, 1.0, seed=seed)
+    hooks = {
+        "none": {},
+        "capital_fn": {"capital_fn": lambda t, s, m: 0.01 * np.abs(m) + 1e-3 * s * t},
+        "driver_override": {"driver_override": lambda t, s, v: 0.05 * v + 0.01 * s * t},
+    }[hook]
+    with mock.patch.object(fbsde, "_CHUNK", chunk):
+        got = solve_backward(ens, kind, option, **hooks).fit
+    want = _reference_backward(ens, kind, option, **hooks)
+    for name in ("intercept", "slope", "counts", "mean_dx", "sxx", "resid_var"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_memory_guard_rejects_budget_before_allocating(monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert RegressionGrid().memory_bytes < physical
+    huge = RegressionGrid(strata=100_000, paths_per_stratum=1_000_000)
+    assert huge.memory_bytes > physical
+    # with numpy unreachable from the module, any allocation would raise
+    # AttributeError; the guard must reject the budget first
+    monkeypatch.setattr(fbsde, "np", None)
+    with pytest.raises(ValueError, match="strata.*paths_per_stratum"):
+        simulate_forward(huge, MARKET, 1.0, seed=0)
