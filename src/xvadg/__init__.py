@@ -64,6 +64,7 @@ from .solver import (
     garcia_scaling_check,
     sample_grid,
     solve,
+    solve_many,
     xva_breakdown,
 )
 
@@ -106,6 +107,7 @@ __all__ = [
     "simulate_forward",
     "solve",
     "solve_backward",
+    "solve_many",
     "source_term",
     "supervisory_delta",
     "xva_breakdown",

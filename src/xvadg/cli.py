@@ -31,7 +31,8 @@ from .config import (CapitalParams, MarketParams, OptionSpec, RunConfig,
                      benchmark_config, config_to_dict, load_config)
 from .fbsde import RegressionGrid, simulate_forward, solve_backward
 from .ldg import field_error_norms
-from .solver import garcia_scaling_check, sample_grid, solve, xva_breakdown
+from .solver import garcia_scaling_check, sample_grid, scenario_groups, solve, \
+    solve_many, xva_breakdown
 
 #: spots reported by the benchmark table and the Monte Carlo commands
 TABLE_SPOTS = (5.0, 10.0, 15.0, 20.0, 30.0, 60.0)
@@ -353,6 +354,9 @@ def run_sweep(config: RunConfig, param: str,
               spots=SWEEP_SPOTS) -> dict:
     """One PDE solve per parameter value; adjustment and delta at the
     sample spots, plus pointwise monotonicity summaries across values.
+    The values go through one ``solve_many`` call, so the values of a
+    ``capital-hurdle`` or ``collateral-rate`` sweep march as one batch;
+    ``groups`` gives the batch widths and ``solver`` each value's meta.
 
     ``capital-hurdle`` value 0.06 is labeled the no-KVA baseline (hurdle
     equal to the risk-free rate, capital earning no excess return);
@@ -365,13 +369,13 @@ def run_sweep(config: RunConfig, param: str,
         values = _SWEEP_DEFAULTS[param]
     field = _SWEEP_FIELDS[param]
     spots = np.asarray(spots, dtype=float)
+    configs = [dataclasses.replace(config, market=dataclasses.replace(
+        config.market, **{field: float(v)})) for v in values]
+    results = solve_many(configs)
     rows = []
     xva_by_value = []
     delta_bounds = {}
-    for v in values:
-        market = dataclasses.replace(config.market, **{field: float(v)})
-        cfg = dataclasses.replace(config, market=market)
-        result = solve(cfg)
+    for v, result in zip(values, results):
         label = ""
         if param == "capital-hurdle" and abs(v - config.market.risk_free_rate) < 1e-12:
             label = "no-KVA"
@@ -393,6 +397,8 @@ def run_sweep(config: RunConfig, param: str,
         "values": [float(v) for v in values],
         "xva_nonincreasing": monotone,
         "delta_bounds": delta_bounds,
+        "groups": [len(g) for g in scenario_groups(configs)],
+        "solver": [r.meta for r in results],
     }
 
 
@@ -411,8 +417,11 @@ def _cmd_sweep(args) -> None:
         "values": sweep["values"],
         "xva_nonincreasing": sweep["xva_nonincreasing"],
         "delta_bounds": sweep["delta_bounds"],
+        "groups": sweep["groups"],
+        "solver": sweep["solver"],
         "outputs": ["sweep.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"sweep over {args.param}: values {sweep['values']}")
     print(f"xva pointwise nonincreasing across values: {sweep['xva_nonincreasing']}")

@@ -28,10 +28,17 @@ b1, b2, a1, a2 are fixed by the order conditions (b1 + b2 + g = 1).  The
 explicit weights of the final combination also sum to one, so a steady
 state of the stage equations is preserved exactly.
 
-The step count comes from the explicit CFL bound of the convection part:
-delta* = cfl * h / ((2 degree + 1) |speed| s_max), steps = max(1,
-floor(horizon/delta*)).  When the convection speed vanishes there is no
-explicit stability limit and a fixed mild resolution is used instead.
+The steps take the state as an (N,) vector or as an (N, B) array whose B
+columns are independent scenarios sharing M, L and the time grid (the
+solver batches the scenarios of a parameter sweep this way); ``mass`` is
+then the (N, 1) column of the diagonal, and every stage is one solve with
+B right-hand sides and one explicit evaluation over all columns.
+
+The step count comes from the explicit CFL bound of the convection part,
+delta* = cfl * h / ((2 degree + 1) |speed| s_max), and is bounded below by
+a mild resolution floor: steps = max(floor(horizon/delta*), max(4,
+cells // 10)).  The floor is all that remains when the convection speed
+vanishes, and it keeps the count from collapsing as the speed goes to 0.
 """
 
 from __future__ import annotations
@@ -70,20 +77,22 @@ def implicit_coefficient(order: int) -> float:
 class TimeGrid:
     steps: int
     delta: float
+    cfl: float    # of the chosen step: delta (2 degree + 1) |speed| s_max / h
 
 
 def select_time_grid(mesh: Mesh, degree: int, speed: float, horizon: float,
                      cfl: float = 0.5) -> TimeGrid:
-    """Uniform step count from the explicit convection stability bound."""
+    """Uniform step count from the explicit convection stability bound,
+    never below the resolution floor max(4, cells // 10)."""
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     scale = (2.0 * degree + 1.0) * abs(speed) * mesh.s_max
-    if scale < 1e-14:
-        steps = max(4, mesh.cells // 10)
-    else:
+    steps = max(4, mesh.cells // 10)
+    if scale > 0.0:
         limit = cfl * mesh.width / scale
-        steps = max(1, math.floor(horizon / limit))
-    return TimeGrid(steps=steps, delta=horizon / steps)
+        steps = max(steps, math.floor(horizon / limit))
+    delta = horizon / steps
+    return TimeGrid(steps=steps, delta=delta, cfl=delta * scale / mesh.width)
 
 
 ExplicitFn = Callable[[np.ndarray, float], np.ndarray]
@@ -93,7 +102,7 @@ ApplyFn = Callable[[np.ndarray], np.ndarray]
 def step_order2(u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
                 apply_l: ApplyFn, solve_shifted: ApplyFn,
                 explicit_fn: ExplicitFn) -> np.ndarray:
-    """Advance one step of the second-order pair; flat vectors throughout.
+    """Advance one step of the second-order pair on (N,) or (N, B) states.
 
     ``solve_shifted`` must solve (M - delta*GAMMA2*L) x = rhs.
     """
@@ -110,7 +119,7 @@ def step_order2(u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
 def step_order3(u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
                 apply_l: ApplyFn, solve_shifted: ApplyFn,
                 explicit_fn: ExplicitFn) -> np.ndarray:
-    """Advance one step of the third-order pair; flat vectors throughout.
+    """Advance one step of the third-order pair on (N,) or (N, B) states.
 
     ``solve_shifted`` must solve (M - delta*GAMMA3*L) x = rhs.
     """

@@ -303,8 +303,12 @@ def convection_form(u: DGField, speed: float) -> np.ndarray:
 
 
 def source_form(values: np.ndarray, mesh: Mesh, basis: Basis) -> np.ndarray:
-    """Collocated source residual: nodal values weighted by the diagonal mass."""
-    return 0.5 * mesh.width * basis.weights[None, :] * values
+    """Collocated source residual: nodal values weighted by the diagonal mass.
+
+    ``values`` is (cells, degree+1), or (cells, degree+1, B) for B scenarios.
+    """
+    weights = 0.5 * mesh.width * basis.weights
+    return weights.reshape(weights.shape + (1,) * (np.ndim(values) - 2)) * values
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +383,8 @@ def assemble_form_matrix(mesh: Mesh, basis: Basis,
 
 @dataclass(eq=False)
 class ImplicitOperator:
-    """Prefactorized solve of (M - coef * L) x = rhs on flat vectors.
+    """Prefactorized solve of (M - coef * L) x = rhs on (N,) vectors or on
+    (N, B) arrays of B right-hand sides.
 
     ``lu`` and ``pivots`` are the ``dgbtrf`` factors in LAPACK band
     storage, with kl = ku = ``bandwidth`` = 2*degree+1.

@@ -17,6 +17,20 @@ The scheme order is tied to the local degree (degree 1 -> second-order
 stepping, degree 2 -> third order) and the step count to the explicit CFL
 bound, both fixed at construction from the configuration.
 
+``solve_many`` prices several configurations at once.  Configurations that
+differ only in the market fields of ``BATCHED_FIELDS`` (the capital hurdle
+and the collateral rate, which enter the driver as scalar coefficients)
+form one group; everything else -- option, mesh, degree, CFL constant,
+volatility, drift, every other rate and capital parameter, and the driver
+kind -- must match exactly.  A group shares one operator assembly, one
+banded factorisation, one convection matrix and one time grid, and marches
+its B scenarios as one (N, B) state, N = cells * (degree+1), column b
+holding scenario b's nodal values cell by cell.  The group's market carries
+the batched fields as (B,) arrays, so each driver formula broadcasts them
+over the last axis and evaluates its (t, S)-only part (closed-form mark,
+SA-CCR add-on) once per stage for the whole group.  ``solve`` is
+``solve_many`` on one configuration, so one march loop serves both.
+
 ``xva_breakdown`` prices the adjustment a second, independent way: each
 cost component of the linear convention is integrated against the lognormal
 law of the stock and the issuer-plus-counterparty discount kernel
@@ -27,8 +41,10 @@ rescaling of the issuer-kernel one.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +52,8 @@ from . import imex
 from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
     lognormal_expectation
 from .capital import capital_requirement
-from .config import CapitalParams, MarketParams, OptionSpec, RunConfig
+from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
+    config_to_dict
 from .drivers import (ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, CapitalFn,
                       source_term)
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
@@ -44,9 +61,14 @@ from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     make_basis, project_payoff, source_form, variant_for_option
 
 __all__ = [
-    "SolveResult", "SolverDivergedError", "XVABreakdown", "GarciaScalingCheck",
-    "solve", "xva_breakdown", "garcia_scaling_check", "sample_grid",
+    "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
+    "GarciaScalingCheck", "solve", "solve_many", "scenario_groups",
+    "xva_breakdown", "garcia_scaling_check", "sample_grid",
 ]
+
+#: market fields that enter the driver only as scalar coefficients: the
+#: configurations of one ``solve_many`` group may differ in these alone
+BATCHED_FIELDS = ("capital_hurdle", "collateral_rate")
 
 
 class SolverDivergedError(RuntimeError):
@@ -63,7 +85,11 @@ class SolverDivergedError(RuntimeError):
 
 @dataclass(eq=False)
 class SolveResult:
-    """Solution of one pricing run at valuation time zero."""
+    """Solution of one pricing run at valuation time zero.
+
+    ``runtime`` and the counters describe the march of the whole group the
+    run was batched in (``batch_width`` scenarios, see ``solve_many``).
+    """
 
     config: RunConfig
     kind: str
@@ -75,6 +101,9 @@ class SolveResult:
     time_grid: imex.TimeGrid
     is_adjustment: bool
     runtime: float
+    batch_width: int
+    implicit_solves: int
+    driver_evaluations: int
 
     def _mark(self, s, fn):
         return fn(self.config.option, s, 0.0, self.config.market)
@@ -115,6 +144,10 @@ class SolveResult:
             "variant": self.variant.value,
             "steps": self.time_grid.steps,
             "delta_tau": self.time_grid.delta,
+            "cfl_number": self.time_grid.cfl,
+            "batch_width": self.batch_width,
+            "implicit_solves": self.implicit_solves,
+            "driver_evaluations": self.driver_evaluations,
             "runtime_seconds": self.runtime,
         }
 
@@ -126,12 +159,56 @@ def solve(config: RunConfig, kind: str | None = None,
     ``kind`` overrides the configured driver; it also admits the two
     validation kinds (``garcia_ref``, ``riskfree``) that ``RunConfig``
     does not expose.  ``capital_fn`` replaces the regulatory capital stack
-    (``lambda t, s, m: 0.0 * m`` prices without capital costs).
+    (``lambda t, s, m: 0.0 * m`` prices without capital costs); it is called
+    with spots of shape (cells, degree+1, 1) and marks that broadcast
+    against them, (cells, degree+1, B) for a batch of B scenarios.
     """
+    return solve_many([config], kind, capital_fn)[0]
+
+
+def solve_many(configs: Sequence[RunConfig], kind: str | None = None,
+               capital_fn: CapitalFn | None = None) -> list[SolveResult]:
+    """``solve`` for each configuration, in input order, marching each group
+    of ``scenario_groups`` as one batch; ``kind`` and ``capital_fn`` apply
+    to every configuration.  Each result equals its ``solve`` bit for bit.
+    """
+    results: list = [None] * len(configs)
+    for members in scenario_groups(configs, kind):
+        group = [configs[i] for i in members]
+        for i, result in zip(members, _march_group(group, kind, capital_fn)):
+            results[i] = result
+    return results
+
+
+def scenario_groups(configs: Sequence[RunConfig],
+                    kind: str | None = None) -> list[list[int]]:
+    """Indices of the configurations that march together, in order of first
+    appearance: equal in every field but ``BATCHED_FIELDS``, and in kind."""
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        fields = config_to_dict(config)
+        for name in BATCHED_FIELDS:
+            del fields[name]
+        key = (config.driver if kind is None else kind, tuple(sorted(fields.items())))
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _march_group(group: list[RunConfig], kind: str | None,
+                 capital_fn: CapitalFn | None) -> list[SolveResult]:
+    """One march of a ``scenario_groups`` group; one result per member."""
+    config = group[0]
     kind = config.driver if kind is None else kind
     if kind not in ALL_DRIVER_KINDS:
         raise ValueError(f"unknown driver kind {kind!r}")
-    option, market, capital = config.option, config.market, config.capital
+    option, capital, market = config.option, config.capital, config.market
+    width = len(group)
+    if width > 1:
+        # a group of one keeps its scalars, which every stage would
+        # otherwise turn into (1,) arrays at a ufunc call each
+        market = dataclasses.replace(market, **{
+            name: np.array([getattr(c.market, name) for c in group])
+            for name in BATCHED_FIELDS})
     mesh = Mesh(config.s_max, config.cells)
     basis = make_basis(config.degree)
     variant = variant_for_option(option)
@@ -148,39 +225,53 @@ def solve(config: RunConfig, kind: str | None = None,
     convection = assemble_form_matrix(mesh, basis,
                                       lambda u: convection_form(u, speed))
 
+    shape = (mesh.cells, basis.n_nodes, width)
     if kind in ADJUSTMENT_KINDS:
-        u0 = np.zeros((mesh.cells, basis.n_nodes))
+        u = np.zeros(shape)
     else:
-        u0 = project_payoff(option, mesh, basis).coeffs
+        u = np.repeat(project_payoff(option, mesh, basis).coeffs[..., None],
+                      width, axis=2)
+    u = u.reshape(-1, width)
 
-    quad = mesh.quad_points(basis)
+    # (cells, nodes, 1): the driver's (t, S) part broadcasts over the batch
+    spots = mesh.quad_points(basis)[..., None]
     riskfree_fn = ((lambda t, s: bs_value(option, s, t, market))
                    if kind in MARK_KINDS else None)
+    counts = {"implicit_solves": 0, "driver_evaluations": 0}
 
-    def explicit_fn(u_flat: np.ndarray, tau: float) -> np.ndarray:
-        u = u_flat.reshape(mesh.cells, basis.n_nodes)
-        h_vals = source_term(kind, tau, quad, u, option, market, capital,
-                             riskfree_fn, capital_fn)
-        return convection @ u_flat + source_form(h_vals, mesh, basis).ravel()
+    def explicit_fn(state: np.ndarray, tau: float) -> np.ndarray:
+        counts["driver_evaluations"] += 1
+        h_vals = source_term(kind, tau, spots, state.reshape(shape), option,
+                             market, capital, riskfree_fn, capital_fn)
+        return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
 
+    def solve_shifted(rhs: np.ndarray) -> np.ndarray:
+        counts["implicit_solves"] += 1
+        return op.solve(rhs)
+
+    mass = op.mass[:, None]
     started = time.perf_counter()
-    u = u0.ravel()
     tau = 0.0
     for n in range(grid.steps):
-        u = imex.step(order, u, tau, grid.delta, op.mass, op.apply_diffusion,
-                      op.solve, explicit_fn)
+        u = imex.step(order, u, tau, grid.delta, mass, op.apply_diffusion,
+                      solve_shifted, explicit_fn)
         tau += grid.delta
-        if not np.all(np.isfinite(u)):
-            cell = int(np.flatnonzero(~np.isfinite(u))[0]) // basis.n_nodes
-            raise SolverDivergedError(n + 1, grid.steps, tau, cell)
+        finite = np.isfinite(u)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise SolverDivergedError(n + 1, grid.steps, tau, row // basis.n_nodes)
     elapsed = time.perf_counter() - started
 
-    value_field = DGField(mesh, basis, u.reshape(mesh.cells, basis.n_nodes))
-    q_field = gradient_form(value_field, variant)
-    return SolveResult(config=config, kind=kind, variant=variant, mesh=mesh,
-                       basis=basis, value_field=value_field, q_field=q_field,
-                       time_grid=grid, is_adjustment=kind in ADJUSTMENT_KINDS,
-                       runtime=elapsed)
+    results = []
+    for b, member in enumerate(group):
+        coeffs = np.ascontiguousarray(u[:, b]).reshape(mesh.cells, basis.n_nodes)
+        value_field = DGField(mesh, basis, coeffs)
+        results.append(SolveResult(
+            config=member, kind=kind, variant=variant, mesh=mesh, basis=basis,
+            value_field=value_field, q_field=gradient_form(value_field, variant),
+            time_grid=grid, is_adjustment=kind in ADJUSTMENT_KINDS,
+            runtime=elapsed, batch_width=width, **counts))
+    return results
 
 
 def sample_grid(result: SolveResult) -> np.ndarray:

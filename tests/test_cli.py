@@ -124,6 +124,21 @@ def test_sweep_cli_and_labels(tmp_path):
     assert labels[0.06] == "no-KVA" and labels[0.15] == ""
     meta = json.loads((out / "sweep.meta.json").read_text())
     assert meta["xva_nonincreasing"] is True
+    # both hurdles march as one batch; each value keeps its own solver meta
+    assert meta["groups"] == [2]
+    assert [m["batch_width"] for m in meta["solver"]] == [2, 2]
+    assert meta["solver"][0]["implicit_solves"] == 2 * meta["solver"][0]["steps"]
+    assert meta["peak_rss_mb"] > 0.0
+
+
+def test_sigma_sweep_solves_each_value_alone(tmp_path):
+    out = tmp_path / "s"
+    rc = main(["sweep", "--param", "sigma", "--values", "0.2,0.3",
+               "--cells", "40", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((out / "sweep.meta.json").read_text())
+    assert meta["groups"] == [1, 1]
+    assert [m["batch_width"] for m in meta["solver"]] == [1, 1]
 
 
 def test_fbsde_cli(tmp_path):

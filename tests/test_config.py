@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from xvadg.config import (CapitalParams, MarketParams, OptionSpec, RunConfig,
                           benchmark_config, config_from_dict, config_to_dict,
@@ -88,6 +89,45 @@ def test_dict_round_trip():
     cfg = benchmark_config("call", driver="nonlinear", cells=80)
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+
+
+_RATE = st.floats(0.0, 0.2)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _configs(draw):
+    """Valid run configurations, credit triples consistent by construction."""
+    rate, issuer_int, issuer_rec = draw(_RATE), draw(_RATE), draw(_UNIT)
+    repo, cpty_int, cpty_rec = draw(_RATE), draw(_RATE), draw(_UNIT)
+    market = MarketParams(
+        sigma=draw(st.floats(0.01, 2.0)), risk_free_rate=rate,
+        stock_repo_rate=draw(_RATE), dividend_yield=draw(_RATE),
+        issuer_funding_rate=rate + issuer_int * (1.0 - issuer_rec),
+        issuer_intensity=issuer_int, issuer_recovery=issuer_rec,
+        cpty_bond_yield=repo + cpty_int * (1.0 - cpty_rec), cpty_repo_rate=repo,
+        cpty_intensity=cpty_int, cpty_recovery=cpty_rec,
+        collateral_rate=draw(_RATE), collateral_fraction=draw(_UNIT),
+        capital_hurdle=draw(_RATE), capital_funding_fraction=draw(_UNIT))
+    capital = CapitalParams(
+        capital_ratio=draw(st.floats(0.01, 1.0)),
+        multiplier_floor=draw(st.floats(0.01, 0.99)),
+        supervisory_vol=draw(st.floats(0.1, 2.0)),
+        addon_days=draw(st.floats(0.0, 30.0)))
+    option = OptionSpec(kind=draw(st.sampled_from(["call", "put"])),
+                        strike=draw(st.floats(1.0, 200.0)),
+                        maturity=draw(st.floats(0.05, 5.0)))
+    return RunConfig(option=option, market=market, capital=capital,
+                     driver=draw(st.sampled_from(["linear", "nonlinear", "garcia"])),
+                     domain_multiple=draw(st.floats(1.5, 8.0)),
+                     cells=draw(st.integers(2, 2000)),
+                     degree=draw(st.sampled_from([1, 2])),
+                     cfl_constant=draw(st.floats(0.05, 2.0)))
+
+
+@given(config=_configs())
+def test_dict_round_trip_over_valid_configs(config):
+    assert config_from_dict(config_to_dict(config)) == config
 
 
 def test_json_round_trip(tmp_path):

@@ -49,13 +49,26 @@ def test_implicit_coefficient_dispatch():
 
 
 def test_select_time_grid_reproduces_reference_counts():
-    # benchmark convection speed sigma^2 - drift with the default CFL 0.5
+    # benchmark convection speed sigma^2 - drift with the default CFL 0.5;
+    # 10 and 20 cells sit on the floor max(4, cells // 10), not the CFL count
     speed = 0.3 ** 2 - 0.06
-    for cells, steps in ((10, 1), (20, 3), (40, 7), (80, 14), (160, 28),
+    for cells, steps in ((10, 4), (20, 4), (40, 7), (80, 14), (160, 28),
                          (320, 57), (640, 115), (1280, 230)):
         grid = select_time_grid(Mesh(s_max=60.0, cells=cells), 1, speed, 1.0)
         assert grid.steps == steps
         assert grid.delta == pytest.approx(1.0 / steps)
+        assert grid.cfl == pytest.approx(3.0 * speed * 60.0 * grid.delta * cells / 60.0)
+        assert grid.cfl <= 0.5 * (steps + 1) / steps
+
+
+@pytest.mark.parametrize("cells", [10, 20, 80, 160, 1280])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_step_count_does_not_collapse_at_small_speed(cells, degree):
+    mesh = Mesh(s_max=60.0, cells=cells)
+    at_zero = select_time_grid(mesh, degree, 0.0, 1.0).steps
+    assert at_zero == max(4, cells // 10)
+    for speed in (1e-4, -1e-4, 1e-2, -1e-2):
+        assert select_time_grid(mesh, degree, speed, 1.0).steps >= at_zero
 
 
 def test_select_time_grid_edge_cases():

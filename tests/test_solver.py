@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
 from xvadg.solver import (GarciaScalingCheck, SolverDivergedError, XVABreakdown,
-                          garcia_scaling_check, sample_grid, solve,
-                          xva_breakdown)
+                          garcia_scaling_check, sample_grid, scenario_groups,
+                          solve, solve_many, xva_breakdown)
 
 # adjustment values at the reporting spots, frozen from the N=1280 runs
 # that the acceptance suite reproduces (keys: option, driver, spot)
@@ -42,6 +43,50 @@ def test_riskfree_hook_matches_analytic_solution(option_kind):
     assert np.max(np.abs(sol.xva(s))) < 1e-3
 
 
+def _riskfree_error(config):
+    s = np.linspace(0.5, 30.0, 241)
+    sol = solve(config, kind="riskfree")
+    return float(np.max(np.abs(sol.value(s) - bs_value(config.option, s, 0.0,
+                                                         config.market))))
+
+
+def _market_at_rate(sigma, rate, repo, dividend):
+    """Benchmark credit data moved onto another risk-free rate."""
+    base = MarketParams()
+    return MarketParams(
+        sigma=sigma, risk_free_rate=rate, stock_repo_rate=repo,
+        dividend_yield=dividend,
+        issuer_funding_rate=rate + base.issuer_intensity * (1.0 - base.issuer_recovery),
+        cpty_repo_rate=rate,
+        cpty_bond_yield=rate + base.cpty_intensity * (1.0 - base.cpty_recovery))
+
+
+@given(sigma=st.floats(0.2, 0.5), rate=st.floats(0.0, 0.1),
+       repo=st.floats(0.0, 0.1), dividend=st.floats(0.0, 0.05),
+       option_kind=st.sampled_from(["put", "call"]),
+       mesh=st.sampled_from([(1, 320), (2, 80), (2, 160)]))
+def test_riskfree_hook_matches_analytic_solution_over_markets(
+        sigma, rate, repo, dividend, option_kind, mesh):
+    # the tolerance of test_riskfree_hook_matches_analytic_solution, over
+    # volatilities, rates and carries (including vanishing convection speed)
+    degree, cells = mesh
+    config = replace(benchmark_config(option_kind=option_kind, cells=cells),
+                     market=_market_at_rate(sigma, rate, repo, dividend),
+                     degree=degree)
+    assert _riskfree_error(config) < 1e-3
+
+
+def test_riskfree_hook_error_is_continuous_at_zero_speed():
+    # sigma^2 = 0.0625 exactly: repo 0.0625 gives convection speed 0, repo
+    # 0.0624 speed 1e-4; the step floor keeps the two runs alike
+    def config(repo):
+        return replace(benchmark_config(option_kind="put", cells=160),
+                       market=MarketParams(sigma=0.25, stock_repo_rate=repo))
+    at_zero, near_zero = config(0.0625), config(0.0624)
+    assert solve(near_zero).time_grid.steps >= solve(at_zero).time_grid.steps
+    assert _riskfree_error(near_zero) <= 2.0 * _riskfree_error(at_zero)
+
+
 @pytest.mark.parametrize("option_kind,driver", sorted(XVA_ANCHORS))
 def test_adjustment_anchors_mid_resolution(option_kind, driver):
     sol = solve(benchmark_config(option_kind=option_kind, driver=driver, cells=320))
@@ -65,6 +110,85 @@ def test_accessor_identities_both_families():
     assert meta["cells"] == 80 and meta["degree"] == 1
     assert meta["steps"] == 14  # CFL count at this resolution
     assert meta["kind"] == "linear" and meta["option"] == "put"
+
+
+# one scenario of a batch test: volatility (separates groups), capital
+# hurdle and collateral rate (batched within a group)
+_SCENARIO = st.tuples(st.sampled_from([0.2, 0.3]),
+                      st.sampled_from([0.06, 0.15, 0.25]),
+                      st.sampled_from([0.06, 0.07, 0.1]))
+
+
+@given(scenarios=st.lists(_SCENARIO, min_size=1, max_size=5),
+       option_kind=st.sampled_from(["put", "call"]),
+       driver=st.sampled_from(["linear", "nonlinear", "garcia"]),
+       degree=st.sampled_from([1, 2]), cells=st.sampled_from([8, 20, 40]))
+def test_solve_many_equals_solve_bitwise(scenarios, option_kind, driver,
+                                         degree, cells):
+    base = replace(benchmark_config(option_kind=option_kind, driver=driver,
+                                    cells=cells), degree=degree)
+    configs = [replace(base, market=replace(base.market, sigma=sigma,
+                                            capital_hurdle=hurdle,
+                                            collateral_rate=rate))
+               for sigma, hurdle, rate in scenarios]
+    results = solve_many(configs)
+    width = {i: len(g) for g in scenario_groups(configs) for i in g}
+    assert len(results) == len(configs)
+    for i, (config, result) in enumerate(zip(configs, results)):
+        assert result.config is config
+        assert result.meta["batch_width"] == width[i]
+        single = solve(config)
+        assert single.meta["batch_width"] == 1
+        assert np.array_equal(result.value_field.coeffs, single.value_field.coeffs)
+        assert np.array_equal(result.q_field.coeffs, single.q_field.coeffs)
+
+
+def test_scenario_groups_follow_the_operator():
+    base = benchmark_config(option_kind="put", driver="nonlinear", cells=40)
+
+    def market(**fields):
+        return replace(base, market=replace(base.market, **fields))
+    hurdles = [market(capital_hurdle=h) for h in (0.06, 0.15, 0.25)]
+    rates = [market(collateral_rate=r) for r in (0.06, 0.1)]
+    sigmas = [market(sigma=s) for s in (0.2, 0.3, 0.4)]
+    assert scenario_groups(hurdles + rates) == [[0, 1, 2, 3, 4]]
+    assert scenario_groups(sigmas) == [[0], [1], [2]]
+    assert scenario_groups([hurdles[0], sigmas[0], hurdles[1]]) == [[0, 2], [1]]
+    assert scenario_groups(hurdles, kind="garcia") == [[0, 1, 2]]
+    # every other field separates: driver, degree, a capital parameter
+    assert scenario_groups([base, replace(base, driver="linear"),
+                            replace(base, degree=2),
+                            replace(base, capital=replace(base.capital,
+                                                          leverage_ratio=0.04))]
+                           ) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("degree,solves,evaluations", [(1, 2, 2), (2, 3, 4)])
+def test_batched_march_meta_and_columns(degree, solves, evaluations):
+    base = replace(benchmark_config(option_kind="put", driver="nonlinear",
+                                    cells=40), degree=degree)
+    configs = [replace(base, market=replace(base.market, capital_hurdle=h))
+               for h in (0.06, 0.15, 0.25)]
+    results = solve_many(configs)
+    meta = results[0].meta
+    steps = meta["steps"]
+    assert meta["batch_width"] == 3
+    assert meta["implicit_solves"] == solves * steps
+    assert meta["driver_evaluations"] == evaluations * steps
+    assert 0.0 < meta["cfl_number"] <= 0.5 * (steps + 1) / steps
+    assert all(r.meta == meta for r in results)
+    # each column prices its own hurdle: capital costs more as it rises
+    xva = [r.xva(15.0) for r in results]
+    assert xva[0] > xva[1] > xva[2]
+
+
+def test_nonfinite_column_stops_the_batch():
+    base = benchmark_config(option_kind="put", driver="linear", cells=40)
+    poisoned = replace(base, market=replace(base.market, capital_hurdle=np.inf))
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverDivergedError, match="finiteness") as exc:
+            solve_many([base, poisoned])
+    assert exc.value.step == 1
 
 
 def test_put_query_outside_domain_raises():
