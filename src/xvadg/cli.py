@@ -233,6 +233,7 @@ def _cmd_converge(args) -> None:
         "ref_steps": report.ref_steps,
         "outputs": ["converge.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(report.text_table())
     print(f"wrote {out / 'converge.csv'}")
@@ -258,6 +259,7 @@ def _cmd_price(args) -> None:
         "solver": result.meta,
         "outputs": ["price.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     spots = [s for s in TABLE_SPOTS if s <= config.s_max]
     print(f"{config.option.kind} option, {config.driver} driver, "
@@ -488,6 +490,7 @@ def _cmd_breakdown(args) -> None:
         "abs_gap": gap,
         "outputs": ["breakdown.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"adjustment decomposition at spot {args.spot} ({config.option.kind}):")
     for name in ("cva", "fbva", "fcva", "cra", "kva"):
@@ -520,6 +523,7 @@ def _cmd_garcia(args) -> None:
         "max_abs_diff": check.max_abs_diff,
         "outputs": ["garcia_check.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"reduced-equation scaling check ({config.option.kind}, "
           f"{config.cells} cells):")

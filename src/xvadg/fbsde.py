@@ -36,9 +36,16 @@ evaluation in Y.  The pass builds that part, the float64 spots, their
 strata and the regressor moments once per time level t_i, uses them for
 the corrector of step i and, with the same spots, for the predictor of
 step i-1, and then frees them: 21 levels serve the 40 driver evaluations
-of a 20-step pass.  Driver work runs in chunks of ``_CHUNK`` paths, so its
-temporaries stay bounded at any path budget.  The results are those of
-evaluating the driver and the moments afresh at every use, bit for bit.
+of a 20-step pass.  The per-path work of a level (the float64 upcast,
+the strata, the offsets and the driver parts) and every driver evaluation
+run in cache-sized chunks of ``_CHUNK`` paths, one task per chunk on a
+thread pool with one worker per available CPU that lives for one pass;
+scipy's ``erf`` and the capital chain release the GIL, so the chunks run
+side by side.  Each of those operations is elementwise with a scalar t, so
+chunk boundaries and worker count do not change a bit; the ``bincount``
+reductions of the fits stay serial and in path order, because their
+summation order fixes the bits.  The results are those of evaluating the
+driver and the moments afresh at every use, bit for bit.
 
 This route shares with the PDE engine only the driver evaluation and the
 closed-form mark; the discretization, the state storage and the
@@ -52,6 +59,7 @@ import functools
 import logging
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,13 +75,17 @@ from .drivers import driver_value  # noqa: F401
 
 _log = logging.getLogger(__name__)
 
-#: driver work is chunked to keep the capital chain's temporaries
-#: bounded (~1M points per chunk, a few hundred MB of scratch at peak)
-_CHUNK = 1 << 20
+#: paths per chunk of per-path work: a float64 temporary of 32k paths is
+#: 256 KiB, so a chunk's driver chain stays in cache (16k and 64k chunks
+#: ran the table3 passes slower), and the driver scratch in flight is
+#: bounded by workers x chunk
+_CHUNK = 1 << 15
 
-#: float64 path-length arrays a backward pass holds at its peak: the
-#: values, the predictor, two driver evaluations, one level's strata,
-#: offsets and driver parts, and the regression temporaries
+#: float64 path-length arrays a backward pass holds at its peak, with a
+#: margin (tracemalloc reads 10 at 1M paths): the values, the predictor,
+#: two driver evaluations, one level's strata, offsets and driver parts,
+#: and the regression temporaries; the driver's chunk scratch is not
+#: path-length
 _BACKWARD_ARRAYS = 12
 
 DriverFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -123,7 +135,9 @@ class RegressionGrid:
     @property
     def memory_bytes(self) -> int:
         """Estimated peak memory of a forward ensemble and one backward pass:
-        float32 spots at every level plus the backward working set."""
+        float32 spots at every level plus the path-length arrays of the
+        backward pass.  The driver's chunk scratch (workers x ``_CHUNK``
+        points) does not grow with the budget and is not counted."""
         return (4 * (self.steps + 1) + 8 * _BACKWARD_ARRAYS) * self.n_paths
 
     def stratum_of(self, spot: np.ndarray | float) -> np.ndarray:
@@ -310,6 +324,8 @@ class BackwardSolution:
     levels_filled: int
     driver_evaluations: int
     driver_points: int
+    workers: int
+    chunks: int
 
     def value(self, spot: np.ndarray | float) -> np.ndarray | float:
         s = np.asarray(spot, dtype=float)
@@ -349,6 +365,8 @@ class BackwardSolution:
             "levels_filled": self.levels_filled,
             "driver_evaluations": self.driver_evaluations,
             "driver_points": self.driver_points,
+            "workers": self.workers,
+            "chunks": self.chunks,
             "runtime_seconds": round(self.runtime, 3),
         }
 
@@ -373,7 +391,9 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
 
     ``driver_override(t, S, y)``, when given, replaces the driver entirely
     (the analytic test oracles use F = 0 and F = r*y); ``capital_fn``
-    passes through to :func:`xvadg.drivers.driver_level`.
+    passes through to :func:`xvadg.drivers.driver_level`.  Both are called
+    once per chunk of paths, from the pass's pool threads, possibly side by
+    side: they must be pure, elementwise functions of their arguments.
     """
     started = time.perf_counter()
     if kind not in ALL_DRIVER_KINDS:
@@ -388,6 +408,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     grid = ensemble.grid
     times = ensemble.times
     dt = times[1] - times[0]
+    centers = grid.centers
     is_adjustment = kind in ADJUSTMENT_KINDS
 
     riskfree_fn = None
@@ -397,53 +418,63 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     n_paths = ensemble.spots.shape[1]
     chunks = [slice(lo, min(lo + _CHUNK, n_paths))
               for lo in range(0, n_paths, _CHUNK)]
+    workers = min(len(os.sched_getaffinity(0)), len(chunks))
     counts = {"levels": 0, "evaluations": 0, "points": 0}
 
-    def level_at(i: int, spot: np.ndarray) -> _Level:
+    def level_at(i: int) -> _Level:
         t = float(times[i])
-        if driver_override is None:
-            drivers = [driver_level(kind, t, spot[sl], option, market, capital,
-                                    riskfree_fn, capital_fn) for sl in chunks]
-        else:
-            drivers = [functools.partial(driver_override, t, spot[sl])
-                       for sl in chunks]
+        below = i < grid.steps
+        bins = np.empty(n_paths, dtype=np.int64) if below else None
+        dx = np.empty(n_paths) if below else None
+
+        def build(sl: slice) -> DriverEval:
+            spot = ensemble.spots[i, sl].astype(np.float64)
+            if below:
+                bins[sl] = grid.stratum_of(spot)
+                dx[sl] = spot - centers[bins[sl]]
+            if driver_override is not None:
+                return functools.partial(driver_override, t, spot)
+            return driver_level(kind, t, spot, option, market, capital,
+                                riskfree_fn, capital_fn)
+
+        drivers = list(pool.map(build, chunks))
         counts["levels"] += 1
-        if i == grid.steps:
+        if not below:
             return _Level(drivers)
-        bins = grid.stratum_of(spot)
-        dx = spot - grid.centers[bins]
         return _Level(drivers, bins, dx, _moments(bins, dx, grid.strata))
 
     def driver_at(level: _Level, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for sl, evaluate in zip(chunks, level.drivers):
-            out[sl] = evaluate(v[sl])
+        def evaluate(sl: slice, driver: DriverEval) -> None:
+            out[sl] = driver(v[sl])
+
+        list(pool.map(evaluate, chunks, level.drivers))
         counts["evaluations"] += 1
         counts["points"] += v.size
         return out
 
-    s_term = ensemble.spots[-1].astype(np.float64)
-    y = np.zeros_like(s_term) if is_adjustment else payoff(option, s_term)
-    level = level_at(grid.steps, s_term)
-    del s_term
-
+    y = (np.zeros(n_paths) if is_adjustment
+         else payoff(option, ensemble.spots[-1].astype(np.float64)))
     fit = None
     borrowed_total = 0
     f_right = np.empty_like(y)
     f_left = np.empty_like(y)
-    for i in range(grid.steps - 1, -1, -1):
-        driver_at(level, y, f_right)
-        # free the level at t_{i+1} before building the one at t_i
-        level = bins = dx = moments = None
-        level = level_at(i, ensemble.spots[i].astype(np.float64))
-        bins, dx, moments = level.bins, level.dx, level.moments
-        fit_pred, borrowed = _fit_strata(bins, dx, moments, y - dt * f_right, grid)
-        borrowed_total += borrowed
-        y_star = fit_pred.predict(bins, dx)
-        driver_at(level, y_star, f_left)
-        fit, borrowed = _fit_strata(bins, dx, moments,
-                                    y - 0.5 * dt * (f_right + f_left), grid)
-        borrowed_total += borrowed
-        y = fit.predict(bins, dx)
+    with ThreadPoolExecutor(workers) as pool:
+        level = level_at(grid.steps)
+        for i in range(grid.steps - 1, -1, -1):
+            driver_at(level, y, f_right)
+            # free the level at t_{i+1} before building the one at t_i
+            level = bins = dx = moments = None
+            level = level_at(i)
+            bins, dx, moments = level.bins, level.dx, level.moments
+            fit_pred, borrowed = _fit_strata(bins, dx, moments, y - dt * f_right,
+                                             grid)
+            borrowed_total += borrowed
+            y_star = fit_pred.predict(bins, dx)
+            driver_at(level, y_star, f_left)
+            fit, borrowed = _fit_strata(bins, dx, moments,
+                                        y - 0.5 * dt * (f_right + f_left), grid)
+            borrowed_total += borrowed
+            y = fit.predict(bins, dx)
 
     if borrowed_total:
         _log.warning("backward pass (%s %s): %d empty strata borrowed a "
@@ -454,4 +485,5 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
                             borrowed_strata=borrowed_total,
                             levels_filled=counts["levels"],
                             driver_evaluations=counts["evaluations"],
-                            driver_points=counts["points"])
+                            driver_points=counts["points"],
+                            workers=workers, chunks=len(chunks))

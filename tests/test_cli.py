@@ -206,6 +206,36 @@ def test_garcia_cli(tmp_path):
     assert worst == pytest.approx(meta["max_abs_diff"], rel=1e-9)
 
 
+# one small run of every subcommand, with the sidecar it writes
+SIDECARS = {
+    "price": (["price", "--cells", "40"], "price.meta.json"),
+    "converge": (["converge", "--ladder", "20,40", "--ref-cells", "80"],
+                 "converge.meta.json"),
+    "table3": (["table3", "--cells", "40", "--strata", "20", "--paths", "10",
+                "--steps", "2"], "table3.meta.json"),
+    "sweep": (["sweep", "--param", "capital-hurdle", "--values", "0.06,0.15",
+               "--cells", "40"], "sweep.meta.json"),
+    "fbsde": (["fbsde", "--strata", "20", "--paths", "10", "--steps", "2"],
+              "fbsde.meta.json"),
+    "breakdown": (["breakdown", "--spot", "15", "--cells", "40"],
+                  "breakdown.meta.json"),
+    "garcia-check": (["garcia-check", "--cells", "40"], "garcia_check.meta.json"),
+}
+
+
+@pytest.mark.parametrize("command", SIDECARS)
+def test_every_sidecar_reports_peak_rss(command, tmp_path):
+    argv, sidecar = SIDECARS[command]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / sidecar).read_text())
+    assert meta["peak_rss_mb"] > 0.0
+    # the Monte Carlo passes report how their per-path work was split
+    mc = {"table3": lambda m: m["solver"]["put_linear_mc"],
+          "fbsde": lambda m: m["mc"]}.get(command)
+    if mc is not None:
+        assert mc(meta)["chunks"] == 1 and mc(meta)["workers"] == 1
+
+
 def test_check_nested_unit_cases():
     _check_nested((10, 20, 40), 80)
     _check_nested((16, 64), 128)

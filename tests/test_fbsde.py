@@ -1,10 +1,12 @@
 """Regression Monte Carlo cross-checker: stratified forward simulation,
 analytic backward oracles, error-bar scaling, neighbor borrowing, the
-per-level cache against the per-step reference loop, the memory guard, and
-input validation.  All randomness is seeded; every assertion is
-deterministic."""
+per-level cache against the per-step reference loop at any chunking and
+worker count, errors raised in pool threads, the memory guard, and input
+validation.  All randomness is seeded; every assertion is deterministic."""
 
 import os
+import threading
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -198,20 +200,35 @@ def test_backward_input_validation(ensemble):
 def test_linear_pass_evaluates_capital_once_per_level(ensemble):
     # the mark and the capital on it depend on (t, S) only: one evaluation
     # per time level t_i serves the corrector of step i and the predictor of
-    # step i-1, so steps + 1 calls instead of 2 * steps
-    calls = []
+    # step i-1.  The hook is called once per chunk of paths, from the pool
+    # threads, so at each level its calls must see every path exactly once
+    seen = defaultdict(list)
+    lock = threading.Lock()
 
     def counting(t, spot, mark):
-        calls.append(t)
+        with lock:
+            seen[t].append(spot.copy())
         return 0.0 * mark
 
     sol = solve_backward(ensemble, "linear", PUT, capital_fn=counting)
-    assert len(calls) == GRID.steps + 1
-    assert sorted(calls) == list(ensemble.times)
+    assert sorted(seen) == list(ensemble.times)
+    for i, t in enumerate(ensemble.times):
+        assert sum(s.size for s in seen[t]) == GRID.n_paths
+        assert np.array_equal(np.sort(np.concatenate(seen[t])),
+                              np.sort(ensemble.spots[i].astype(np.float64)))
     meta = sol.meta
     assert meta["levels_filled"] == GRID.steps + 1
     assert meta["driver_evaluations"] == 2 * GRID.steps
     assert meta["driver_points"] == 2 * GRID.steps * GRID.n_paths
+    chunks = -(-GRID.n_paths // fbsde._CHUNK)
+    assert meta["chunks"] == chunks
+    assert meta["workers"] == min(len(os.sched_getaffinity(0)), chunks)
+
+
+def _cpus(n):
+    """Patch the CPU set the backward pass sizes its pool by to n CPUs."""
+    return mock.patch.object(fbsde.os, "sched_getaffinity",
+                             return_value=set(range(n)))
 
 
 def _reference_backward(ensemble, kind, option, capital_fn=None,
@@ -257,12 +274,13 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
 @given(strata=st.integers(1, 20), paths=st.integers(2, 20),
        steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        hook=st.sampled_from(["none", "capital_fn", "driver_override"]),
-       chunk=st.sampled_from([fbsde._CHUNK, 7]))
+       chunk=st.sampled_from([fbsde._CHUNK, 7]), workers=st.sampled_from([1, 2]))
 def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
-                                                steps, seed, hook, chunk):
+                                                steps, seed, hook, chunk, workers):
     # the cached pass reorders no arithmetic: every fit array is identical
-    # to the per-step loop's, also across chunk boundaries, with a capital
-    # override, with a driver override and with borrowed empty strata
+    # to the per-step loop's, also across chunk boundaries and on one or two
+    # pool threads, with a capital override, with a driver override and
+    # with borrowed empty strata
     grid = RegressionGrid(strata=strata, paths_per_stratum=paths, steps=steps)
     ens = simulate_forward(grid, MARKET, 1.0, seed=seed)
     hooks = {
@@ -270,11 +288,35 @@ def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
         "capital_fn": {"capital_fn": lambda t, s, m: 0.01 * np.abs(m) + 1e-3 * s * t},
         "driver_override": {"driver_override": lambda t, s, v: 0.05 * v + 0.01 * s * t},
     }[hook]
-    with mock.patch.object(fbsde, "_CHUNK", chunk):
-        got = solve_backward(ens, kind, option, **hooks).fit
+    with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(workers):
+        sol = solve_backward(ens, kind, option, **hooks)
+    assert sol.meta["workers"] == min(workers, sol.meta["chunks"])
     want = _reference_backward(ens, kind, option, **hooks)
     for name in ("intercept", "slope", "counts", "mean_dx", "sxx", "resid_var"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(getattr(sol.fit, name), getattr(want, name)), name
+
+
+class _ChunkFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("hook", ["driver_override", "capital_fn"])
+def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
+    # a hook that fails on one chunk (the short last one) of the first
+    # level it meets: the pass raises that same exception, and no pool
+    # thread outlives it
+    chunk = 7000
+    def failing(t, spot, v):
+        if spot.size < chunk:
+            raise _ChunkFailure(t)
+        return 0.0 * v
+
+    before = threading.active_count()
+    with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(2), \
+            pytest.raises(_ChunkFailure) as info:
+        solve_backward(ensemble, "linear", PUT, **{hook: failing})
+    assert info.value.args == (1.0,)
+    assert threading.active_count() == before
 
 
 def test_memory_guard_rejects_budget_before_allocating(monkeypatch):
