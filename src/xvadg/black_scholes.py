@@ -13,7 +13,9 @@ rate ``r``; its solution is the usual lognormal formula with forward
 
 The normal CDF is evaluated through ``scipy.special.erf`` (machine accurate,
 error below 1e-15), which also serves the supervisory delta in the capital
-module.
+module.  Beyond ``_ERF_SATURATES`` in magnitude erf is ±1 in float64, so
+on an array with many such points ``erf`` runs only on the others and the
+sign of the argument stands in for it, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +32,33 @@ from .config import MarketParams, OptionSpec, payoff
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRTPI = 1.0 / np.sqrt(np.pi)
 
+#: |z| from which scipy's erf(z) is exactly ±1: cephes takes erf as
+#: 1 - erfc for |z| > 1, and erfc(6) ~ 2.2e-17 is below half an ulp of 1
+#: (2**-54 ~ 5.6e-17); erf reads ±1.0 at ±6 and on a dense grid of [6, 30]
+_ERF_SATURATES = 6.0
+
 
 def norm_cdf(x: np.ndarray | float) -> np.ndarray | float:
-    """Standard normal distribution function."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
+    """Standard normal distribution function.
+
+    Where |x|/sqrt(2) >= ``_ERF_SATURATES`` erf is exactly ±1, so for an
+    array with at least a quarter of its points there, erf runs only on
+    the others and the sign of x/sqrt(2) stands in elsewhere (NaN stays
+    NaN).  Below a quarter, copying the points in and out costs more than
+    the skipped erf calls save (3% saturated: 1.3x the time of plain erf on
+    32k and on 3840 points), so erf runs on the whole array.  Either way
+    the result is bitwise 0.5 * (1 + erf(x / sqrt(2))).  A scalar takes
+    erf directly.
+    """
+    z = np.asarray(x, dtype=float) / _SQRT2
+    if z.ndim == 0:
+        return 0.5 * (1.0 + erf(z))
+    inner = np.abs(z) < _ERF_SATURATES
+    if 4 * np.count_nonzero(inner) > 3 * z.size:
+        return 0.5 * (1.0 + erf(z))
+    e = np.sign(z)
+    e[inner] = erf(z[inner])
+    return 0.5 * (1.0 + e)
 
 
 def norm_pdf(x: np.ndarray | float) -> np.ndarray | float:

@@ -62,6 +62,9 @@ _SWEEP_DEFAULTS = {
 
 
 def _cell(value) -> str:
+    # floats (np.float64 among them) first: they are nearly every cell
+    if isinstance(value, float):
+        return "" if value != value else _FLOAT_FMT % value
     if value is None:
         return ""
     if isinstance(value, str):
@@ -71,9 +74,7 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)
-    if np.isnan(v):
-        return ""
-    return _FLOAT_FMT % v
+    return "" if v != v else _FLOAT_FMT % v
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -283,7 +284,8 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
     regression Monte Carlo at its own standard budget on shared noise.
 
     Returns {"rows": [(option, driver, spot, xva_pde, xva_mc, stderr)],
-    "meta": {...}}; Monte Carlo entries are None when ``with_mc`` is off.
+    "meta": {...}, "forward": {...}}; Monte Carlo entries and the forward
+    simulation's meta are None when ``with_mc`` is off.
     """
     spots = np.asarray(spots, dtype=float)
     combos = [(okind, drv) for okind in ("put", "call")
@@ -314,7 +316,8 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
             rows.append((okind, drv, float(s), float(xva_pde[i]),
                          None if xva_mc[i] is None else float(xva_mc[i]),
                          None if stderr[i] is None else float(stderr[i])))
-    return {"rows": rows, "meta": solver_meta}
+    return {"rows": rows, "meta": solver_meta,
+            "forward": None if ensemble is None else ensemble.meta}
 
 
 def _cmd_table3(args) -> None:
@@ -332,6 +335,7 @@ def _cmd_table3(args) -> None:
         "command": "table3",
         "config": config_to_dict(config),
         "solver": table["meta"],
+        "forward": table["forward"],
         "seed": args.seed,
         "outputs": ["table3.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),
@@ -454,6 +458,7 @@ def _cmd_fbsde(args) -> None:
     _write_meta(out / "fbsde.meta.json", {
         "command": "fbsde",
         "config": config_to_dict(config),
+        "forward": ensemble.meta,
         "mc": sol.meta,
         "outputs": ["fbsde.csv"],
         "runtime_seconds": round(time.perf_counter() - started, 3),

@@ -33,19 +33,30 @@ The backward pass works level by level.  Every driver splits into a part
 that depends only on (t, S) (the closed-form mark and the capital on it,
 or the SA-CCR add-on; see :func:`xvadg.drivers.driver_level`) and an
 evaluation in Y.  The pass builds that part, the float64 spots, their
-strata and the regressor moments once per time level t_i, uses them for
-the corrector of step i and, with the same spots, for the predictor of
-step i-1, and then frees them: 21 levels serve the 40 driver evaluations
-of a 20-step pass.  The per-path work of a level (the float64 upcast,
-the strata, the offsets and the driver parts) and every driver evaluation
-run in cache-sized chunks of ``_CHUNK`` paths, one task per chunk on a
-thread pool with one worker per available CPU that lives for one pass;
-scipy's ``erf`` and the capital chain release the GIL, so the chunks run
-side by side.  Each of those operations is elementwise with a scalar t, so
-chunk boundaries and worker count do not change a bit; the ``bincount``
-reductions of the fits stay serial and in path order, because their
-summation order fixes the bits.  The results are those of evaluating the
-driver and the moments afresh at every use, bit for bit.
+strata and offsets once per time level t_i, uses them for the corrector
+of step i and, with the same spots, for the predictor of step i-1, and
+then overwrites them: 21 levels serve the 40 driver evaluations of a
+20-step pass.  All per-path work runs in cache-sized chunks of ``_CHUNK``
+paths, one task per chunk on a thread pool with one worker per available
+CPU that lives for one pass, in two phases per step.  The first predicts
+the values at t_{i+1} from the previous fit, evaluates the driver on them
+and builds the level at t_i with the predictor's regression target and
+its products; the second predicts the values at t_i, evaluates the driver
+on them and forms the corrector's target and products.  Each fit waits
+for all chunks of its phase.  scipy's ``erf`` and the capital chain
+release the GIL, so the chunks run side by side.  Each of those
+operations is elementwise with a scalar t, so chunk boundaries and worker
+count do not change a bit.
+The per-stratum sums of the fits are the one reduction: each chunk adds
+its products with ``np.add.at`` behind a turnstile that lets the chunks
+through in path order, so every sum is added in the order, and to the
+bit, of a ``bincount`` over the whole path array.  Only that add and the
+per-stratum solves between the phases are serial.  The results are those
+of evaluating the driver and the moments afresh at every use, bit for bit.
+
+The forward ensemble is simulated on a pool as well, in blocks of strata;
+each stratum draws from its own stream, so the paths do not depend on the
+blocking either.
 
 This route shares with the PDE engine only the driver evaluation and the
 closed-form mark; the discretization, the state storage and the
@@ -58,8 +69,9 @@ from __future__ import annotations
 import functools
 import logging
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,11 +94,13 @@ _log = logging.getLogger(__name__)
 _CHUNK = 1 << 15
 
 #: float64 path-length arrays a backward pass holds at its peak, with a
-#: margin (tracemalloc reads 10 at 1M paths): the values, the predictor,
-#: two driver evaluations, one level's strata, offsets and driver parts,
-#: and the regression temporaries; the driver's chunk scratch is not
-#: path-length
-_BACKWARD_ARRAYS = 12
+#: margin of 2 or more (tracemalloc reads 7.1 at 1M paths for the linear
+#: put, 6.9 for the nonlinear call): the values y, the driver on them, one
+#: level's strata, offsets and driver parts (the mark and the capital on
+#: it for the linear driver); the predictor's values, the second driver
+#: evaluation, the regression targets and their products are chunk-local,
+#: as is the driver's scratch
+_BACKWARD_ARRAYS = 10
 
 DriverFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
@@ -135,9 +149,11 @@ class RegressionGrid:
     @property
     def memory_bytes(self) -> int:
         """Estimated peak memory of a forward ensemble and one backward pass:
-        float32 spots at every level plus the path-length arrays of the
-        backward pass.  The driver's chunk scratch (workers x ``_CHUNK``
-        points) does not grow with the budget and is not counted."""
+        float32 spots at every level plus the ``_BACKWARD_ARRAYS``
+        path-length arrays of the backward pass.  The chunk-local work of
+        the pass (targets, products, the driver's scratch: workers x
+        ``_CHUNK`` points each) does not grow with the budget and is not
+        counted."""
         return (4 * (self.steps + 1) + 8 * _BACKWARD_ARRAYS) * self.n_paths
 
     def stratum_of(self, spot: np.ndarray | float) -> np.ndarray:
@@ -157,6 +173,8 @@ class PathEnsemble:
     full benchmark budget is 21 x 5e6 samples); slices are upcast where
     they are consumed.  The same ensemble backs any number of backward
     passes, which prices different drivers on identical noise.
+    ``runtime``, ``workers`` and ``tasks`` describe the simulation: its
+    wall time, its pool threads and its blocks of strata.
     """
 
     grid: RegressionGrid
@@ -165,6 +183,14 @@ class PathEnsemble:
     seed: int
     times: np.ndarray
     spots: np.ndarray
+    runtime: float
+    workers: int
+    tasks: int
+
+    @property
+    def meta(self) -> dict:
+        return {"runtime_seconds": round(self.runtime, 3),
+                "workers": self.workers, "tasks": self.tasks}
 
 
 def simulate_forward(grid: RegressionGrid, market: MarketParams,
@@ -174,9 +200,14 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
     Initial log-spots are uniform within each stratum; increments use the
     exact lognormal step.  Each stratum draws from its own spawned
     SeedSequence stream, so the ensemble is reproducible and strata are
-    independent.  A budget whose ``grid.memory_bytes`` exceeds the physical
-    memory raises ``ValueError`` before anything is allocated.
+    independent.  The strata run in blocks of about ``_CHUNK`` paths, one
+    task per block on a thread pool with one worker per available CPU that
+    lives for this call; the streams make ``spots`` the same bits at any
+    blocking and worker count.  A budget whose ``grid.memory_bytes``
+    exceeds the physical memory raises ``ValueError`` before anything is
+    allocated.
     """
+    started = time.perf_counter()
     if not maturity > 0.0:
         raise ValueError(f"maturity must be positive, got {maturity}")
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -196,16 +227,27 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
 
     spots = np.empty((grid.steps + 1, grid.n_paths), dtype=np.float32)
     streams = np.random.SeedSequence(seed).spawn(grid.strata)
-    block = np.empty((grid.steps + 1, pps))
-    for j, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        block[0] = rng.uniform(edges[j], edges[j + 1], size=pps)
-        z = rng.standard_normal((grid.steps, pps))
-        np.cumsum(drift_term + vol_term * z, axis=0, out=block[1:])
-        block[1:] += block[0]
-        spots[:, j * pps:(j + 1) * pps] = np.exp(block)
+    per_task = max(1, _CHUNK // pps)
+    blocks = [range(lo, min(lo + per_task, grid.strata))
+              for lo in range(0, grid.strata, per_task)]
+
+    def simulate(strata: range) -> None:
+        block = np.empty((grid.steps + 1, pps))
+        for j in strata:
+            rng = np.random.default_rng(streams[j])
+            block[0] = rng.uniform(edges[j], edges[j + 1], size=pps)
+            z = rng.standard_normal((grid.steps, pps))
+            np.cumsum(drift_term + vol_term * z, axis=0, out=block[1:])
+            block[1:] += block[0]
+            spots[:, j * pps:(j + 1) * pps] = np.exp(block)
+
+    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(simulate, blocks))
     return PathEnsemble(grid=grid, market=market, maturity=maturity,
-                        seed=seed, times=times, spots=spots)
+                        seed=seed, times=times, spots=spots,
+                        runtime=time.perf_counter() - started,
+                        workers=workers, tasks=len(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +271,73 @@ class _StrataFit:
         return self.intercept[bins] + self.slope[bins] * dx
 
 
-def _moments(bins: np.ndarray, dx: np.ndarray,
-             m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regressor moments (n, sum dx, sum dx^2) of each of ``m`` strata."""
-    n = np.bincount(bins, minlength=m).astype(float)
-    sx = np.bincount(bins, weights=dx, minlength=m)
-    sxx_raw = np.bincount(bins, weights=dx * dx, minlength=m)
-    return n, sx, sxx_raw
+class _Sums:
+    """Per-stratum sums of one fit, added chunk by chunk: the path count
+    (with ``counted``) and one row of sums per weight array.
+
+    ``add`` runs after ``turn()``, which lets the chunks through in path
+    order; ``np.add.at`` then adds each weight in index order, starting
+    from 0.0, as ``np.bincount`` does, so every row is bitwise the
+    ``bincount`` of its weight over the whole path array.  The count comes
+    from an integer ``bincount`` per chunk and is exact.
+    """
+
+    def __init__(self, strata: int, rows: int, counted: bool = False) -> None:
+        self.count = np.zeros(strata, dtype=np.int64) if counted else None
+        self.rows = np.zeros((rows, strata))
+
+    def add(self, bins: np.ndarray, weights: tuple,
+            turn: Callable[[], object]) -> None:
+        count = (None if self.count is None
+                 else np.bincount(bins, minlength=self.count.size))
+        turn()
+        if count is not None:
+            self.count += count
+        for row, w in zip(self.rows, weights):
+            np.add.at(row, bins, w)
 
 
-def _fit_strata(bins: np.ndarray, dx: np.ndarray, moments: tuple, y: np.ndarray,
+def _in_chunk_order(pool: ThreadPoolExecutor, chunks: list, task) -> None:
+    """Run ``task(k, chunk, turn)`` for every chunk on ``pool``.
+
+    ``turn()`` blocks until the tasks of all earlier chunks have returned,
+    so what a task does after it runs one chunk at a time, in chunk order.
+    A task passes the turn on when it returns or raises.  Every task runs
+    to its end before the first error in chunk order is raised, so no task
+    waits on one that was cancelled and no task outlives the call.
+    """
+    turns = [threading.Event() for _ in range(len(chunks) + 1)]
+    turns[0].set()
+
+    def run(k: int, chunk) -> None:
+        try:
+            task(k, chunk, turns[k].wait)
+        finally:
+            turns[k + 1].set()
+
+    futures = [pool.submit(run, k, chunk) for k, chunk in enumerate(chunks)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _fit_strata(moments: tuple, sums: tuple,
                 grid: RegressionGrid) -> tuple[_StrataFit, int]:
     """Ordinary least squares of y on {1, S} within each stratum.
 
-    ``dx`` is S minus its stratum's center and ``moments`` is
-    ``_moments(bins, dx, grid.strata)``, shared by every fit on the same
-    spots.  Accumulation runs through bincount (one pass over the paths);
-    the regressor is centered on the stratum midpoint, which keeps the
-    normal equations conditioned even though a stratum spans only ~2% of
-    its own scale.  Strata that cannot support a line degrade gracefully:
-    constant fit below 2 usable points or at zero spread, and empty strata
-    borrow the nearest fitted stratum's line (re-centered), counted and
-    logged by the caller.  Returns the fit and the number of borrowed strata.
+    ``moments`` holds the regressor sums (n, sum dx, sum dx^2) of each
+    stratum, with dx = S minus its stratum's center, shared by every fit
+    on the same spots; ``sums`` holds the response sums (sum y, sum y^2,
+    sum dx y).  The regressor is centered on the stratum midpoint, which
+    keeps the normal equations conditioned even though a stratum spans
+    only ~2% of its own scale.  Strata that cannot support a line degrade
+    gracefully: constant fit below 2 usable points or at zero spread, and
+    empty strata borrow the nearest fitted stratum's line (re-centered),
+    counted and logged by the caller.  Returns the fit and the number of
+    borrowed strata.
     """
-    m = grid.strata
     n, sx, sxx_raw = moments
-    sy = np.bincount(bins, weights=y, minlength=m)
-    syy = np.bincount(bins, weights=y * y, minlength=m)
-    sxy = np.bincount(bins, weights=dx * y, minlength=m)
+    sy, syy, sxy = sums
 
     n_safe = np.maximum(n, 1.0)
     mean_x = sx / n_safe
@@ -371,18 +452,6 @@ class BackwardSolution:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class _Level:
-    """One time level of a backward pass: the driver in v on each chunk of
-    paths and, below maturity, the strata of the paths, their offsets from
-    the stratum centers and the regressor moments."""
-
-    drivers: list[DriverEval]
-    bins: np.ndarray | None = None
-    dx: np.ndarray | None = None
-    moments: tuple | None = None
-
-
 def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
                    capital: CapitalParams | None = None,
                    driver_override: DriverFn | None = None,
@@ -421,60 +490,67 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     workers = min(len(os.sched_getaffinity(0)), len(chunks))
     counts = {"levels": 0, "evaluations": 0, "points": 0}
 
-    def level_at(i: int) -> _Level:
+    def driver_for(i: int, sl: slice) -> tuple[np.ndarray, DriverEval]:
+        """The float64 spots of one chunk at t_i and the driver on them."""
         t = float(times[i])
-        below = i < grid.steps
-        bins = np.empty(n_paths, dtype=np.int64) if below else None
-        dx = np.empty(n_paths) if below else None
+        spot = ensemble.spots[i, sl].astype(np.float64)
+        if driver_override is not None:
+            return spot, functools.partial(driver_override, t, spot)
+        return spot, driver_level(kind, t, spot, option, market, capital,
+                                  riskfree_fn, capital_fn)
 
-        def build(sl: slice) -> DriverEval:
-            spot = ensemble.spots[i, sl].astype(np.float64)
-            if below:
-                bins[sl] = grid.stratum_of(spot)
-                dx[sl] = spot - centers[bins[sl]]
-            if driver_override is not None:
-                return functools.partial(driver_override, t, spot)
-            return driver_level(kind, t, spot, option, market, capital,
-                                riskfree_fn, capital_fn)
-
-        drivers = list(pool.map(build, chunks))
-        counts["levels"] += 1
-        if not below:
-            return _Level(drivers)
-        return _Level(drivers, bins, dx, _moments(bins, dx, grid.strata))
-
-    def driver_at(level: _Level, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        def evaluate(sl: slice, driver: DriverEval) -> None:
-            out[sl] = driver(v[sl])
-
-        list(pool.map(evaluate, chunks, level.drivers))
-        counts["evaluations"] += 1
-        counts["points"] += v.size
-        return out
-
+    # the path-length state of the pass: the values y at t_{i+1}, the driver
+    # on them, and the level at t_i (strata, offsets, driver parts per chunk),
+    # each overwritten in place one chunk at a time
     y = (np.zeros(n_paths) if is_adjustment
          else payoff(option, ensemble.spots[-1].astype(np.float64)))
+    f_right = np.empty(n_paths)
+    bins = np.empty(n_paths, dtype=np.int64)
+    dx = np.empty(n_paths)
+    drivers: list[DriverEval] = [None] * len(chunks)
     fit = None
+
+    def right_and_level(k: int, sl: slice, turn) -> None:
+        # the values at t_{i+1} and the driver on them (the level at
+        # maturity is built here, in the first step), then the level at t_i
+        # over the chunk's part of the one at t_{i+1}
+        if fit is None:
+            driver = driver_for(grid.steps, sl)[1]
+        else:
+            y[sl] = fit.predict(bins[sl], dx[sl])
+            driver = drivers[k]
+        f_right[sl] = driver(y[sl])
+        spot, drivers[k] = driver_for(i, sl)
+        b = bins[sl] = grid.stratum_of(spot)
+        d = dx[sl] = spot - centers[b]
+        g = y[sl] - dt * f_right[sl]
+        predictor.add(b, (d, d * d, g, g * g, d * g), turn)
+
+    def left(k: int, sl: slice, turn) -> None:
+        b, d = bins[sl], dx[sl]
+        f_left = drivers[k](fit_pred.predict(b, d))
+        g = y[sl] - 0.5 * dt * (f_right[sl] + f_left)
+        corrector.add(b, (g, g * g, d * g), turn)
+
+    def evaluate(phase, levels: int) -> None:
+        _in_chunk_order(pool, chunks, phase)
+        counts["levels"] += levels
+        counts["evaluations"] += 1
+        counts["points"] += n_paths
+
     borrowed_total = 0
-    f_right = np.empty_like(y)
-    f_left = np.empty_like(y)
     with ThreadPoolExecutor(workers) as pool:
-        level = level_at(grid.steps)
         for i in range(grid.steps - 1, -1, -1):
-            driver_at(level, y, f_right)
-            # free the level at t_{i+1} before building the one at t_i
-            level = bins = dx = moments = None
-            level = level_at(i)
-            bins, dx, moments = level.bins, level.dx, level.moments
-            fit_pred, borrowed = _fit_strata(bins, dx, moments, y - dt * f_right,
-                                             grid)
+            predictor = _Sums(grid.strata, 5, counted=True)
+            evaluate(right_and_level, 2 if fit is None else 1)
+            sx, sxx_raw, *response = predictor.rows
+            moments = (predictor.count.astype(float), sx, sxx_raw)
+            fit_pred, borrowed = _fit_strata(moments, response, grid)
             borrowed_total += borrowed
-            y_star = fit_pred.predict(bins, dx)
-            driver_at(level, y_star, f_left)
-            fit, borrowed = _fit_strata(bins, dx, moments,
-                                        y - 0.5 * dt * (f_right + f_left), grid)
+            corrector = _Sums(grid.strata, 3)
+            evaluate(left, 0)
+            fit, borrowed = _fit_strata(moments, corrector.rows, grid)
             borrowed_total += borrowed
-            y = fit.predict(bins, dx)
 
     if borrowed_total:
         _log.warning("backward pass (%s %s): %d empty strata borrowed a "

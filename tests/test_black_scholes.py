@@ -9,6 +9,7 @@ complete the suite.
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from xvadg.black_scholes import (LognormalKernel, bs_delta, bs_gamma,
                                  bs_value, lognormal_expectation, norm_cdf)
@@ -125,6 +126,41 @@ def test_norm_cdf_reference_values():
     assert norm_cdf(-1.0) == pytest.approx(0.15865525393145707, abs=1e-12)
     x = np.linspace(-6, 6, 41)
     assert np.allclose(norm_cdf(x) + norm_cdf(-x), 1.0, atol=1e-15)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_EDGE = 6.0 * np.sqrt(2.0)   # |x| where erf(x / sqrt(2)) saturates
+
+
+@pytest.mark.parametrize("saturated", [0.0, 0.1, 0.5, 0.9])
+def test_norm_cdf_is_bitwise_plain_erf(saturated):
+    # the saturation cut (erf only where |x/sqrt2| < 6, the sign elsewhere)
+    # and the plain path agree with 0.5 (1 + erf(x/sqrt2)) on every bit:
+    # a few ulps around +-6 sqrt2, on [5.5, 6.5] sqrt2 and [6, 40] sqrt2,
+    # at +-0, +-inf and NaN,
+    # with the saturated share on either side of the quarter that picks
+    # the path
+    rng = np.random.default_rng(5)
+    near = np.concatenate([_EDGE + np.arange(-40, 41) * np.spacing(_EDGE),
+                           np.sqrt(2.0) * np.linspace(5.5, 6.5, 2001)])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, _EDGE, -_EDGE])
+    inner = np.concatenate([near, -near, special, rng.uniform(-9.0, 9.0, 4000)])
+    n_out = int(saturated * inner.size / (1.0 - saturated))
+    outer = np.sqrt(2.0) * rng.uniform(6.0, 40.0, n_out) * rng.choice([-1.0, 1.0], n_out)
+    x = rng.permutation(np.concatenate([inner, outer]))
+    want = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    assert np.array_equal(_bits(norm_cdf(x)), _bits(want))
+    grid = np.sqrt(2.0) * np.linspace(6.0, 40.0, 100_001)
+    for sign in (1.0, -1.0):
+        assert np.array_equal(_bits(norm_cdf(sign * grid)),
+                              _bits(0.5 * (1.0 + erf(sign * grid / np.sqrt(2.0)))))
+    for v in (0.0, -0.0, _EDGE, -_EDGE, 9.0, -9.0, np.inf, -np.inf, np.nan):
+        assert np.ndim(norm_cdf(v)) == 0
+        assert _bits(norm_cdf(v)) == _bits(0.5 * (1.0 + erf(v / np.sqrt(2.0))))
+    assert norm_cdf(np.empty(0)).shape == (0,)
 
 
 def test_kernel_moment_identities():

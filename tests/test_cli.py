@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from xvadg.cli import (ConvergenceReport, ConvergenceRow, _check_nested, main,
-                       run_convergence, run_sweep, run_table3, write_csv)
+from xvadg.cli import (ConvergenceReport, ConvergenceRow, _cell, _check_nested,
+                       main, run_convergence, run_sweep, run_table3, write_csv)
 from xvadg.config import benchmark_config
 
 
@@ -110,6 +110,9 @@ def test_table3_with_tiny_mc(tmp_path):
     assert meta["solver"]["put_linear_mc"]["seed"] == 11
     assert meta["solver"]["put_linear_mc"]["levels_filled"] == 6
     assert meta["peak_rss_mb"] > 0.0
+    # 60 strata of 40 paths fit in one block of strata: one task, one worker
+    assert meta["forward"]["tasks"] == 1 and meta["forward"]["workers"] == 1
+    assert meta["forward"]["runtime_seconds"] >= 0.0
 
 
 def test_sweep_cli_and_labels(tmp_path):
@@ -155,6 +158,8 @@ def test_fbsde_cli(tmp_path):
     assert meta["mc"]["driver_evaluations"] == 10
     assert meta["mc"]["driver_points"] == 10 * 60 * 50
     assert meta["peak_rss_mb"] > 0.0
+    assert meta["forward"]["tasks"] == 1 and meta["forward"]["workers"] == 1
+    assert meta["forward"]["runtime_seconds"] >= 0.0
 
 
 @pytest.mark.parametrize("command", ["table3", "fbsde"])
@@ -285,3 +290,28 @@ def test_write_csv_formats(tmp_path):
     assert lines[1].startswith("1,5.") and lines[1].endswith(",txt")
     assert lines[2].split(",")[1] == ""      # NaN renders empty
     assert lines[2].split(",")[2] == "true"  # booleans lowercase
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""),
+    ("txt", "txt"),
+    (True, "true"),
+    (False, "false"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (3, "3"),
+    (np.int64(-4), "-4"),
+    (0.5, "5.000000000000e-01"),
+    (-0.0, "-0.000000000000e+00"),
+    (float("inf"), "inf"),
+    (np.float64(1.0 / 3.0), "3.333333333333e-01"),
+    (np.float64(-2.5e-300), "-2.500000000000e-300"),
+    (np.float32(0.25), "2.500000000000e-01"),
+    (float("nan"), ""),
+    (np.float64("nan"), ""),
+    (np.float32("nan"), ""),
+])
+def test_cell_formats_every_type(value, text):
+    # floats take the first branch (np.float64 is a float); bools are tested
+    # before ints, and other numbers go through float()
+    assert _cell(value) == text

@@ -1,12 +1,16 @@
-"""Regression Monte Carlo cross-checker: stratified forward simulation,
-analytic backward oracles, error-bar scaling, neighbor borrowing, the
-per-level cache against the per-step reference loop at any chunking and
-worker count, errors raised in pool threads, the memory guard, and input
-validation.  All randomness is seeded; every assertion is deterministic."""
+"""Regression Monte Carlo cross-checker: stratified forward simulation
+(pooled against the serial loop), analytic backward oracles, error-bar
+scaling, neighbor borrowing, the streamed per-stratum sums against
+bincount, the per-level cache against the per-step reference loop at any
+chunking and worker count, errors raised in pool threads, the memory
+guard, and input validation.  All randomness is seeded; every assertion is
+deterministic."""
 
 import os
 import threading
+import time
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -98,6 +102,41 @@ def test_forward_simulation_seed_determinism():
     c = simulate_forward(GRID, MARKET, 1.0, seed=43)
     assert np.array_equal(a.spots, b.spots)
     assert not np.array_equal(a.spots, c.spots)
+
+
+def _serial_forward_spots(grid, market, maturity, seed):
+    """The one-stratum-at-a-time loop the pooled simulation replaced."""
+    dt = maturity / grid.steps
+    drift_term = (market.drift - 0.5 * market.sigma ** 2) * dt
+    vol_term = market.sigma * np.sqrt(dt)
+    edges, pps = grid.log_edges, grid.paths_per_stratum
+    spots = np.empty((grid.steps + 1, grid.n_paths), dtype=np.float32)
+    block = np.empty((grid.steps + 1, pps))
+    streams = np.random.SeedSequence(seed).spawn(grid.strata)
+    for j, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        block[0] = rng.uniform(edges[j], edges[j + 1], size=pps)
+        z = rng.standard_normal((grid.steps, pps))
+        np.cumsum(drift_term + vol_term * z, axis=0, out=block[1:])
+        block[1:] += block[0]
+        spots[:, j * pps:(j + 1) * pps] = np.exp(block)
+    return spots
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 100, fbsde._CHUNK])
+def test_pooled_forward_equals_serial_loop(workers, chunk):
+    # blocks of max(1, chunk // paths_per_stratum) strata: one stratum per
+    # task, three per task, and all 37 in one task
+    grid = RegressionGrid(strata=37, paths_per_stratum=30, steps=6)
+    with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(workers):
+        ens = simulate_forward(grid, MARKET, 1.0, seed=99)
+    assert np.array_equal(ens.spots, _serial_forward_spots(grid, MARKET, 1.0, 99))
+    tasks = -(-grid.strata // max(1, chunk // grid.paths_per_stratum))
+    assert ens.tasks == tasks
+    assert ens.workers == min(workers, tasks)
+    assert ens.meta == {"runtime_seconds": round(ens.runtime, 3),
+                        "workers": ens.workers, "tasks": tasks}
 
 
 def test_tiny_volatility_paths_are_nearly_deterministic():
@@ -235,7 +274,8 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
                         driver_override=None):
     """The per-step backward loop the level cache replaced: every driver
     evaluation recomputes its (t, S) work, every step upcasts both levels
-    and every fit accumulates its own regressor moments."""
+    and every fit accumulates its own regressor moments, each with one
+    bincount over the whole path array."""
     market, grid, times = ensemble.market, ensemble.grid, ensemble.times
     capital = CapitalParams()
     dt = times[1] - times[0]
@@ -250,9 +290,16 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
                             riskfree_fn, capital_fn)
 
     def fit_at(bins, spot, y):
+        # whole-array bincounts, independent of the streamed sums of the pass
+        m = grid.strata
         dx = spot - grid.centers[bins]
-        return fbsde._fit_strata(bins, dx, fbsde._moments(bins, dx, grid.strata),
-                                 y, grid)[0]
+        moments = (np.bincount(bins, minlength=m).astype(float),
+                   np.bincount(bins, weights=dx, minlength=m),
+                   np.bincount(bins, weights=dx * dx, minlength=m))
+        sums = (np.bincount(bins, weights=y, minlength=m),
+                np.bincount(bins, weights=y * y, minlength=m),
+                np.bincount(bins, weights=dx * y, minlength=m))
+        return fbsde._fit_strata(moments, sums, grid)[0]
 
     s_term = ensemble.spots[-1].astype(np.float64)
     y = np.zeros_like(s_term) if kind in ADJUSTMENT_KINDS else payoff(option, s_term)
@@ -296,27 +343,78 @@ def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
         assert np.array_equal(getattr(sol.fit, name), getattr(want, name)), name
 
 
+def _chunked(n, chunk):
+    return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+@given(data=st.data(), strata=st.integers(1, 12), n=st.integers(0, 60),
+       chunk=st.sampled_from([1, 7, fbsde._CHUNK]), workers=st.sampled_from([1, 2]))
+def test_streamed_sums_equal_bincount(data, strata, n, chunk, workers):
+    # chunks add their weights behind the turnstile, in path order: every
+    # row is bitwise the whole-array bincount, also with empty strata (n
+    # may be 0, and strata are drawn from a subset), -0.0 and magnitudes
+    # that round against each other
+    used = data.draw(st.lists(st.integers(0, strata - 1), min_size=1, unique=True))
+    bins = np.array(data.draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 1e-300]),
+                      st.floats(-1e6, 1e6))
+    weights = tuple(np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
+                             dtype=float) for _ in range(3))
+    sums = fbsde._Sums(strata, len(weights), counted=True)
+    with ThreadPoolExecutor(workers) as pool:
+        fbsde._in_chunk_order(pool, _chunked(n, chunk), lambda k, sl, turn: sums.add(
+            bins[sl], tuple(w[sl] for w in weights), turn))
+    assert np.array_equal(sums.count, np.bincount(bins, minlength=strata))
+    for row, w in zip(sums.rows, weights):
+        want = np.bincount(bins, weights=w, minlength=strata)
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_turnstile_lets_chunks_through_in_order(workers):
+    # earlier chunks finish their own work last; what a task does after
+    # turn() still runs in chunk order
+    order = []
+
+    def task(k, chunk, turn):
+        time.sleep(0.002 * (8 - k))
+        turn()
+        order.append(chunk)
+
+    with ThreadPoolExecutor(workers) as pool:
+        fbsde._in_chunk_order(pool, list(range(8)), task)
+    assert order == list(range(8))
+
+
 class _ChunkFailure(RuntimeError):
     pass
 
 
 @pytest.mark.parametrize("hook", ["driver_override", "capital_fn"])
 def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
-    # a hook that fails on one chunk (the short last one) of the first
-    # level it meets: the pass raises that same exception, and no pool
-    # thread outlives it
+    # a hook that fails on one chunk (the first, a middle one or the short
+    # last one) of one level: at maturity, where no phase takes turns, and
+    # at t_{steps-1}, where the chunk fails inside a phase that adds its
+    # sums behind the turnstile.  The pass raises that same exception, no
+    # chunk waits forever for its turn, and no pool thread outlives the pass
     chunk = 7000
-    def failing(t, spot, v):
-        if spot.size < chunk:
-            raise _ChunkFailure(t)
-        return 0.0 * v
+    chunks = _chunked(GRID.n_paths, chunk)
+    for i in (GRID.steps, GRID.steps - 1):
+        for k in (0, len(chunks) // 2, len(chunks) - 1):
+            target = ensemble.spots[i, chunks[k]].astype(np.float64)
 
-    before = threading.active_count()
-    with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(2), \
-            pytest.raises(_ChunkFailure) as info:
-        solve_backward(ensemble, "linear", PUT, **{hook: failing})
-    assert info.value.args == (1.0,)
-    assert threading.active_count() == before
+            def failing(t, spot, v):
+                if spot.size == target.size and np.array_equal(spot, target):
+                    raise _ChunkFailure(t, k)
+                return 0.0 * v
+
+            before = threading.active_count()
+            with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(2), \
+                    pytest.raises(_ChunkFailure) as info:
+                solve_backward(ensemble, "linear", PUT, **{hook: failing})
+            assert info.value.args == (ensemble.times[i], k)
+            assert threading.active_count() == before
 
 
 def test_memory_guard_rejects_budget_before_allocating(monkeypatch):
