@@ -8,11 +8,15 @@ regression Monte Carlo route on its own (``fbsde``), the term-by-term
 adjustment decomposition (``breakdown``) and the reduced-equation scaling
 diagnostic (``garcia-check``).
 
-Every subcommand writes one CSV table plus a JSON metadata sidecar into
-``--out``.  CSV content is byte-stable for fixed inputs and seeds (no
-timestamps or runtimes in the tables; those live in the sidecar).  On
-failure the process prints a machine-readable error record to stderr as
-JSON and exits nonzero.
+Each subcommand is one entry of ``COMMANDS``: help text, CSV stem, default
+driver and cells, extra flags and a ``run(config, args) -> Output``.  One
+runner does the rest: it builds the configuration, times the run and, only
+after it succeeds, writes ``<stem>.csv`` and a ``<stem>.meta.json`` sidecar
+into ``--out``, whose common block (``command``, ``config``, ``outputs``,
+``runtime_seconds``, ``peak_rss_mb``) sits beside the command's own fields.
+CSV content is byte-stable for fixed inputs and seeds (no timestamps or
+runtimes in the tables; those live in the sidecar).  On failure ``main``
+prints a machine-readable error record to stderr as JSON and exits nonzero.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import resource
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .config import (CapitalParams, MarketParams, OptionSpec, RunConfig,
-                     benchmark_config, config_to_dict, load_config)
+from .config import (DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec,
+                     RunConfig, benchmark_config, config_to_dict, load_config)
 from .fbsde import RegressionGrid, simulate_forward, solve_backward
 from .ldg import field_error_norms
 from .solver import garcia_scaling_check, sample_grid, scenario_groups, solve, \
@@ -41,18 +46,17 @@ TABLE_SPOTS = (5.0, 10.0, 15.0, 20.0, 30.0, 60.0)
 #: 60 row sits at the truncation boundary and below MC resolution)
 SWEEP_SPOTS = (5.0, 10.0, 15.0, 20.0, 30.0)
 
+#: cell counts of the default convergence ladder
+CONVERGENCE_LADDER = (10, 20, 40, 80, 160, 320, 640)
+
 _FLOAT_FMT = "%.12e"
 
-_SWEEP_FIELDS = {
-    "sigma": "sigma",
-    "capital-hurdle": "capital_hurdle",
-    "collateral-rate": "collateral_rate",
-}
-
-_SWEEP_DEFAULTS = {
-    "sigma": (0.05, 0.1, 0.2, 0.3, 0.4),
-    "capital-hurdle": (0.06, 0.10, 0.15, 0.20, 0.25),
-    "collateral-rate": (0.06, 0.07, 0.08, 0.09, 0.10),
+#: sweep parameter -> (market field, default values, label of the value
+#: equal to the risk-free rate)
+_SWEEPS = {
+    "sigma": ("sigma", (0.05, 0.1, 0.2, 0.3, 0.4), ""),
+    "capital-hurdle": ("capital_hurdle", (0.06, 0.10, 0.15, 0.20, 0.25), "no-KVA"),
+    "collateral-rate": ("collateral_rate", (0.06, 0.07, 0.08, 0.09, 0.10), "no-CRA"),
 }
 
 
@@ -84,21 +88,20 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_cell(c) for c in row) + "\n")
 
 
-def _write_meta(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _peak_rss_mb() -> float:
     """Peak resident set size of this process so far, in MB (Linux reports KiB)."""
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@dataclasses.dataclass(frozen=True)
+class Output:
+    """What a command's ``run`` hands to the runner."""
+
+    config: RunConfig  # the configuration actually solved
+    header: list[str]
+    rows: list[tuple]
+    meta: dict  # the command's own sidecar fields
+    text: str  # printed before the ``wrote`` line
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +129,8 @@ def _build_config(args, default_driver: str | None = None,
     return dataclasses.replace(cfg, **updates)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in text.replace(";", ",").split(",") if p.strip())
+def _parse_values(text: str, kind=float) -> tuple:
+    vals = tuple(kind(p) for p in text.replace(";", ",").split(",") if p.strip())
     if not vals:
         raise ValueError(f"empty value list: {text!r}")
     return vals
@@ -187,7 +190,7 @@ def _check_nested(ladder: tuple[int, ...], ref_cells: int) -> None:
 
 
 def run_convergence(config: RunConfig,
-                    ladder: tuple[int, ...] = (10, 20, 40, 80, 160, 320, 640),
+                    ladder: tuple[int, ...] = CONVERGENCE_LADDER,
                     ref_cells: int = 1280) -> ConvergenceReport:
     """Solve the ladder and measure errors against the fine reference.
 
@@ -216,28 +219,13 @@ def run_convergence(config: RunConfig,
                              reference.time_grid.steps)
 
 
-def _cmd_converge(args) -> None:
-    config = _build_config(args, default_driver="linear")
-    ladder = _parse_floats(args.ladder) if args.ladder else (10, 20, 40, 80, 160, 320, 640)
-    started = time.perf_counter()
-    report = run_convergence(config, tuple(int(n) for n in ladder), args.ref_cells)
-    out = _out_dir(args)
-    rows = [(r.cells, r.steps, r.err_l2, r.eoc_l2, r.err_linf, r.eoc_linf)
-            for r in report.rows]
-    write_csv(out / "converge.csv",
-              ["cells", "steps", "err_l2", "eoc_l2", "err_linf", "eoc_linf"], rows)
-    _write_meta(out / "converge.meta.json", {
-        "command": "converge",
-        "config": config_to_dict(config),
-        "ladder": list(int(n) for n in ladder),
-        "ref_cells": report.ref_cells,
-        "ref_steps": report.ref_steps,
-        "outputs": ["converge.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(report.text_table())
-    print(f"wrote {out / 'converge.csv'}")
+def _converge(config: RunConfig, args) -> Output:
+    ladder = _parse_values(args.ladder, int) if args.ladder else CONVERGENCE_LADDER
+    report = run_convergence(config, ladder, args.ref_cells)
+    return Output(config, [f.name for f in dataclasses.fields(ConvergenceRow)],
+                  [dataclasses.astuple(r) for r in report.rows],
+                  {"ladder": list(ladder), "ref_cells": report.ref_cells,
+                   "ref_steps": report.ref_steps}, report.text_table())
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +233,18 @@ def _cmd_converge(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_price(args) -> None:
-    config = _build_config(args, default_driver="linear")
-    started = time.perf_counter()
+def _price(config: RunConfig, args) -> Output:
     result = solve(config)
     grid = sample_grid(result)
     rows = list(zip(grid, result.value(grid), result.delta(grid),
                     result.gamma(grid), result.xva(grid)))
-    out = _out_dir(args)
-    write_csv(out / "price.csv", ["spot", "value", "delta", "gamma", "xva"], rows)
-    _write_meta(out / "price.meta.json", {
-        "command": "price",
-        "config": config_to_dict(config),
-        "solver": result.meta,
-        "outputs": ["price.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    spots = [s for s in TABLE_SPOTS if s <= config.s_max]
-    print(f"{config.option.kind} option, {config.driver} driver, "
-          f"{config.cells} cells, degree {config.degree}")
-    print(f"{'spot':>8s} {'value':>14s} {'xva':>14s}")
-    for s in spots:
-        print(f"{s:8.2f} {result.value(s):14.6e} {result.xva(s):14.6e}")
-    print(f"wrote {out / 'price.csv'}")
+    lines = [f"{config.option.kind} option, {config.driver} driver, "
+             f"{config.cells} cells, degree {config.degree}",
+             f"{'spot':>8s} {'value':>14s} {'xva':>14s}"]
+    lines += [f"{s:8.2f} {result.value(s):14.6e} {result.xva(s):14.6e}"
+              for s in TABLE_SPOTS if s <= config.s_max]
+    return Output(config, ["spot", "value", "delta", "gamma", "xva"], rows,
+                  {"solver": result.meta}, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +296,24 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
             "forward": None if ensemble is None else ensemble.meta}
 
 
-def _cmd_table3(args) -> None:
-    config = _build_config(args, default_driver="linear")
-    grid = RegressionGrid(strata=args.strata, paths_per_stratum=args.paths,
+def _regression_grid(args) -> RegressionGrid:
+    return RegressionGrid(strata=args.strata, paths_per_stratum=args.paths,
                           steps=args.steps)
-    started = time.perf_counter()
-    table = run_table3(config, pde_cells=args.cells or 1280,
-                       with_mc=not args.no_mc, grid=grid, seed=args.seed)
-    out = _out_dir(args)
-    write_csv(out / "table3.csv",
-              ["option", "driver", "spot", "xva_pde", "xva_mc", "mc_stderr"],
-              table["rows"])
-    _write_meta(out / "table3.meta.json", {
-        "command": "table3",
-        "config": config_to_dict(config),
-        "solver": table["meta"],
-        "forward": table["forward"],
-        "seed": args.seed,
-        "outputs": ["table3.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(f"{'option':>7s} {'driver':>10s} {'spot':>6s} {'xva_pde':>13s} "
-          f"{'xva_mc':>13s} {'stderr':>10s}")
+
+
+def _table3(config: RunConfig, args) -> Output:
+    table = run_table3(config, pde_cells=args.cells or 1280, with_mc=not args.no_mc,
+                       grid=_regression_grid(args), seed=args.seed)
+    lines = [f"{'option':>7s} {'driver':>10s} {'spot':>6s} {'xva_pde':>13s} "
+             f"{'xva_mc':>13s} {'stderr':>10s}"]
     for okind, drv, s, pde, mc, se in table["rows"]:
         mc_s = "" if mc is None else f"{mc:13.4e}"
         se_s = "" if se is None else f"{se:10.2e}"
-        print(f"{okind:>7s} {drv:>10s} {s:6.1f} {pde:13.4e} {mc_s:>13s} {se_s:>10s}")
-    print(f"wrote {out / 'table3.csv'}")
+        lines.append(f"{okind:>7s} {drv:>10s} {s:6.1f} {pde:13.4e} "
+                     f"{mc_s:>13s} {se_s:>10s}")
+    return Output(config, ["option", "driver", "spot", "xva_pde", "xva_mc", "mc_stderr"],
+                  table["rows"], {"solver": table["meta"], "forward": table["forward"],
+                                  "seed": args.seed}, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +334,12 @@ def run_sweep(config: RunConfig, param: str,
     equal to the risk-free rate, capital earning no excess return);
     ``collateral-rate`` value 0.06 likewise has zero collateral spread.
     """
-    if param not in _SWEEP_FIELDS:
+    if param not in _SWEEPS:
         raise ValueError(f"unknown sweep parameter {param!r}; "
-                         f"choose from {sorted(_SWEEP_FIELDS)}")
+                         f"choose from {sorted(_SWEEPS)}")
+    field, defaults, baseline = _SWEEPS[param]
     if values is None:
-        values = _SWEEP_DEFAULTS[param]
-    field = _SWEEP_FIELDS[param]
+        values = defaults
     spots = np.asarray(spots, dtype=float)
     configs = [dataclasses.replace(config, market=dataclasses.replace(
         config.market, **{field: float(v)})) for v in values]
@@ -382,11 +348,7 @@ def run_sweep(config: RunConfig, param: str,
     xva_by_value = []
     delta_bounds = {}
     for v, result in zip(values, results):
-        label = ""
-        if param == "capital-hurdle" and abs(v - config.market.risk_free_rate) < 1e-12:
-            label = "no-KVA"
-        if param == "collateral-rate" and abs(v - config.market.risk_free_rate) < 1e-12:
-            label = "no-CRA"
+        label = baseline if abs(v - config.market.risk_free_rate) < 1e-12 else ""
         xva = np.asarray(result.xva(spots))
         delta = np.asarray(result.delta(spots))
         xva_by_value.append(xva)
@@ -408,30 +370,14 @@ def run_sweep(config: RunConfig, param: str,
     }
 
 
-def _cmd_sweep(args) -> None:
-    config = _build_config(args, default_driver="nonlinear", default_cells=320)
-    values = _parse_floats(args.values) if args.values else None
-    started = time.perf_counter()
-    sweep = run_sweep(config, args.param, values)
-    out = _out_dir(args)
-    write_csv(out / "sweep.csv",
-              ["param", "value", "label", "spot", "xva", "delta"], sweep["rows"])
-    _write_meta(out / "sweep.meta.json", {
-        "command": "sweep",
-        "config": config_to_dict(config),
-        "param": args.param,
-        "values": sweep["values"],
-        "xva_nonincreasing": sweep["xva_nonincreasing"],
-        "delta_bounds": sweep["delta_bounds"],
-        "groups": sweep["groups"],
-        "solver": sweep["solver"],
-        "outputs": ["sweep.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(f"sweep over {args.param}: values {sweep['values']}")
-    print(f"xva pointwise nonincreasing across values: {sweep['xva_nonincreasing']}")
-    print(f"wrote {out / 'sweep.csv'}")
+def _sweep(config: RunConfig, args) -> Output:
+    sweep = run_sweep(config, args.param,
+                      _parse_values(args.values) if args.values else None)
+    rows = sweep.pop("rows")
+    text = (f"sweep over {args.param}: values {sweep['values']}\n"
+            f"xva pointwise nonincreasing across values: {sweep['xva_nonincreasing']}")
+    return Output(config, ["param", "value", "label", "spot", "xva", "delta"], rows,
+                  dict(sweep, param=args.param), text)
 
 
 # ---------------------------------------------------------------------------
@@ -439,35 +385,17 @@ def _cmd_sweep(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fbsde(args) -> None:
-    config = _build_config(args, default_driver="linear")
-    grid = RegressionGrid(strata=args.strata, paths_per_stratum=args.paths,
-                          steps=args.steps)
-    spots = _parse_floats(args.spots) if args.spots else TABLE_SPOTS
-    started = time.perf_counter()
+def _fbsde(config: RunConfig, args) -> Output:
+    grid = _regression_grid(args)
+    s = np.asarray(_parse_values(args.spots) if args.spots else TABLE_SPOTS, dtype=float)
     ensemble = simulate_forward(grid, config.market,
                                 maturity=config.option.maturity, seed=args.seed)
-    sol = solve_backward(ensemble, config.driver, config.option,
-                         capital=config.capital)
-    s = np.asarray(spots, dtype=float)
-    xva = np.asarray(sol.xva(s))
-    stderr = np.asarray(sol.stderr(s))
-    out = _out_dir(args)
-    write_csv(out / "fbsde.csv", ["spot", "xva_mc", "stderr"],
-              list(zip(s, xva, stderr)))
-    _write_meta(out / "fbsde.meta.json", {
-        "command": "fbsde",
-        "config": config_to_dict(config),
-        "forward": ensemble.meta,
-        "mc": sol.meta,
-        "outputs": ["fbsde.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(f"{'spot':>8s} {'xva_mc':>14s} {'stderr':>10s}")
-    for i in range(s.size):
-        print(f"{s[i]:8.2f} {xva[i]:14.6e} {stderr[i]:10.2e}")
-    print(f"wrote {out / 'fbsde.csv'}")
+    sol = solve_backward(ensemble, config.driver, config.option, capital=config.capital)
+    rows = list(zip(s, np.asarray(sol.xva(s)), np.asarray(sol.stderr(s))))
+    lines = [f"{'spot':>8s} {'xva_mc':>14s} {'stderr':>10s}"]
+    lines += [f"{a:8.2f} {b:14.6e} {c:10.2e}" for a, b, c in rows]
+    return Output(config, ["spot", "xva_mc", "stderr"], rows,
+                  {"forward": ensemble.meta, "mc": sol.meta}, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -475,33 +403,20 @@ def _cmd_fbsde(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_breakdown(args) -> None:
-    config = _build_config(args, default_driver="linear", default_cells=640)
-    started = time.perf_counter()
+def _breakdown(config: RunConfig, args) -> Output:
     parts = xva_breakdown(args.spot, config.option, config.market, config.capital)
-    result = solve(dataclasses.replace(config, driver="linear"))
-    pde_xva = float(result.xva(args.spot))
+    # the decomposition is of the linear-driver adjustment
+    config = dataclasses.replace(config, driver="linear")
+    pde_xva = float(solve(config).xva(args.spot))
     gap = abs(parts.total - pde_xva)
-    out = _out_dir(args)
-    write_csv(out / "breakdown.csv",
-              ["spot", "cva", "fbva", "fcva", "cra", "kva", "total",
-               "pde_xva", "abs_gap"],
-              [(args.spot, parts.cva, parts.fbva, parts.fcva, parts.cra,
-                parts.kva, parts.total, pde_xva, gap)])
-    _write_meta(out / "breakdown.meta.json", {
-        "command": "breakdown",
-        "config": config_to_dict(config),
-        "spot": args.spot,
-        "abs_gap": gap,
-        "outputs": ["breakdown.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(f"adjustment decomposition at spot {args.spot} ({config.option.kind}):")
-    for name in ("cva", "fbva", "fcva", "cra", "kva"):
-        print(f"  {name:5s} {getattr(parts, name):14.6e}")
-    print(f"  total {parts.total:14.6e}   PDE {pde_xva:14.6e}   |gap| {gap:.2e}")
-    print(f"wrote {out / 'breakdown.csv'}")
+    terms = ("cva", "fbva", "fcva", "cra", "kva")
+    lines = [f"adjustment decomposition at spot {args.spot} ({config.option.kind}):"]
+    lines += [f"  {name:5s} {getattr(parts, name):14.6e}" for name in terms]
+    lines.append(f"  total {parts.total:14.6e}   PDE {pde_xva:14.6e}   |gap| {gap:.2e}")
+    return Output(config, ["spot", *terms, "total", "pde_xva", "abs_gap"],
+                  [(args.spot, *(getattr(parts, name) for name in terms),
+                    parts.total, pde_xva, gap)],
+                  {"spot": args.spot, "abs_gap": gap}, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -509,37 +424,75 @@ def _cmd_breakdown(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_garcia(args) -> None:
-    config = _build_config(args, default_driver="garcia", default_cells=640)
+def _garcia_check(config: RunConfig, args) -> Output:
     config = dataclasses.replace(config, driver="garcia")
-    started = time.perf_counter()
     check = garcia_scaling_check(config)
     nodes = sample_grid(check.reduced)
     lhs = np.asarray(check.lhs(nodes))
     rhs = np.asarray(check.rhs(nodes))
-    out = _out_dir(args)
-    write_csv(out / "garcia_check.csv",
-              ["spot", "reduced_xva", "scaled_reference", "abs_diff"],
-              list(zip(nodes, lhs, rhs, np.abs(lhs - rhs))))
-    _write_meta(out / "garcia_check.meta.json", {
-        "command": "garcia-check",
-        "config": config_to_dict(config),
-        "scale_factor": check.factor,
-        "max_abs_diff": check.max_abs_diff,
-        "outputs": ["garcia_check.csv"],
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-    })
-    print(f"reduced-equation scaling check ({config.option.kind}, "
-          f"{config.cells} cells):")
-    print(f"  scale factor  {check.factor:.6f}")
-    print(f"  max |lhs-rhs| {check.max_abs_diff:.6e}")
-    print(f"wrote {out / 'garcia_check.csv'}")
+    text = (f"reduced-equation scaling check ({config.option.kind}, "
+            f"{config.cells} cells):\n"
+            f"  scale factor  {check.factor:.6f}\n"
+            f"  max |lhs-rhs| {check.max_abs_diff:.6e}")
+    return Output(config, ["spot", "reduced_xva", "scaled_reference", "abs_diff"],
+                  list(zip(nodes, lhs, rhs, np.abs(lhs - rhs))),
+                  {"scale_factor": check.factor, "max_abs_diff": check.max_abs_diff},
+                  text)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table, parser and runner
 # ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand: help text, CSV stem, defaults, extra flags and run."""
+
+    help: str
+    stem: str
+    run: Callable[[RunConfig, argparse.Namespace], Output]
+    driver: str = "linear"
+    cells: int | None = None
+    flags: dict = dataclasses.field(default_factory=dict)  # flag -> add_argument kwargs
+
+
+_MC_FLAGS = {
+    "--strata": dict(type=int, default=500),
+    "--paths": dict(type=int, default=10000, help="paths per stratum (default 10000)"),
+    "--steps": dict(type=int, default=20),
+}
+
+COMMANDS = {
+    "price": Command("one pricing run; value/delta/gamma/xva profile", "price", _price),
+    "converge": Command(
+        "refinement ladder with error norms and EOC", "converge", _converge, flags={
+            "--ladder": dict(metavar="N1,N2,...",
+                             help="cell counts (default 10,20,...,640)"),
+            "--ref-cells": dict(type=int, default=1280,
+                                help="reference resolution (default 1280)")}),
+    "table3": Command(
+        "benchmark adjustment table, PDE and Monte Carlo", "table3", _table3, flags={
+            "--no-mc": dict(action="store_true", help="skip the Monte Carlo columns"),
+            **_MC_FLAGS}),
+    "sweep": Command(
+        "sensitivity sweep over one market parameter", "sweep", _sweep,
+        driver="nonlinear", cells=320, flags={
+            "--param": dict(required=True, choices=sorted(_SWEEPS),
+                            help="parameter to sweep"),
+            "--values": dict(metavar="V1,V2,...",
+                             help="values (defaults depend on the parameter)")}),
+    "fbsde": Command(
+        "regression Monte Carlo adjustment at query spots", "fbsde", _fbsde, flags={
+            **_MC_FLAGS,
+            "--spots": dict(metavar="S1,S2,...",
+                            help="query spots (default 5,10,15,20,30,60)")}),
+    "breakdown": Command(
+        "term-by-term adjustment decomposition vs PDE", "breakdown", _breakdown,
+        cells=640, flags={"--spot": dict(type=float, default=15.0)}),
+    "garcia-check": Command("reduced-equation scaling diagnostic", "garcia_check",
+                            _garcia_check, driver="garcia", cells=640),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration file to start from")
     common.add_argument("--option", choices=("call", "put"),
                         help="contract kind (overrides config)")
-    common.add_argument("--driver", choices=("linear", "nonlinear", "garcia"),
+    common.add_argument("--driver", choices=DRIVER_KINDS,
                         help="mark-to-market convention (overrides config)")
     common.add_argument("--cells", type=int, metavar="N",
                         help="spatial cells (overrides config)")
@@ -564,67 +517,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="XVA/KVA pricing engine: LDG-IMEX PDE solver with "
                     "Monte Carlo, analytic and quadrature cross-checks.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("price", parents=[common],
-                       help="one pricing run; value/delta/gamma/xva profile")
-    p.set_defaults(handler=_cmd_price)
-
-    p = sub.add_parser("converge", parents=[common],
-                       help="refinement ladder with error norms and EOC")
-    p.add_argument("--ladder", metavar="N1,N2,...",
-                   help="cell counts (default 10,20,...,640)")
-    p.add_argument("--ref-cells", type=int, default=1280,
-                   help="reference resolution (default 1280)")
-    p.set_defaults(handler=_cmd_converge)
-
-    p = sub.add_parser("table3", parents=[common],
-                       help="benchmark adjustment table, PDE and Monte Carlo")
-    p.add_argument("--no-mc", action="store_true",
-                   help="skip the Monte Carlo columns")
-    p.add_argument("--strata", type=int, default=500)
-    p.add_argument("--paths", type=int, default=10000,
-                   help="paths per stratum (default 10000)")
-    p.add_argument("--steps", type=int, default=20)
-    p.set_defaults(handler=_cmd_table3)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="sensitivity sweep over one market parameter")
-    p.add_argument("--param", required=True, choices=sorted(_SWEEP_FIELDS),
-                   help="parameter to sweep")
-    p.add_argument("--values", metavar="V1,V2,...",
-                   help="values (defaults depend on the parameter)")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("fbsde", parents=[common],
-                       help="regression Monte Carlo adjustment at query spots")
-    p.add_argument("--strata", type=int, default=500)
-    p.add_argument("--paths", type=int, default=10000,
-                   help="paths per stratum (default 10000)")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--spots", metavar="S1,S2,...",
-                   help="query spots (default 5,10,15,20,30,60)")
-    p.set_defaults(handler=_cmd_fbsde)
-
-    p = sub.add_parser("breakdown", parents=[common],
-                       help="term-by-term adjustment decomposition vs PDE")
-    p.add_argument("--spot", type=float, default=15.0)
-    p.set_defaults(handler=_cmd_breakdown)
-
-    p = sub.add_parser("garcia-check", parents=[common],
-                       help="reduced-equation scaling diagnostic")
-    p.set_defaults(handler=_cmd_garcia)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, kwargs in command.flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _run(command: Command, args) -> None:
+    config = _build_config(args, command.driver, command.cells)
+    started = time.perf_counter()
+    output = command.run(config, args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_name = f"{command.stem}.csv"
+    write_csv(out / csv_name, output.header, output.rows)
+    meta = {**output.meta, "command": args.command,
+            "config": config_to_dict(output.config), "outputs": [csv_name],
+            "runtime_seconds": round(time.perf_counter() - started, 3),
+            "peak_rss_mb": _peak_rss_mb()}
+    with open(out / f"{command.stem}.meta.json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+    print(output.text)
+    print(f"wrote {out / csv_name}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    if args.command is None:
         parser.print_help()
         return 2
     try:
-        handler(args)
+        _run(COMMANDS[args.command], args)
     except Exception as exc:  # CLI boundary: report, don't traceback
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from xvadg.cli import (ConvergenceReport, ConvergenceRow, _cell, _check_nested,
-                       main, run_convergence, run_sweep, run_table3, write_csv)
-from xvadg.config import benchmark_config
+from xvadg.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _cell,
+                       _check_nested, main, run_convergence, run_sweep, run_table3,
+                       write_csv)
+from xvadg.config import benchmark_config, config_from_dict, config_to_dict
 
 
 def _read_csv(path):
@@ -72,6 +73,17 @@ def test_converge_rejects_non_nested_ladder(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "non-nested ladder" in err["message"]
+
+
+def test_converge_rejects_a_non_integer_ladder(tmp_path, capsys):
+    # a cell count of 10.7 must not be truncated to 10 and run
+    rc = main(["converge", "--ladder", "10.7,20,40", "--ref-cells", "80",
+               "--out", str(tmp_path / "c")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "10.7" in err["message"]
+    assert not (tmp_path / "c" / "converge.csv").exists()
 
 
 def test_missing_config_file_reports_json_error(tmp_path, capsys):
@@ -187,6 +199,17 @@ def test_breakdown_cli(tmp_path):
     assert gap < 2e-3
 
 
+def test_breakdown_sidecar_records_the_driver_it_solved(tmp_path):
+    # the decomposition and its PDE column are of the linear driver, whatever
+    # --driver says
+    out = tmp_path / "b"
+    rc = main(["breakdown", "--driver", "nonlinear", "--cells", "40",
+               "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((out / "breakdown.meta.json").read_text())
+    assert meta["config"]["driver"] == "linear"
+
+
 def test_breakdown_outside_domain_reports_json_error(tmp_path, capsys):
     # spot 100 lies beyond s_max = 60: no PDE value exists there
     rc = main(["breakdown", "--option", "call", "--spot", "100", "--cells", "40",
@@ -228,12 +251,21 @@ SIDECARS = {
 }
 
 
+def test_every_command_has_a_sidecar_case():
+    assert set(SIDECARS) == set(COMMANDS)
+
+
 @pytest.mark.parametrize("command", SIDECARS)
 def test_every_sidecar_reports_peak_rss(command, tmp_path):
     argv, sidecar = SIDECARS[command]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / sidecar).read_text())
     assert meta["peak_rss_mb"] > 0.0
+    # the block every sidecar shares
+    assert meta["command"] == command
+    assert meta["outputs"] == [sidecar.replace(".meta.json", ".csv")]
+    assert config_to_dict(config_from_dict(meta["config"])) == meta["config"]
+    assert meta["runtime_seconds"] >= 0.0
     # the Monte Carlo passes report how their per-path work was split
     mc = {"table3": lambda m: m["solver"]["put_linear_mc"],
           "fbsde": lambda m: m["mc"]}.get(command)
