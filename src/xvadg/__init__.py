@@ -25,7 +25,6 @@ from .capital import (
     CapitalBreakdown,
     capital_requirement,
     capital_requirement_parts,
-    ead_saccr,
     maturity_factor,
     supervisory_delta,
 )
@@ -43,8 +42,6 @@ from .config import (
 )
 from .drivers import (
     ALL_DRIVER_KINDS,
-    closeout_value,
-    collateral_amount,
     driver_level,
     driver_value,
     source_term,
@@ -90,13 +87,10 @@ __all__ = [
     "bs_value",
     "capital_requirement",
     "capital_requirement_parts",
-    "closeout_value",
-    "collateral_amount",
     "config_from_dict",
     "config_to_dict",
     "driver_level",
     "driver_value",
-    "ead_saccr",
     "garcia_scaling_check",
     "load_config",
     "maturity_factor",

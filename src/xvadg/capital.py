@@ -95,13 +95,6 @@ def _pfe_multiplier(gap: np.ndarray, addon: np.ndarray,
     return np.where(nonzero, m, 1.0)
 
 
-def ead_saccr(mark: np.ndarray | float, collateral: np.ndarray | float,
-              spot: np.ndarray | float, t: np.ndarray | float,
-              option: OptionSpec, capital: CapitalParams) -> np.ndarray | float:
-    """SA-CCR exposure at default, ``alpha * max(RC + PFE, 0)``."""
-    return capital_requirement_parts(mark, collateral, spot, t, option, capital).ead
-
-
 def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
                               capital: CapitalParams) -> CapitalBreakdown:
     """Full capital stack for explicit collateral; see ``capital_requirement``."""

@@ -9,10 +9,12 @@ adjustment decomposition (``breakdown``) and the reduced-equation scaling
 diagnostic (``garcia-check``).
 
 Each subcommand is one entry of ``COMMANDS``: help text, CSV stem, default
-driver and cells, extra flags and a ``run(config, args) -> Output``.  One
-runner does the rest: it builds the configuration, times the run and, only
-after it succeeds, writes ``<stem>.csv`` and a ``<stem>.meta.json`` sidecar
-into ``--out``, whose common block (``command``, ``config``, ``outputs``,
+driver and cells, the flags it reads and a ``run(config, args) -> Output``.
+Every subcommand takes ``--config`` and ``--out``; of the configuration
+overrides and ``--seed`` it takes only those it reads, so a flag that would
+change nothing is a usage error.  One runner does the rest: it builds the
+configuration, times the run and, only after it succeeds, writes
+``<stem>.csv`` and a ``<stem>.meta.json`` sidecar into ``--out``, whose common block (``command``, ``config``, ``outputs``,
 ``runtime_seconds``, ``peak_rss_mb``) sits beside the command's own fields.
 CSV content is byte-stable for fixed inputs and seeds (no timestamps or
 runtimes in the tables; those live in the sidecar).  On failure ``main``
@@ -302,7 +304,7 @@ def _regression_grid(args) -> RegressionGrid:
 
 
 def _table3(config: RunConfig, args) -> Output:
-    table = run_table3(config, pde_cells=args.cells or 1280, with_mc=not args.no_mc,
+    table = run_table3(config, pde_cells=config.cells, with_mc=not args.no_mc,
                        grid=_regression_grid(args), seed=args.seed)
     lines = [f"{'option':>7s} {'driver':>10s} {'spot':>6s} {'xva_pde':>13s} "
              f"{'xva_mc':>13s} {'stderr':>10s}"]
@@ -447,7 +449,8 @@ def _garcia_check(config: RunConfig, args) -> Output:
 
 @dataclasses.dataclass(frozen=True)
 class Command:
-    """One subcommand: help text, CSV stem, defaults, extra flags and run."""
+    """One subcommand: help text, CSV stem, defaults, the flags it reads
+    beyond ``--config`` and ``--out``, and run."""
 
     help: str
     stem: str
@@ -457,6 +460,24 @@ class Command:
     flags: dict = dataclasses.field(default_factory=dict)  # flag -> add_argument kwargs
 
 
+#: the configuration overrides and the seed, for a command to pick from
+_SHARED_FLAGS = {
+    "--option": dict(choices=("call", "put"), help="contract kind (overrides config)"),
+    "--driver": dict(choices=DRIVER_KINDS,
+                     help="mark-to-market convention (overrides config)"),
+    "--cells": dict(type=int, metavar="N", help="spatial cells (overrides config)"),
+    "--degree": dict(type=int, choices=(1, 2),
+                     help="local polynomial degree (overrides config)"),
+    "--seed": dict(type=int, default=0, help="Monte Carlo seed (default: 0)"),
+}
+
+
+def _shared(*names: str) -> dict:
+    return {name: _SHARED_FLAGS[name] for name in names}
+
+
+_PDE_FLAGS = _shared("--option", "--driver", "--cells", "--degree")
+
 _MC_FLAGS = {
     "--strata": dict(type=int, default=500),
     "--paths": dict(type=int, default=10000, help="paths per stratum (default 10000)"),
@@ -464,34 +485,41 @@ _MC_FLAGS = {
 }
 
 COMMANDS = {
-    "price": Command("one pricing run; value/delta/gamma/xva profile", "price", _price),
+    "price": Command("one pricing run; value/delta/gamma/xva profile", "price", _price,
+                     flags=_PDE_FLAGS),
     "converge": Command(
         "refinement ladder with error norms and EOC", "converge", _converge, flags={
+            **_shared("--option", "--driver", "--degree"),
             "--ladder": dict(metavar="N1,N2,...",
                              help="cell counts (default 10,20,...,640)"),
             "--ref-cells": dict(type=int, default=1280,
                                 help="reference resolution (default 1280)")}),
     "table3": Command(
-        "benchmark adjustment table, PDE and Monte Carlo", "table3", _table3, flags={
+        "benchmark adjustment table, PDE and Monte Carlo", "table3", _table3,
+        cells=1280, flags={
+            **_shared("--cells", "--degree", "--seed"),
             "--no-mc": dict(action="store_true", help="skip the Monte Carlo columns"),
             **_MC_FLAGS}),
     "sweep": Command(
         "sensitivity sweep over one market parameter", "sweep", _sweep,
         driver="nonlinear", cells=320, flags={
+            **_PDE_FLAGS,
             "--param": dict(required=True, choices=sorted(_SWEEPS),
                             help="parameter to sweep"),
             "--values": dict(metavar="V1,V2,...",
                              help="values (defaults depend on the parameter)")}),
     "fbsde": Command(
         "regression Monte Carlo adjustment at query spots", "fbsde", _fbsde, flags={
-            **_MC_FLAGS,
+            **_shared("--option", "--driver", "--seed"), **_MC_FLAGS,
             "--spots": dict(metavar="S1,S2,...",
                             help="query spots (default 5,10,15,20,30,60)")}),
     "breakdown": Command(
         "term-by-term adjustment decomposition vs PDE", "breakdown", _breakdown,
-        cells=640, flags={"--spot": dict(type=float, default=15.0)}),
+        cells=640, flags={**_shared("--option", "--cells", "--degree"),
+                          "--spot": dict(type=float, default=15.0)}),
     "garcia-check": Command("reduced-equation scaling diagnostic", "garcia_check",
-                            _garcia_check, driver="garcia", cells=640),
+                            _garcia_check, driver="garcia", cells=640,
+                            flags=_shared("--option", "--cells", "--degree")),
 }
 
 
@@ -499,18 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON configuration file to start from")
-    common.add_argument("--option", choices=("call", "put"),
-                        help="contract kind (overrides config)")
-    common.add_argument("--driver", choices=DRIVER_KINDS,
-                        help="mark-to-market convention (overrides config)")
-    common.add_argument("--cells", type=int, metavar="N",
-                        help="spatial cells (overrides config)")
-    common.add_argument("--degree", type=int, choices=(1, 2),
-                        help="local polynomial degree (overrides config)")
     common.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: ./out)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="Monte Carlo seed (default: 0)")
 
     parser = argparse.ArgumentParser(
         prog="xvadg",

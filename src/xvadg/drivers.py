@@ -30,6 +30,13 @@ The counterparty loss coefficient is carried as the bond-repo spread
 ``cpty_spread``, which the configuration pins to intensity*(1-recovery); the
 driver is identical whichever of the two expressions is used to build it.
 
+This module alone decides what a kind means.  :func:`is_adjustment_kind`
+validates a kind and says whether it marches the adjustment from zero
+terminal data (``garcia``, ``garcia_ref``) or the full price, whose
+adjustment is the value minus the closed-form mark; the PDE and the Monte
+Carlo route ask it once.  ``linear``, ``garcia`` and ``garcia_ref`` read
+the closed-form default-free mark, which the driver computes itself.
+
 Each driver is built in two parts: :func:`driver_level` does the work that
 depends on (t, S) only (the closed-form mark and the capital total on it
 for the mark kinds, the SA-CCR add-on for ``nonlinear``) and returns the
@@ -49,54 +56,35 @@ from typing import Callable
 
 import numpy as np
 
+from .black_scholes import bs_value
 from .capital import capital_on_addon, capital_requirement, saccr_addon
 from .config import CapitalParams, MarketParams, OptionSpec
 
-#: kinds accepted by driver_value / source_term (superset of the public
-#: RunConfig drivers; the last two are validation hooks)
-ALL_DRIVER_KINDS = ("linear", "nonlinear", "garcia", "garcia_ref", "riskfree")
+#: driver kind -> whether it marches the adjustment itself from zero
+#: terminal data (True) or the full price (False); a superset of the public
+#: RunConfig drivers, the last two kinds being validation hooks
+_MARCHES_ADJUSTMENT = {"linear": False, "nonlinear": False, "garcia": True,
+                       "garcia_ref": True, "riskfree": False}
 
-#: kinds whose unknown is the adjustment itself (zero terminal data); every
-#: other kind carries the full price, and its adjustment is the value minus
-#: the closed-form mark
-ADJUSTMENT_KINDS = ("garcia", "garcia_ref")
+#: kinds accepted by driver_value / source_term
+ALL_DRIVER_KINDS = tuple(_MARCHES_ADJUSTMENT)
 
-#: kinds that price against the closed-form default-free mark (riskfree_fn)
-MARK_KINDS = ("linear", "garcia", "garcia_ref")
-
-RiskfreeFn = Callable[[float, np.ndarray], np.ndarray]
 CapitalFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 DriverEval = Callable[[np.ndarray], np.ndarray]
 
 
-def collateral_amount(mark: np.ndarray | float, fraction: float) -> np.ndarray | float:
-    """Collateral posted against a mark-to-market: ``fraction * mark``."""
-    return fraction * np.asarray(mark, dtype=float) if np.ndim(mark) else fraction * mark
-
-
-def closeout_value(mark, collateral, recovery: float):
-    """Amount recovered at counterparty default:
-    collateral plus ``recovery`` on the uncollateralized exposure, with any
-    over-collateralization returned in full:
-    ``X + recovery*(M-X)^+ + (M-X)^-``.
-    """
-    m = np.asarray(mark, dtype=float)
-    x = np.asarray(collateral, dtype=float)
-    gap = m - x
-    out = x + recovery * np.maximum(gap, 0.0) + np.minimum(gap, 0.0)
-    return out if np.ndim(out) else float(out)
-
-
-def _capital_total(option: OptionSpec, market: MarketParams,
-                   capital: CapitalParams) -> CapitalFn:
-    def k_total(t, spot, mark):
-        return capital_requirement(t, spot, mark, option, market, capital).k_total
-    return k_total
+def is_adjustment_kind(kind: str) -> bool:
+    """Whether ``kind`` marches the adjustment from zero terminal data
+    rather than the full price from the payoff; an unknown kind raises
+    ``ValueError``."""
+    try:
+        return _MARCHES_ADJUSTMENT[kind]
+    except KeyError:
+        raise ValueError(f"unknown driver kind {kind!r}") from None
 
 
 def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
                  market: MarketParams, capital: CapitalParams,
-                 riskfree_fn: RiskfreeFn | None = None,
                  capital_fn: CapitalFn | None = None) -> DriverEval:
     """The driver F(t, S, .) at one (t, S) level, as a function of v.
 
@@ -106,8 +94,7 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
     ``riskfree``.  The returned function applies the rest in v, with the
     arithmetic of :func:`driver_value` (which is this function applied once).
     """
-    if kind not in ALL_DRIVER_KINDS:
-        raise ValueError(f"unknown driver kind {kind!r}")
+    is_adjustment_kind(kind)
     r = market.risk_free_rate
     if kind == "riskfree":
         return lambda v: r * np.asarray(v, dtype=float)
@@ -135,12 +122,11 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
                     + (hurdle - phi * rb) * k)
         return nonlinear
 
-    if riskfree_fn is None:
-        raise ValueError(f"driver kind {kind!r} needs the default-free mark (riskfree_fn)")
-    mark = np.asarray(riskfree_fn(t, spot), dtype=float)
+    mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
     if capital_fn is None:
-        capital_fn = _capital_total(option, market, capital)
-    k = capital_fn(t, spot, mark)
+        k = capital_requirement(t, spot, mark, option, market, capital).k_total
+    else:
+        k = capital_fn(t, spot, mark)
 
     if kind == "linear":
         def linear(v):
@@ -158,23 +144,19 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
 
 def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,
                  option: OptionSpec, market: MarketParams, capital: CapitalParams,
-                 riskfree_fn: RiskfreeFn | None = None,
                  capital_fn: CapitalFn | None = None) -> np.ndarray:
     """Evaluate the driver F(t, S, v) for the given mark convention.
 
-    ``riskfree_fn(t, S)`` supplies the default-free mark where the
-    convention needs it (linear, garcia, garcia_ref).  ``capital_fn``
-    overrides the regulatory capital profile; the default is the full
-    SA-CCR/CVA/leverage stack.  Passing ``capital_fn=lambda t, s, m: 0.0 * m``
-    switches capital costs off, which several validation cases use.
+    ``capital_fn`` overrides the regulatory capital profile; the default is
+    the full SA-CCR/CVA/leverage stack.  Passing
+    ``capital_fn=lambda t, s, m: 0.0 * m`` switches capital costs off,
+    which several validation cases use.
     """
-    return driver_level(kind, t, spot, option, market, capital, riskfree_fn,
-                        capital_fn)(v)
+    return driver_level(kind, t, spot, option, market, capital, capital_fn)(v)
 
 
 def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
                 option: OptionSpec, market: MarketParams, capital: CapitalParams,
-                riskfree_fn: RiskfreeFn | None = None,
                 capital_fn: CapitalFn | None = None) -> np.ndarray:
     """Zeroth-order source of the time-reversed conservative-form equation.
 
@@ -182,5 +164,5 @@ def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
     ``maturity - tau``.
     """
     fwd = driver_value(kind, option.maturity - tau, spot, v, option, market,
-                       capital, riskfree_fn, capital_fn)
+                       capital, capital_fn)
     return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd

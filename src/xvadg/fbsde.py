@@ -58,10 +58,11 @@ The forward ensemble is simulated on a pool as well, in blocks of strata;
 each stratum draws from its own stream, so the paths do not depend on the
 blocking either.
 
-This route shares with the PDE engine only the driver evaluation and the
-closed-form mark; the discretization, the state storage and the
-expectation operator are all different, which is what makes the
-cross-check meaningful.
+This route shares with the PDE engine only :mod:`xvadg.drivers`: the
+driver, the closed-form mark it computes, and whether a kind starts from
+the payoff or from zero (:func:`xvadg.drivers.is_adjustment_kind`); the
+discretization, the state storage and the expectation operator are all
+different, which is what makes the cross-check meaningful.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ import numpy as np
 
 from .black_scholes import bs_value
 from .config import CapitalParams, MarketParams, OptionSpec, payoff
-from .drivers import (ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, CapitalFn,
-                      DriverEval, driver_level)
+from .drivers import CapitalFn, DriverEval, driver_level, is_adjustment_kind
 # not called here; it stays a name of this module for tools that wrap the
 # driver where each module looks it up (bench/tracing.py)
 from .drivers import driver_value  # noqa: F401
@@ -465,8 +465,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     side: they must be pure, elementwise functions of their arguments.
     """
     started = time.perf_counter()
-    if kind not in ALL_DRIVER_KINDS:
-        raise ValueError(f"unknown driver kind {kind!r}")
+    is_adjustment = is_adjustment_kind(kind)
     if abs(option.maturity - ensemble.maturity) > 1e-12:
         raise ValueError(
             f"option maturity {option.maturity} does not match the ensemble's "
@@ -478,11 +477,6 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     times = ensemble.times
     dt = times[1] - times[0]
     centers = grid.centers
-    is_adjustment = kind in ADJUSTMENT_KINDS
-
-    riskfree_fn = None
-    if driver_override is None and kind in MARK_KINDS:
-        riskfree_fn = lambda t, s: bs_value(option, s, t, market)
 
     n_paths = ensemble.spots.shape[1]
     chunks = [slice(lo, min(lo + _CHUNK, n_paths))
@@ -497,7 +491,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         if driver_override is not None:
             return spot, functools.partial(driver_override, t, spot)
         return spot, driver_level(kind, t, spot, option, market, capital,
-                                  riskfree_fn, capital_fn)
+                                  capital_fn)
 
     # the path-length state of the pass: the values y at t_{i+1}, the driver
     # on them, and the level at t_i (strata, offsets, driver parts per chunk),

@@ -5,13 +5,13 @@ terminal data down to valuation time and returns a ``SolveResult`` wrapping
 the terminal-time-zero solution field, its LDG gradient (the delta field)
 and accessors for value, delta, gamma and the valuation adjustment.
 
-Two families of unknowns occur, flagged by ``is_adjustment``:
-
-* ``linear`` / ``nonlinear`` / ``riskfree`` march the full contract value;
-  the adjustment is recovered by subtracting the closed-form default-free
-  value at the query points.
-* ``garcia`` / ``garcia_ref`` march the adjustment itself from zero
-  terminal data; the contract value is the closed-form mark plus the field.
+Two families of unknowns occur, flagged by ``is_adjustment`` as
+:func:`xvadg.drivers.is_adjustment_kind` decides: a full-price kind
+marches the contract value from the payoff, and its adjustment is the
+value minus the closed-form default-free value; an adjustment kind
+marches the adjustment from zero terminal data, and its value is the
+closed-form mark plus the field.  The driver, its mark included, comes
+whole from :func:`xvadg.drivers.source_term`.
 
 The scheme order is tied to the local degree (degree 1 -> second-order
 stepping, degree 2 -> third order) and the step count to the explicit CFL
@@ -54,8 +54,7 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import (ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, CapitalFn,
-                      source_term)
+from .drivers import CapitalFn, is_adjustment_kind, source_term
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
     make_basis, project_payoff, source_form, variant_for_option
@@ -199,8 +198,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
     """One march of a ``scenario_groups`` group; one result per member."""
     config = group[0]
     kind = config.driver if kind is None else kind
-    if kind not in ALL_DRIVER_KINDS:
-        raise ValueError(f"unknown driver kind {kind!r}")
+    is_adjustment = is_adjustment_kind(kind)
     option, capital, market = config.option, config.capital, config.market
     width = len(group)
     if width > 1:
@@ -226,7 +224,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
                                       lambda u: convection_form(u, speed))
 
     shape = (mesh.cells, basis.n_nodes, width)
-    if kind in ADJUSTMENT_KINDS:
+    if is_adjustment:
         u = np.zeros(shape)
     else:
         u = np.repeat(project_payoff(option, mesh, basis).coeffs[..., None],
@@ -235,14 +233,12 @@ def _march_group(group: list[RunConfig], kind: str | None,
 
     # (cells, nodes, 1): the driver's (t, S) part broadcasts over the batch
     spots = mesh.quad_points(basis)[..., None]
-    riskfree_fn = ((lambda t, s: bs_value(option, s, t, market))
-                   if kind in MARK_KINDS else None)
     counts = {"implicit_solves": 0, "driver_evaluations": 0}
 
     def explicit_fn(state: np.ndarray, tau: float) -> np.ndarray:
         counts["driver_evaluations"] += 1
         h_vals = source_term(kind, tau, spots, state.reshape(shape), option,
-                             market, capital, riskfree_fn, capital_fn)
+                             market, capital, capital_fn)
         return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
@@ -269,7 +265,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
         results.append(SolveResult(
             config=member, kind=kind, variant=variant, mesh=mesh, basis=basis,
             value_field=value_field, q_field=gradient_form(value_field, variant),
-            time_grid=grid, is_adjustment=kind in ADJUSTMENT_KINDS,
+            time_grid=grid, is_adjustment=is_adjustment,
             runtime=elapsed, batch_width=width, **counts))
     return results
 

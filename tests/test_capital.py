@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from xvadg.capital import (capital_requirement, capital_requirement_parts,
-                           ead_saccr, maturity_factor, supervisory_delta)
+                           maturity_factor, supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -184,4 +184,3 @@ def test_scalar_inputs_give_scalar_outputs():
     for name in ("delta", "mat_factor", "replacement_cost", "addon",
                  "multiplier", "pfe", "ead", "k_total"):
         assert isinstance(getattr(parts, name), float)
-    assert isinstance(ead_saccr(1.0, 0.9, 20.0, 0.1, CALL, CAP), float)

@@ -4,6 +4,7 @@ nonzero with machine-readable JSON on stderr, and the ladder/EOC helpers
 behave arithmetically."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,8 @@ import pytest
 from xvadg.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _cell,
                        _check_nested, main, run_convergence, run_sweep, run_table3,
                        write_csv)
-from xvadg.config import benchmark_config, config_from_dict, config_to_dict
+from xvadg.config import (benchmark_config, config_from_dict, config_to_dict,
+                          save_config)
 
 
 def _read_csv(path):
@@ -105,6 +107,24 @@ def test_table3_without_mc(tmp_path):
     # spot-check one anchor at this resolution
     by_key = {(r[0], r[1], float(r[2])): float(r[3]) for r in rows}
     assert by_key[("put", "linear", 15.0)] == pytest.approx(-1.395e-02, abs=3e-4)
+
+
+@pytest.mark.parametrize("flags, cells", [([], 1280), (["--cells", "40"], 40),
+                                          (["--config"], 80)],
+                         ids=["default", "flag", "config-file"])
+def test_table3_sidecar_records_the_cells_it_solved(flags, cells, tmp_path):
+    # every PDE column is solved at the configuration's cells: the command's
+    # default, the --cells flag, or the --config file's
+    if flags == ["--config"]:
+        path = tmp_path / "cfg.json"
+        save_config(dataclasses.replace(benchmark_config(), cells=80), str(path))
+        flags = ["--config", str(path)]
+    out = tmp_path / "t"
+    assert main(["table3", "--no-mc", *flags, "--out", str(out)]) == 0
+    meta = json.loads((out / "table3.meta.json").read_text())
+    assert meta["config"]["cells"] == cells
+    assert len(meta["solver"]) == 4
+    assert all(entry["cells"] == cells for entry in meta["solver"].values())
 
 
 def test_table3_with_tiny_mc(tmp_path):
@@ -201,9 +221,12 @@ def test_breakdown_cli(tmp_path):
 
 def test_breakdown_sidecar_records_the_driver_it_solved(tmp_path):
     # the decomposition and its PDE column are of the linear driver, whatever
-    # --driver says
+    # driver the configuration file names
+    path = tmp_path / "cfg.json"
+    save_config(dataclasses.replace(benchmark_config(), driver="nonlinear"),
+                str(path))
     out = tmp_path / "b"
-    rc = main(["breakdown", "--driver", "nonlinear", "--cells", "40",
+    rc = main(["breakdown", "--config", str(path), "--cells", "40",
                "--out", str(out)])
     assert rc == 0
     meta = json.loads((out / "breakdown.meta.json").read_text())
@@ -253,6 +276,31 @@ SIDECARS = {
 
 def test_every_command_has_a_sidecar_case():
     assert set(SIDECARS) == set(COMMANDS)
+
+
+# (command, flag, value) for each configuration override or seed a command
+# does not read: accepting one would run with exit 0 and change nothing
+UNREAD_FLAGS = [
+    ("converge", "--cells", "40"), ("converge", "--seed", "1"),
+    ("price", "--seed", "1"),
+    ("table3", "--option", "call"), ("table3", "--driver", "garcia"),
+    ("sweep", "--seed", "1"),
+    ("fbsde", "--cells", "7"), ("fbsde", "--degree", "2"),
+    ("breakdown", "--driver", "nonlinear"), ("breakdown", "--seed", "1"),
+    ("garcia-check", "--driver", "nonlinear"), ("garcia-check", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, value,
+                                                           tmp_path, capsys):
+    argv, _ = SIDECARS[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", SIDECARS)

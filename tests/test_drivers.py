@@ -1,15 +1,16 @@
-"""Driver right-hand sides: close-out algebra, affine structure of the
+"""Driver right-hand sides: the kind table, affine structure of the
 default-free-mark convention, monotonicity of the semilinear one, the
-capital kill switch, and the source-term sign convention."""
+closed-form mark computed inside the driver, the capital kill switch, and
+the source-term sign convention."""
 
 import numpy as np
 import pytest
 
 from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
-from xvadg.config import CapitalParams, MarketParams, OptionSpec
-from xvadg.drivers import (ALL_DRIVER_KINDS, closeout_value, collateral_amount,
-                           driver_level, driver_value, source_term)
+from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec
+from xvadg.drivers import (ALL_DRIVER_KINDS, driver_level, driver_value,
+                           is_adjustment_kind, source_term)
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)
@@ -17,26 +18,6 @@ MARKET = MarketParams()
 CAP = CapitalParams()
 
 NO_CAPITAL = lambda t, s, m: 0.0 * m
-
-
-def _mark_fn(option):
-    return lambda t, s: bs_value(option, s, t, MARKET)
-
-
-def test_closeout_value_cases():
-    # partial recovery on the uncollateralized gap
-    assert closeout_value(10.0, 9.0, 0.78) == pytest.approx(9.78)
-    # over-collateralized: excess returned in full, close-out is the mark
-    assert closeout_value(5.0, 8.0, 0.78) == pytest.approx(5.0)
-    # full recovery reproduces the mark
-    assert closeout_value(10.0, 3.0, 1.0) == pytest.approx(10.0)
-    arr = closeout_value(np.array([10.0, 5.0]), np.array([9.0, 8.0]), 0.78)
-    assert np.allclose(arr, [9.78, 5.0])
-
-
-def test_collateral_amount():
-    assert collateral_amount(2.0, 0.9) == pytest.approx(1.8)
-    assert np.allclose(collateral_amount(np.array([1.0, -2.0]), 0.5), [0.5, -1.0])
 
 
 def test_spread_and_intensity_forms_agree():
@@ -51,8 +32,7 @@ def test_spread_and_intensity_forms_agree():
 
 def test_linear_driver_is_affine_in_v():
     spot = np.linspace(1.0, 40.0, 9)
-    mark = _mark_fn(PUT)
-    args = dict(option=PUT, market=MARKET, capital=CAP, riskfree_fn=mark)
+    args = dict(option=PUT, market=MARKET, capital=CAP)
     v0 = np.zeros_like(spot)
     v1 = np.full_like(spot, 1.0)
     v2 = np.full_like(spot, 2.0)
@@ -71,9 +51,7 @@ def test_linear_driver_value_reconstructed_by_hand():
     t = 0.25
     mark = bs_value(PUT, spot, t, MARKET)
     v = np.array([0.7])
-    got = driver_value("linear", t, spot, v, PUT, MARKET, CAP,
-                       riskfree_fn=_mark_fn(PUT))
-    from xvadg.capital import capital_requirement
+    got = driver_value("linear", t, spot, v, PUT, MARKET, CAP)
     coll = MARKET.collateral_fraction * mark
     k = capital_requirement(t, spot, mark, PUT, MARKET, CAP).k_total
     rb = MARKET.issuer_funding_rate
@@ -104,17 +82,14 @@ def test_nonlinear_driver_monotone_increment():
 def test_garcia_and_reference_forms():
     spot = np.linspace(2.0, 40.0, 7)
     v = np.linspace(-1.0, 1.0, 7)
-    mark = _mark_fn(CALL)
-    from xvadg.capital import capital_requirement
-    m = mark(0.2, spot)
+    m = bs_value(CALL, spot, 0.2, MARKET)
     k = capital_requirement(0.2, spot, m, CALL, MARKET, CAP).k_total
     rb = MARKET.issuer_funding_rate
-    got = driver_value("garcia", 0.2, spot, v, CALL, MARKET, CAP, riskfree_fn=mark)
+    got = driver_value("garcia", 0.2, spot, v, CALL, MARKET, CAP)
     expect = (MARKET.capital_hurdle + MARKET.cpty_intensity) * v \
         + (MARKET.capital_hurdle - rb) * k
     assert np.allclose(got, expect, rtol=1e-14)
-    got_ref = driver_value("garcia_ref", 0.2, spot, v, CALL, MARKET, CAP,
-                           riskfree_fn=mark)
+    got_ref = driver_value("garcia_ref", 0.2, spot, v, CALL, MARKET, CAP)
     expect_ref = (rb + MARKET.cpty_intensity) * v \
         + (MARKET.capital_hurdle - MARKET.capital_funding_fraction * rb) * k
     assert np.allclose(got_ref, expect_ref, rtol=1e-14)
@@ -124,8 +99,9 @@ def test_garcia_and_reference_forms():
 def test_driver_value_equals_hand_built_formulas_bitwise(option):
     # driver_value is the (t, S) level part followed by the evaluation in v;
     # both keep the arithmetic of the one-line formulas, so every kind
-    # matches them bit for bit, including the nonlinear capital stack split
-    # at the add-on, and one level serves any number of v
+    # matches them bit for bit, including the closed-form mark the driver
+    # computes itself and the nonlinear capital stack split at the add-on,
+    # and one level serves any number of v
     spot = np.linspace(0.5, 45.0, 13)
     v = np.linspace(-1.5, 4.0, 13)
     t = 0.35
@@ -156,7 +132,7 @@ def test_driver_value_equals_hand_built_formulas_bitwise(option):
     }
     assert set(hand) == set(ALL_DRIVER_KINDS)
     for kind, formula in hand.items():
-        args = (option, MARKET, CAP, _mark_fn(option))
+        args = (option, MARKET, CAP)
         assert np.array_equal(driver_value(kind, t, spot, v, *args), formula(v)), kind
         level = driver_level(kind, t, spot, *args)
         for w in (v, 2.0 * v - 1.0):
@@ -183,19 +159,17 @@ def test_capital_kill_switch():
     assert np.allclose(got, expect, rtol=1e-14)
 
 
-def test_missing_mark_function_raises():
-    v = np.ones(3)
-    s = np.ones(3)
-    for kind in ("linear", "garcia", "garcia_ref"):
-        with pytest.raises(ValueError, match="default-free mark"):
-            driver_value(kind, 0.0, s, v, CALL, MARKET, CAP)
-
-
 def test_unknown_kind_raises():
     with pytest.raises(ValueError, match="unknown driver kind"):
         driver_value("exotic", 0.0, np.ones(2), np.ones(2), CALL, MARKET, CAP)
+    with pytest.raises(ValueError, match="unknown driver kind"):
+        is_adjustment_kind("exotic")
     assert set(ALL_DRIVER_KINDS) == {"linear", "nonlinear", "garcia",
                                      "garcia_ref", "riskfree"}
+    # every kind a RunConfig accepts is one the drivers know
+    assert set(DRIVER_KINDS) <= set(ALL_DRIVER_KINDS)
+    assert [k for k in ALL_DRIVER_KINDS if is_adjustment_kind(k)] == [
+        "garcia", "garcia_ref"]
 
 
 def test_source_term_sign_convention():
@@ -204,9 +178,7 @@ def test_source_term_sign_convention():
     spot = np.linspace(5.0, 25.0, 5)
     v = np.linspace(0.5, 2.5, 5)
     tau = 0.3
-    mark = _mark_fn(PUT)
-    f = driver_value("linear", PUT.maturity - tau, spot, v, PUT, MARKET, CAP,
-                     riskfree_fn=mark)
-    got = source_term("linear", tau, spot, v, PUT, MARKET, CAP, riskfree_fn=mark)
+    f = driver_value("linear", PUT.maturity - tau, spot, v, PUT, MARKET, CAP)
+    got = source_term("linear", tau, spot, v, PUT, MARKET, CAP)
     expect = (MARKET.sigma ** 2 - MARKET.drift) * v - f
     assert np.allclose(got, expect, rtol=1e-14)

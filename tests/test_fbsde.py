@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 from xvadg import fbsde
 from xvadg.black_scholes import bs_value
 from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, payoff
-from xvadg.drivers import ADJUSTMENT_KINDS, ALL_DRIVER_KINDS, MARK_KINDS, driver_value
+from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
 from xvadg.fbsde import (BackwardSolution, PathEnsemble, RegressionGrid,
                          simulate_forward, solve_backward)
 
@@ -279,15 +279,12 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
     market, grid, times = ensemble.market, ensemble.grid, ensemble.times
     capital = CapitalParams()
     dt = times[1] - times[0]
-    riskfree_fn = None
-    if driver_override is None and kind in MARK_KINDS:
-        riskfree_fn = lambda t, s: bs_value(option, s, t, market)
 
     def driver_at(t, spot, v):
         if driver_override is not None:
             return driver_override(t, spot, v)
         return driver_value(kind, t, spot, v, option, market, capital,
-                            riskfree_fn, capital_fn)
+                            capital_fn=capital_fn)
 
     def fit_at(bins, spot, y):
         # whole-array bincounts, independent of the streamed sums of the pass
@@ -302,7 +299,7 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
         return fbsde._fit_strata(moments, sums, grid)[0]
 
     s_term = ensemble.spots[-1].astype(np.float64)
-    y = np.zeros_like(s_term) if kind in ADJUSTMENT_KINDS else payoff(option, s_term)
+    y = np.zeros_like(s_term) if is_adjustment_kind(kind) else payoff(option, s_term)
     for i in range(grid.steps - 1, -1, -1):
         s_next = ensemble.spots[i + 1].astype(np.float64)
         f_right = driver_at(float(times[i + 1]), s_next, y)
