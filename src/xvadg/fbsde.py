@@ -42,17 +42,20 @@ CPU that lives for one pass, in two phases per step.  The first predicts
 the values at t_{i+1} from the previous fit, evaluates the driver on them
 and builds the level at t_i with the predictor's regression target and
 its products; the second predicts the values at t_i, evaluates the driver
-on them and forms the corrector's target and products.  Each fit waits
-for all chunks of its phase.  scipy's ``erf`` and the capital chain
-release the GIL, so the chunks run side by side.  Each of those
-operations is elementwise with a scalar t, so chunk boundaries and worker
-count do not change a bit.
-The per-stratum sums of the fits are the one reduction: each chunk adds
-its products with ``np.add.at`` behind a turnstile that lets the chunks
-through in path order, so every sum is added in the order, and to the
-bit, of a ``bincount`` over the whole path array.  Only that add and the
-per-stratum solves between the phases are serial.  The results are those
-of evaluating the driver and the moments afresh at every use, bit for bit.
+on them and forms the corrector's target and products.  scipy's ``erf``
+and the capital chain release the GIL, so the chunks run side by side.
+Each of those operations is elementwise with a scalar t, so chunk
+boundaries and worker count do not change a bit.
+The per-stratum sums of the fits are the one reduction: each chunk's task
+ends with one ``bincount`` per product, without waiting for other chunks,
+and once every task of the phase has ended the chunk rows are added in
+chunk order.  ``_CHUNK`` fixes the chunks, so the results do not depend on
+the worker count; they are not bitwise a ``bincount`` over the whole path
+array.  Only that add and the per-stratum solves between the phases are
+serial.  The results are those of evaluating the driver and the moments
+afresh at every use and summing them chunk by chunk, bit for bit.
+The fitted surface is read only inside the strata's span
+[exp(log_lo), exp(log_hi)]; a query spot outside it raises.
 
 The forward ensemble is simulated on a pool as well, in blocks of strata;
 each stratum draws from its own stream, so the paths do not depend on the
@@ -70,7 +73,6 @@ from __future__ import annotations
 import functools
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -271,54 +273,32 @@ class _StrataFit:
         return self.intercept[bins] + self.slope[bins] * dx
 
 
-class _Sums:
-    """Per-stratum sums of one fit, added chunk by chunk: the path count
-    (with ``counted``) and one row of sums per weight array.
+def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
+                rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``task(k, chunk)`` for every chunk on ``pool`` and return the
+    phase's per-stratum path count and its ``rows`` sums.
 
-    ``add`` runs after ``turn()``, which lets the chunks through in path
-    order; ``np.add.at`` then adds each weight in index order, starting
-    from 0.0, as ``np.bincount`` does, so every row is bitwise the
-    ``bincount`` of its weight over the whole path array.  The count comes
-    from an integer ``bincount`` per chunk and is exact.
+    A task returns its chunk's strata and a tuple of ``rows`` weight arrays;
+    in the same pool task these become the chunk's integer ``bincount`` and
+    one weighted ``bincount`` row per weight.  Once every task has ended,
+    the first error in chunk order is raised, or the chunk rows are added in
+    chunk order.  The count is exact; the sums depend on the partition into
+    chunks, which ``_CHUNK`` fixes, and never on the worker count.
     """
-
-    def __init__(self, strata: int, rows: int, counted: bool = False) -> None:
-        self.count = np.zeros(strata, dtype=np.int64) if counted else None
-        self.rows = np.zeros((rows, strata))
-
-    def add(self, bins: np.ndarray, weights: tuple,
-            turn: Callable[[], object]) -> None:
-        count = (None if self.count is None
-                 else np.bincount(bins, minlength=self.count.size))
-        turn()
-        if count is not None:
-            self.count += count
-        for row, w in zip(self.rows, weights):
-            np.add.at(row, bins, w)
-
-
-def _in_chunk_order(pool: ThreadPoolExecutor, chunks: list, task) -> None:
-    """Run ``task(k, chunk, turn)`` for every chunk on ``pool``.
-
-    ``turn()`` blocks until the tasks of all earlier chunks have returned,
-    so what a task does after it runs one chunk at a time, in chunk order.
-    A task passes the turn on when it returns or raises.  Every task runs
-    to its end before the first error in chunk order is raised, so no task
-    waits on one that was cancelled and no task outlives the call.
-    """
-    turns = [threading.Event() for _ in range(len(chunks) + 1)]
-    turns[0].set()
-
-    def run(k: int, chunk) -> None:
-        try:
-            task(k, chunk, turns[k].wait)
-        finally:
-            turns[k + 1].set()
+    def run(k: int, chunk) -> tuple[np.ndarray, list]:
+        bins, weights = task(k, chunk)
+        return (np.bincount(bins, minlength=strata),
+                [np.bincount(bins, weights=w, minlength=strata) for w in weights])
 
     futures = [pool.submit(run, k, chunk) for k, chunk in enumerate(chunks)]
     wait(futures)
+    count = np.zeros(strata, dtype=np.int64)
+    sums = np.zeros((rows, strata))
     for future in futures:
-        future.result()
+        chunk_count, chunk_sums = future.result()
+        count += chunk_count
+        sums += chunk_sums
+    return count, sums
 
 
 def _fit_strata(moments: tuple, sums: tuple,
@@ -386,11 +366,13 @@ def _fit_strata(moments: tuple, sums: tuple,
 class BackwardSolution:
     """Time-zero regression surface of one backward pass.
 
-    ``value`` evaluates the fitted conditional expectation at arbitrary
-    query spots; ``stderr`` its pointwise prediction standard error (of
-    the regression mean, from the time-zero fit); ``xva`` the adjustment,
-    i.e. value minus the closed-form mark for full-price kinds and the
-    value itself for reduced adjustment kinds.
+    ``value`` evaluates the fitted conditional expectation at query spots
+    in the strata's span [exp(log_lo), exp(log_hi)]; ``stderr`` its
+    pointwise prediction standard error (of the regression mean, from the
+    time-zero fit); ``xva`` the adjustment, i.e. value minus the
+    closed-form mark for full-price kinds and the value itself for reduced
+    adjustment kinds.  A spot outside the span, or not finite, raises
+    ``ValueError``: the surface has no paths there to extrapolate from.
     """
 
     kind: str
@@ -408,17 +390,26 @@ class BackwardSolution:
     workers: int
     chunks: int
 
-    def value(self, spot: np.ndarray | float) -> np.ndarray | float:
+    def _locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
+        """The query spots as floats and their strata; a spot outside the
+        strata's span raises."""
         s = np.asarray(spot, dtype=float)
-        bins = self.grid.stratum_of(s)
+        lo, hi = np.exp(self.grid.log_lo), np.exp(self.grid.log_hi)
+        outside = ~((s >= lo) & (s <= hi))
+        if np.any(outside):
+            raise ValueError(f"query spot {float(s[outside][0])!r} lies outside "
+                             f"the Monte Carlo strata's span [{lo:g}, {hi:g}]")
+        return s, self.grid.stratum_of(s)
+
+    def value(self, spot: np.ndarray | float) -> np.ndarray | float:
+        s, bins = self._locate(spot)
         out = self.fit.predict(bins, s - self.grid.centers[bins])
         return float(out) if np.ndim(spot) == 0 else out
 
     def stderr(self, spot: np.ndarray | float) -> np.ndarray | float:
         """Standard error of the fitted mean at the query spot:
         s * sqrt(1/n + (x - xbar)^2 / Sxx) from the time-zero stratum fit."""
-        s = np.asarray(spot, dtype=float)
-        bins = self.grid.stratum_of(s)
+        s, bins = self._locate(spot)
         f = self.fit
         dx = s - self.grid.centers[bins] - f.mean_dx[bins]
         lever = 1.0 / np.maximum(f.counts[bins], 1.0)
@@ -428,10 +419,10 @@ class BackwardSolution:
         return float(out) if np.ndim(spot) == 0 else out
 
     def xva(self, spot: np.ndarray | float) -> np.ndarray | float:
+        value = self.value(spot)
         if self.is_adjustment:
-            return self.value(spot)
-        base = bs_value(self.option, spot, 0.0, self.market)
-        return self.value(spot) - base
+            return value
+        return value - bs_value(self.option, spot, 0.0, self.market)
 
     @property
     def meta(self) -> dict:
@@ -504,7 +495,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     drivers: list[DriverEval] = [None] * len(chunks)
     fit = None
 
-    def right_and_level(k: int, sl: slice, turn) -> None:
+    def right_and_level(k: int, sl: slice) -> tuple[np.ndarray, tuple]:
         # the values at t_{i+1} and the driver on them (the level at
         # maturity is built here, in the first step), then the level at t_i
         # over the chunk's part of the one at t_{i+1}
@@ -518,32 +509,29 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         b = bins[sl] = grid.stratum_of(spot)
         d = dx[sl] = spot - centers[b]
         g = y[sl] - dt * f_right[sl]
-        predictor.add(b, (d, d * d, g, g * g, d * g), turn)
+        return b, (d, d * d, g, g * g, d * g)
 
-    def left(k: int, sl: slice, turn) -> None:
+    def left(k: int, sl: slice) -> tuple[np.ndarray, tuple]:
         b, d = bins[sl], dx[sl]
         f_left = drivers[k](fit_pred.predict(b, d))
         g = y[sl] - 0.5 * dt * (f_right[sl] + f_left)
-        corrector.add(b, (g, g * g, d * g), turn)
+        return b, (g, g * g, d * g)
 
-    def evaluate(phase, levels: int) -> None:
-        _in_chunk_order(pool, chunks, phase)
+    def evaluate(phase, levels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
         counts["levels"] += levels
         counts["evaluations"] += 1
         counts["points"] += n_paths
+        return _phase_sums(pool, chunks, phase, grid.strata, rows)
 
     borrowed_total = 0
     with ThreadPoolExecutor(workers) as pool:
         for i in range(grid.steps - 1, -1, -1):
-            predictor = _Sums(grid.strata, 5, counted=True)
-            evaluate(right_and_level, 2 if fit is None else 1)
-            sx, sxx_raw, *response = predictor.rows
-            moments = (predictor.count.astype(float), sx, sxx_raw)
+            count, (sx, sxx_raw, *response) = evaluate(
+                right_and_level, 2 if fit is None else 1, 5)
+            moments = (count.astype(float), sx, sxx_raw)
             fit_pred, borrowed = _fit_strata(moments, response, grid)
             borrowed_total += borrowed
-            corrector = _Sums(grid.strata, 3)
-            evaluate(left, 0)
-            fit, borrowed = _fit_strata(moments, corrector.rows, grid)
+            fit, borrowed = _fit_strata(moments, evaluate(left, 0, 3)[1], grid)
             borrowed_total += borrowed
 
     if borrowed_total:

@@ -206,6 +206,26 @@ def test_monte_carlo_budget_beyond_memory_reports_json_error(command, tmp_path,
     assert "paths_per_stratum" in record["message"]
 
 
+@pytest.mark.parametrize("config, flags, spot", [
+    ({"strike": 60}, ["--option", "call", "--strata", "100", "--paths", "500",
+                      "--spots", "60,120,200"], "200.0"),
+    ({}, ["--strata", "20", "--paths", "50", "--spots", "nan"], "nan"),
+], ids=["beyond-the-span", "nan"])
+def test_fbsde_spot_outside_the_strata_reports_json_error(config, flags, spot,
+                                                          tmp_path, capsys):
+    # the strata span [6.74e-3, 148.4]: a spot beyond them, or not a number,
+    # has no Monte Carlo value to report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = main(["fbsde", "--config", str(path), *flags, "--out", str(tmp_path / "f")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert f"query spot {spot} lies outside the Monte Carlo strata's span" \
+        in record["message"]
+    assert not (tmp_path / "f" / "fbsde.csv").exists()
+
+
 def test_breakdown_cli(tmp_path):
     out = tmp_path / "b"
     rc = main(["breakdown", "--spot", "15", "--cells", "160", "--out", str(out)])

@@ -1,14 +1,14 @@
 """Regression Monte Carlo cross-checker: stratified forward simulation
 (pooled against the serial loop), analytic backward oracles, error-bar
-scaling, neighbor borrowing, the streamed per-stratum sums against
-bincount, the per-level cache against the per-step reference loop at any
-chunking and worker count, errors raised in pool threads, the memory
-guard, and input validation.  All randomness is seeded; every assertion is
-deterministic."""
+scaling, neighbor borrowing, the per-chunk stratum sums of a phase, the
+per-level cache against the per-step reference loop at any chunking and
+worker count, errors raised in pool threads, the memory guard, queries
+outside the strata's span, and input validation.  All randomness is
+seeded; every assertion is deterministic."""
 
 import os
+import re
 import threading
-import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -228,6 +228,24 @@ def test_empty_strata_borrow_neighbor_fits(caplog):
     assert np.isfinite(sol.value(15.0))
 
 
+def test_queries_outside_the_strata_span_raise(ensemble):
+    # the fitted surface ends with the strata at [exp(log_lo), exp(log_hi)]:
+    # both ends are read, anything beyond them or not finite raises and
+    # names the spot
+    sol = solve_backward(ensemble, "linear", PUT)
+    lo, hi = np.exp(GRID.log_lo), np.exp(GRID.log_hi)
+    for query in (sol.value, sol.stderr, sol.xva):
+        assert np.all(np.isfinite(query(np.array([lo, hi]))))
+        assert np.isfinite(query(lo)) and np.isfinite(query(hi))
+        for bad in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf),
+                    np.nan, np.inf, -1.0):
+            for spot in (bad, np.array([15.0, bad])):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"query spot {float(bad)!r} lies outside the Monte "
+                        f"Carlo strata's span")):
+                    query(spot)
+
+
 def test_backward_input_validation(ensemble):
     with pytest.raises(ValueError, match="unknown driver kind"):
         solve_backward(ensemble, "exotic", PUT)
@@ -270,12 +288,17 @@ def _cpus(n):
                              return_value=set(range(n)))
 
 
+def _chunked(n, chunk):
+    return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
 def _reference_backward(ensemble, kind, option, capital_fn=None,
                         driver_override=None):
     """The per-step backward loop the level cache replaced: every driver
     evaluation recomputes its (t, S) work, every step upcasts both levels
-    and every fit accumulates its own regressor moments, each with one
-    bincount over the whole path array."""
+    and every fit accumulates its own regressor moments, each sum with one
+    bincount per ``fbsde._CHUNK`` slice of the whole path array, added in
+    chunk order."""
     market, grid, times = ensemble.market, ensemble.grid, ensemble.times
     capital = CapitalParams()
     dt = times[1] - times[0]
@@ -287,15 +310,20 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
                             capital_fn=capital_fn)
 
     def fit_at(bins, spot, y):
-        # whole-array bincounts, independent of the streamed sums of the pass
+        # path-length products summed chunk by chunk, apart from the pass's
+        # chunk tasks; the count is one exact whole-array bincount
         m = grid.strata
         dx = spot - grid.centers[bins]
+
+        def chunk_sums(w):
+            total = np.zeros(m)
+            for sl in _chunked(bins.size, fbsde._CHUNK):
+                total += np.bincount(bins[sl], weights=w[sl], minlength=m)
+            return total
+
         moments = (np.bincount(bins, minlength=m).astype(float),
-                   np.bincount(bins, weights=dx, minlength=m),
-                   np.bincount(bins, weights=dx * dx, minlength=m))
-        sums = (np.bincount(bins, weights=y, minlength=m),
-                np.bincount(bins, weights=y * y, minlength=m),
-                np.bincount(bins, weights=dx * y, minlength=m))
+                   chunk_sums(dx), chunk_sums(dx * dx))
+        sums = (chunk_sums(y), chunk_sums(y * y), chunk_sums(dx * y))
         return fbsde._fit_strata(moments, sums, grid)[0]
 
     s_term = ensemble.spots[-1].astype(np.float64)
@@ -334,23 +362,35 @@ def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
     }[hook]
     with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(workers):
         sol = solve_backward(ens, kind, option, **hooks)
+        want = _reference_backward(ens, kind, option, **hooks)
     assert sol.meta["workers"] == min(workers, sol.meta["chunks"])
-    want = _reference_backward(ens, kind, option, **hooks)
+    _assert_same_fit(sol.fit, want)
+
+
+def _assert_same_fit(got, want):
     for name in ("intercept", "slope", "counts", "mean_dx", "sxx", "resid_var"):
-        assert np.array_equal(getattr(sol.fit, name), getattr(want, name)), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def _chunked(n, chunk):
-    return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+def test_production_chunks_do_not_depend_on_the_worker_count(ensemble):
+    # GRID's 90,000 paths are three chunks of the real _CHUNK: one and two
+    # pool threads give the per-step reference's fit, bit for bit
+    want = _reference_backward(ensemble, "nonlinear", CALL)
+    for workers in (1, 2):
+        with _cpus(workers):
+            sol = solve_backward(ensemble, "nonlinear", CALL)
+        assert (sol.meta["workers"], sol.meta["chunks"]) == (workers, 3)
+        _assert_same_fit(sol.fit, want)
 
 
 @given(data=st.data(), strata=st.integers(1, 12), n=st.integers(0, 60),
-       chunk=st.sampled_from([1, 7, fbsde._CHUNK]), workers=st.sampled_from([1, 2]))
-def test_streamed_sums_equal_bincount(data, strata, n, chunk, workers):
-    # chunks add their weights behind the turnstile, in path order: every
-    # row is bitwise the whole-array bincount, also with empty strata (n
-    # may be 0, and strata are drawn from a subset), -0.0 and magnitudes
-    # that round against each other
+       chunk=st.sampled_from([1, 7, fbsde._CHUNK]))
+def test_phase_sums_add_chunk_bincounts_in_chunk_order(data, strata, n, chunk):
+    # every chunk's rows are its own bincounts, added in chunk order once
+    # the phase has ended: the same bits on one and on two pool threads,
+    # also with empty strata (n may be 0, and strata are drawn from a
+    # subset), -0.0 and magnitudes that round against each other; the path
+    # count is exact
     used = data.draw(st.lists(st.integers(0, strata - 1), min_size=1, unique=True))
     bins = np.array(data.draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
                     dtype=np.int64)
@@ -358,30 +398,22 @@ def test_streamed_sums_equal_bincount(data, strata, n, chunk, workers):
                       st.floats(-1e6, 1e6))
     weights = tuple(np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
                              dtype=float) for _ in range(3))
-    sums = fbsde._Sums(strata, len(weights), counted=True)
-    with ThreadPoolExecutor(workers) as pool:
-        fbsde._in_chunk_order(pool, _chunked(n, chunk), lambda k, sl, turn: sums.add(
-            bins[sl], tuple(w[sl] for w in weights), turn))
-    assert np.array_equal(sums.count, np.bincount(bins, minlength=strata))
-    for row, w in zip(sums.rows, weights):
-        want = np.bincount(bins, weights=w, minlength=strata)
+    chunks = _chunked(n, chunk)
+    results = []
+    for workers in (1, 2):
+        with ThreadPoolExecutor(workers) as pool:
+            results.append(fbsde._phase_sums(
+                pool, chunks, lambda k, sl: (bins[sl], tuple(w[sl] for w in weights)),
+                strata, len(weights)))
+    (count, sums), (count_2, sums_2) = results
+    assert np.array_equal(sums.view(np.int64), sums_2.view(np.int64))
+    assert np.array_equal(count, count_2)
+    assert np.array_equal(count, np.bincount(bins, minlength=strata))
+    for row, w in zip(sums, weights):
+        want = np.zeros(strata)
+        for sl in chunks:
+            want += np.bincount(bins[sl], weights=w[sl], minlength=strata)
         assert np.array_equal(row.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_turnstile_lets_chunks_through_in_order(workers):
-    # earlier chunks finish their own work last; what a task does after
-    # turn() still runs in chunk order
-    order = []
-
-    def task(k, chunk, turn):
-        time.sleep(0.002 * (8 - k))
-        turn()
-        order.append(chunk)
-
-    with ThreadPoolExecutor(workers) as pool:
-        fbsde._in_chunk_order(pool, list(range(8)), task)
-    assert order == list(range(8))
 
 
 class _ChunkFailure(RuntimeError):
@@ -391,10 +423,10 @@ class _ChunkFailure(RuntimeError):
 @pytest.mark.parametrize("hook", ["driver_override", "capital_fn"])
 def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
     # a hook that fails on one chunk (the first, a middle one or the short
-    # last one) of one level: at maturity, where no phase takes turns, and
-    # at t_{steps-1}, where the chunk fails inside a phase that adds its
-    # sums behind the turnstile.  The pass raises that same exception, no
-    # chunk waits forever for its turn, and no pool thread outlives the pass
+    # last one) of one level: at maturity and at t_{steps-1}, while the
+    # other chunks of the phase go on to their sums.  The pass raises that
+    # same exception once every task has ended, and no pool thread outlives
+    # the pass
     chunk = 7000
     chunks = _chunked(GRID.n_paths, chunk)
     for i in (GRID.steps, GRID.steps - 1):
