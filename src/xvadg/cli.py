@@ -272,6 +272,7 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
     if with_mc:
         if grid is None:
             grid = RegressionGrid()
+        grid.locate(spots)  # refuse spots beyond the strata before simulating
         ensemble = simulate_forward(grid, config.market,
                                     maturity=config.option.maturity, seed=seed)
     rows = []
@@ -389,7 +390,7 @@ def _sweep(config: RunConfig, args) -> Output:
 
 def _fbsde(config: RunConfig, args) -> Output:
     grid = _regression_grid(args)
-    s = np.asarray(_parse_values(args.spots) if args.spots else TABLE_SPOTS, dtype=float)
+    s = grid.locate(_parse_values(args.spots) if args.spots else TABLE_SPOTS)[0]
     ensemble = simulate_forward(grid, config.market,
                                 maturity=config.option.maturity, seed=args.seed)
     sol = solve_backward(ensemble, config.driver, config.option, capital=config.capital)

@@ -54,8 +54,13 @@ the worker count; they are not bitwise a ``bincount`` over the whole path
 array.  Only that add and the per-stratum solves between the phases are
 serial.  The results are those of evaluating the driver and the moments
 afresh at every use and summing them chunk by chunk, bit for bit.
-The fitted surface is read only inside the strata's span
-[exp(log_lo), exp(log_hi)]; a query spot outside it raises.
+A level's fit is read only at that level's own paths: the predictor at the
+strata and offsets it was fitted on, the corrector in the next step's
+first phase, before those are overwritten.  So a stratum that no path
+reaches at some t_i > 0 keeps a zero line that nothing reads.  The
+time-zero surface is read only inside the strata's span
+[exp(log_lo), exp(log_hi)] and only in strata where paths started; a query
+spot outside the span, or in a stratum with no paths at t = 0, raises.
 
 The forward ensemble is simulated on a pool as well, in blocks of strata;
 each stratum draws from its own stream, so the paths do not depend on the
@@ -71,7 +76,6 @@ different, which is what makes the cross-check meaningful.
 from __future__ import annotations
 
 import functools
-import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -86,8 +90,6 @@ from .drivers import CapitalFn, DriverEval, driver_level, is_adjustment_kind
 # not called here; it stays a name of this module for tools that wrap the
 # driver where each module looks it up (bench/tracing.py)
 from .drivers import driver_value  # noqa: F401
-
-_log = logging.getLogger(__name__)
 
 #: paths per chunk of per-path work: a float64 temporary of 32k paths is
 #: 256 KiB, so a chunk's driver chain stays in cache (16k and 64k chunks
@@ -165,6 +167,18 @@ class RegressionGrid:
         with np.errstate(divide="ignore"):
             x = np.floor((np.log(np.maximum(s, 1e-300)) - self.log_lo) / dlog)
         return np.clip(x, 0, self.strata - 1).astype(np.int64)
+
+    def locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
+        """The query spots as floats and their strata; a spot outside the
+        span [exp(log_lo), exp(log_hi)], or not finite, raises
+        ``ValueError``."""
+        s = np.asarray(spot, dtype=float)
+        lo, hi = np.exp(self.log_lo), np.exp(self.log_hi)
+        outside = ~((s >= lo) & (s <= hi))
+        if np.any(outside):
+            raise ValueError(f"query spot {float(s[outside][0])!r} lies outside "
+                             f"the Monte Carlo strata's span [{lo:g}, {hi:g}]")
+        return s, self.stratum_of(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +315,7 @@ def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
     return count, sums
 
 
-def _fit_strata(moments: tuple, sums: tuple,
-                grid: RegressionGrid) -> tuple[_StrataFit, int]:
+def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
     """Ordinary least squares of y on {1, S} within each stratum.
 
     ``moments`` holds the regressor sums (n, sum dx, sum dx^2) of each
@@ -310,11 +323,11 @@ def _fit_strata(moments: tuple, sums: tuple,
     on the same spots; ``sums`` holds the response sums (sum y, sum y^2,
     sum dx y).  The regressor is centered on the stratum midpoint, which
     keeps the normal equations conditioned even though a stratum spans
-    only ~2% of its own scale.  Strata that cannot support a line degrade
-    gracefully: constant fit below 2 usable points or at zero spread, and
-    empty strata borrow the nearest fitted stratum's line (re-centered),
-    counted and logged by the caller.  Returns the fit and the number of
-    borrowed strata.
+    only ~2% of its own scale.  A stratum with 1 path or zero spread gets
+    a constant fit, and one with no paths the zero line.  The pass reads a
+    fit only at the paths it was fitted on, so that zero line is never
+    read inside the pass; at t = 0 the solution refuses a query in such a
+    stratum.
     """
     n, sx, sxx_raw = moments
     sy, syy, sxy = sums
@@ -332,30 +345,8 @@ def _fit_strata(moments: tuple, sums: tuple,
     ssr = np.maximum(np.where(linear, cyy - slope * cxy, cyy), 0.0)
     dof = np.maximum(np.where(linear, n - 2.0, n - 1.0), 1.0)
     resid_var = ssr / dof
-
-    borrowed = 0
-    empty = n < 1.0
-    if np.any(empty):
-        filled = np.flatnonzero(~empty)
-        if filled.size == 0:
-            raise ValueError("regression received no paths at all")
-        holes = np.flatnonzero(empty)
-        pos = np.searchsorted(filled, holes)
-        right = filled[np.clip(pos, 0, filled.size - 1)]
-        left = filled[np.clip(pos - 1, 0, filled.size - 1)]
-        nearest = np.where(np.abs(right - holes) < np.abs(holes - left), right, left)
-        shift = grid.centers[nearest] - grid.centers[holes]
-        slope[holes] = slope[nearest]
-        intercept[holes] = intercept[nearest] + slope[nearest] * shift
-        mean_x[holes] = mean_x[nearest] + shift
-        cxx[holes] = cxx[nearest]
-        n = n.copy()
-        n[holes] = n[nearest]
-        resid_var[holes] = resid_var[nearest]
-        borrowed = holes.size
-
     return _StrataFit(intercept=intercept, slope=slope, counts=n,
-                      mean_dx=mean_x, sxx=cxx, resid_var=resid_var), borrowed
+                      mean_dx=mean_x, sxx=cxx, resid_var=resid_var)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +362,11 @@ class BackwardSolution:
     pointwise prediction standard error (of the regression mean, from the
     time-zero fit); ``xva`` the adjustment, i.e. value minus the
     closed-form mark for full-price kinds and the value itself for reduced
-    adjustment kinds.  A spot outside the span, or not finite, raises
-    ``ValueError``: the surface has no paths there to extrapolate from.
+    adjustment kinds.  A spot outside the span, or not finite, or in a
+    stratum that holds no path at t = 0 raises ``ValueError``: the surface
+    has no paths there to extrapolate from.  Every stratum launches its
+    own paths, so the last case needs float32 rounding to carry all of a
+    stratum's launch spots across its edge.
     """
 
     kind: str
@@ -383,7 +377,6 @@ class BackwardSolution:
     fit: _StrataFit
     seed: int
     runtime: float
-    borrowed_strata: int
     levels_filled: int
     driver_evaluations: int
     driver_points: int
@@ -392,14 +385,13 @@ class BackwardSolution:
 
     def _locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
         """The query spots as floats and their strata; a spot outside the
-        strata's span raises."""
-        s = np.asarray(spot, dtype=float)
-        lo, hi = np.exp(self.grid.log_lo), np.exp(self.grid.log_hi)
-        outside = ~((s >= lo) & (s <= hi))
-        if np.any(outside):
-            raise ValueError(f"query spot {float(s[outside][0])!r} lies outside "
-                             f"the Monte Carlo strata's span [{lo:g}, {hi:g}]")
-        return s, self.grid.stratum_of(s)
+        strata's span, or in a stratum with no paths at t = 0, raises."""
+        s, bins = self.grid.locate(spot)
+        empty = self.fit.counts[bins] < 1.0
+        if np.any(empty):
+            raise ValueError(f"query spot {float(s[empty][0])!r} lies in a Monte "
+                             f"Carlo stratum that holds no path at t = 0")
+        return s, bins
 
     def value(self, spot: np.ndarray | float) -> np.ndarray | float:
         s, bins = self._locate(spot)
@@ -433,7 +425,6 @@ class BackwardSolution:
             "paths_per_stratum": self.grid.paths_per_stratum,
             "steps": self.grid.steps,
             "seed": self.seed,
-            "borrowed_strata": self.borrowed_strata,
             "levels_filled": self.levels_filled,
             "driver_evaluations": self.driver_evaluations,
             "driver_points": self.driver_points,
@@ -523,24 +514,17 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         counts["points"] += n_paths
         return _phase_sums(pool, chunks, phase, grid.strata, rows)
 
-    borrowed_total = 0
     with ThreadPoolExecutor(workers) as pool:
         for i in range(grid.steps - 1, -1, -1):
             count, (sx, sxx_raw, *response) = evaluate(
                 right_and_level, 2 if fit is None else 1, 5)
             moments = (count.astype(float), sx, sxx_raw)
-            fit_pred, borrowed = _fit_strata(moments, response, grid)
-            borrowed_total += borrowed
-            fit, borrowed = _fit_strata(moments, evaluate(left, 0, 3)[1], grid)
-            borrowed_total += borrowed
+            fit_pred = _fit_strata(moments, response)
+            fit = _fit_strata(moments, evaluate(left, 0, 3)[1])
 
-    if borrowed_total:
-        _log.warning("backward pass (%s %s): %d empty strata borrowed a "
-                     "neighbor's fit", kind, option.kind, borrowed_total)
     return BackwardSolution(kind=kind, option=option, market=market, grid=grid,
                             is_adjustment=is_adjustment, fit=fit, seed=ensemble.seed,
                             runtime=time.perf_counter() - started,
-                            borrowed_strata=borrowed_total,
                             levels_filled=counts["levels"],
                             driver_evaluations=counts["evaluations"],
                             driver_points=counts["points"],

@@ -164,7 +164,7 @@ class DGField:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         outside = ~((s >= 0.0) & (s <= self.mesh.s_max))
         if np.any(outside):
-            raise ValueError(f"query spot {s[outside][0]!r} lies outside the "
+            raise ValueError(f"query spot {float(s[outside][0])!r} lies outside the "
                              f"solution domain [0, {self.mesh.s_max:g}]")
         h = self.mesh.width
         j = np.clip(np.floor(s / h).astype(int), 0, self.mesh.cells - 1)

@@ -7,15 +7,19 @@ import csv
 import dataclasses
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from xvadg import cli
 from xvadg.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _cell,
                        _check_nested, main, run_convergence, run_sweep, run_table3,
                        write_csv)
 from xvadg.config import (benchmark_config, config_from_dict, config_to_dict,
                           save_config)
+from xvadg.fbsde import RegressionGrid
 
 
 def _read_csv(path):
@@ -226,6 +230,24 @@ def test_fbsde_spot_outside_the_strata_reports_json_error(config, flags, spot,
     assert not (tmp_path / "f" / "fbsde.csv").exists()
 
 
+def test_spot_beyond_the_strata_is_refused_before_simulating(tmp_path, capsys,
+                                                             monkeypatch):
+    # the span check runs before the forward ensemble is simulated, in the
+    # fbsde command and in the table3 runner alike
+    spy = mock.Mock(wraps=cli.simulate_forward)
+    monkeypatch.setattr(cli, "simulate_forward", spy)
+    rc = main(["fbsde", "--strata", "20", "--paths", "10", "--steps", "2",
+               "--spots", "200", "--out", str(tmp_path / "f")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "query spot 200.0 lies outside" in record["message"]
+    with pytest.raises(ValueError, match=re.escape("query spot 200.0 lies outside")):
+        run_table3(benchmark_config(), spots=(200.0,), pde_cells=40, with_mc=True,
+                   grid=RegressionGrid(strata=20, paths_per_stratum=10, steps=2))
+    spy.assert_not_called()
+
+
 def test_breakdown_cli(tmp_path):
     out = tmp_path / "b"
     rc = main(["breakdown", "--spot", "15", "--cells", "160", "--out", str(out)])
@@ -260,7 +282,7 @@ def test_breakdown_outside_domain_reports_json_error(tmp_path, capsys):
     assert rc != 0
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
-    assert "outside the solution domain" in record["message"]
+    assert "query spot 100.0 lies outside the solution domain" in record["message"]
     assert not (tmp_path / "b" / "breakdown.csv").exists()
 
 

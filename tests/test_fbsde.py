@@ -1,6 +1,7 @@
 """Regression Monte Carlo cross-checker: stratified forward simulation
 (pooled against the serial loop), analytic backward oracles, error-bar
-scaling, neighbor borrowing, the per-chunk stratum sums of a phase, the
+scaling, strata without paths (never read inside a pass, refused at
+t = 0), the per-chunk stratum sums of a phase, the
 per-level cache against the per-step reference loop at any chunking and
 worker count, errors raised in pool threads, the memory guard, queries
 outside the strata's span, and input validation.  All randomness is
@@ -216,16 +217,55 @@ def test_adjustment_kind_reports_value_as_xva(ensemble):
     assert np.all(sol.value(s) < 1e-3)
 
 
-def test_empty_strata_borrow_neighbor_fits(caplog):
-    # a sparse ensemble leaves far-tail strata unpopulated after rebinning;
-    # the fit borrows the nearest populated stratum and says so
+_FIT_LINES = ("intercept", "slope", "mean_dx", "sxx", "resid_var")
+
+
+def test_empty_strata_are_never_read(monkeypatch):
+    # a sparse ensemble leaves far-tail strata without paths after
+    # rebinning.  A level's fit is read only at that level's own paths, so
+    # poisoning the lines of those strata with NaN changes no bit
     grid = RegressionGrid(strata=80, paths_per_stratum=4, steps=8)
     ens = simulate_forward(grid, MARKET, 1.0, seed=3)
-    with caplog.at_level("WARNING", logger="xvadg.fbsde"):
-        sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
-    assert sol.borrowed_strata > 0
-    assert any("borrowed" in rec.message for rec in caplog.records)
+    plain = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    fit_strata = fbsde._fit_strata
+    empties = []
+
+    def poisoned(moments, sums):
+        fit = fit_strata(moments, sums)
+        empty = moments[0] < 1.0
+        empties.append(int(empty.sum()))
+        return fbsde._StrataFit(counts=fit.counts, **{
+            name: np.where(empty, np.nan, getattr(fit, name)) for name in _FIT_LINES})
+
+    monkeypatch.setattr(fbsde, "_fit_strata", poisoned)
+    sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    assert sum(empties) > 0
+    for name in ("counts", *_FIT_LINES):
+        assert getattr(sol.fit, name).tobytes() == getattr(plain.fit, name).tobytes(), name
     assert np.isfinite(sol.value(15.0))
+
+
+def test_query_in_a_stratum_empty_at_time_zero_raises():
+    # every stratum launches its own paths, so only float32 rounding across
+    # an edge can empty one at t = 0; built by hand here, stratum 2 of 4
+    # holds no path and its zero line must not be reported as a value
+    grid = RegressionGrid(strata=4, paths_per_stratum=2, steps=1,
+                          log_lo=0.0, log_hi=4.0)
+    start = np.exp([0.3, 0.7, 1.3, 1.7, 3.2, 3.4, 3.6, 3.8])
+    ens = PathEnsemble(grid=grid, market=MARKET, maturity=1.0, seed=0,
+                       times=np.array([0.0, 1.0]),
+                       spots=np.array([start, 1.1 * start], dtype=np.float32),
+                       runtime=0.0, workers=1, tasks=1)
+    sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    hole = float(grid.centers[2])
+    for query in (sol.value, sol.stderr, sol.xva):
+        assert np.all(np.isfinite(query(np.array([2.0, 5.0, 40.0]))))
+        for spot in (hole, np.array([2.0, hole])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"query spot {hole!r} lies in a Monte Carlo stratum that "
+                    f"holds no path at t = 0")):
+                query(spot)
+    assert np.array_equal(sol.fit.counts, [2.0, 2.0, 0.0, 4.0])
 
 
 def test_queries_outside_the_strata_span_raise(ensemble):
@@ -324,7 +364,7 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
         moments = (np.bincount(bins, minlength=m).astype(float),
                    chunk_sums(dx), chunk_sums(dx * dx))
         sums = (chunk_sums(y), chunk_sums(y * y), chunk_sums(dx * y))
-        return fbsde._fit_strata(moments, sums, grid)[0]
+        return fbsde._fit_strata(moments, sums)
 
     s_term = ensemble.spots[-1].astype(np.float64)
     y = np.zeros_like(s_term) if is_adjustment_kind(kind) else payoff(option, s_term)
@@ -351,8 +391,7 @@ def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
                                                 steps, seed, hook, chunk, workers):
     # the cached pass reorders no arithmetic: every fit array is identical
     # to the per-step loop's, also across chunk boundaries and on one or two
-    # pool threads, with a capital override, with a driver override and
-    # with borrowed empty strata
+    # pool threads, with a capital override and with a driver override
     grid = RegressionGrid(strata=strata, paths_per_stratum=paths, steps=steps)
     ens = simulate_forward(grid, MARKET, 1.0, seed=seed)
     hooks = {
