@@ -36,18 +36,21 @@ from .black_scholes import norm_cdf
 # for every admissible slope, and larger arguments would only overflow
 _EXP_CAP = 50.0
 
+#: floor on the supervisory delta's time to maturity: one business day
+_MIN_HORIZON = 1.0 / 360.0
+
 
 def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarray | float,
-                      sigma_r: float, min_horizon: float = 1.0 / 360.0) -> np.ndarray | float:
+                      sigma_r: float) -> np.ndarray | float:
     """Signed supervisory option delta.
 
     Black-style delta at the supervisory volatility ``sigma_r``, with spot
     and strike both shifted by 0.01 so the formula survives ``spot == 0``,
-    and the time to maturity floored at one business day (``min_horizon``).
+    and the time to maturity floored at one business day (``_MIN_HORIZON``).
     Calls map to (0, 1), puts to (-1, 0).
     """
     s = np.asarray(spot, dtype=float)
-    h = np.maximum(option.maturity - np.asarray(t, dtype=float), min_horizon)
+    h = np.maximum(option.maturity - np.asarray(t, dtype=float), _MIN_HORIZON)
     root = sigma_r * np.sqrt(h)
     arg = (np.log((s + 0.01) / (option.strike + 0.01)) + 0.5 * sigma_r ** 2 * h) / root
     if option.kind == "call":

@@ -11,10 +11,10 @@ Two credit triples are internally constrained:
 * issuer:        funding rate  = risk-free + intensity * (1 - recovery)
 * counterparty:  bond yield    = repo rate + intensity * (1 - recovery)
 
-``config_from_dict`` accepts any two members of a triple and derives the
-third; supplying all members of a triple is allowed only when they already
-satisfy the relation to 1e-12.  This keeps every stored configuration
-zero-basis consistent by construction.
+``_TRIPLES`` holds both rows: ``MarketParams`` checks each relation to 1e-12
+and ``config_from_dict`` fills the members a flat dict leaves out (never a
+recovery, nor the risk-free rate that drives all discounting).  This keeps
+every stored configuration zero-basis consistent by construction.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _BASIS_TOL = 1e-12
+
+#: prefix -> (rate, base, word in messages): rate = base + intensity * (1 - recovery)
+_TRIPLES = {
+    "issuer": ("issuer_funding_rate", "risk_free_rate", "issuer"),
+    "cpty": ("cpty_bond_yield", "cpty_repo_rate", "counterparty"),
+}
 
 # Benchmark market data: the single-stock setting used throughout the test
 # suite and as the CLI default.  The issuer funding rate and counterparty
@@ -112,18 +118,12 @@ class MarketParams:
         for name in ("issuer_intensity", "cpty_intensity"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        gap_b = self.issuer_funding_rate - self.risk_free_rate \
-            - self.issuer_intensity * (1.0 - self.issuer_recovery)
-        if abs(gap_b) > _BASIS_TOL:
-            raise ValueError(
-                "inconsistent issuer credit triple: funding rate minus risk-free "
-                f"differs from intensity*(1-recovery) by {gap_b:.3e}")
-        gap_c = self.cpty_bond_yield - self.cpty_repo_rate \
-            - self.cpty_intensity * (1.0 - self.cpty_recovery)
-        if abs(gap_c) > _BASIS_TOL:
-            raise ValueError(
-                "inconsistent counterparty credit triple: bond-repo spread "
-                f"differs from intensity*(1-recovery) by {gap_c:.3e}")
+        for prefix, (rate, base, who) in _TRIPLES.items():
+            lam, rec = (getattr(self, f"{prefix}_{k}") for k in ("intensity", "recovery"))
+            gap = getattr(self, rate) - getattr(self, base) - lam * (1.0 - rec)
+            if abs(gap) > _BASIS_TOL:
+                raise ValueError(f"inconsistent {who} credit triple: {rate} - {base} differs "
+                                 f"from {prefix}_intensity*(1-{prefix}_recovery) by {gap:.3e}")
 
     @property
     def drift(self) -> float:
@@ -252,67 +252,42 @@ _RUN_KEYS = ("driver", "domain_multiple", "cells", "degree", "cfl_constant")
 _ALL_KEYS = frozenset(_OPTION_KEYS + _MARKET_KEYS + _CAPITAL_KEYS + _RUN_KEYS)
 
 
-def _loss_rate(recovery: float, prefix: str) -> float:
-    """1 - recovery, the divisor that turns a spread into an intensity."""
-    if recovery == 1.0:
-        raise ValueError(
-            f"{prefix}_recovery = 1 leaves {prefix}_intensity undetermined "
-            f"by the spread; give {prefix}_intensity explicitly")
-    return 1.0 - recovery
-
-
-def _derive_issuer(d: dict, base: dict) -> None:
-    """Fill whichever of funding rate / intensity is missing, in place."""
-    r = d.get("risk_free_rate", base["risk_free_rate"])
-    rec = d.get("issuer_recovery", base["issuer_recovery"])
-    have_rate = "issuer_funding_rate" in d
-    have_int = "issuer_intensity" in d
-    if have_rate and not have_int:
-        d["issuer_intensity"] = (d["issuer_funding_rate"] - r) / _loss_rate(rec, "issuer")
-    elif not have_rate:
-        lam = d.get("issuer_intensity", base["issuer_intensity"])
-        d["issuer_intensity"] = lam
-        d["issuer_funding_rate"] = r + lam * (1.0 - rec)
-    # both present: leave for MarketParams validation
-
-
-def _derive_cpty(d: dict, base: dict) -> None:
-    r = d.get("risk_free_rate", base["risk_free_rate"])
-    rec = d.get("cpty_recovery", base["cpty_recovery"])
-    have_bond = "cpty_bond_yield" in d
-    have_repo = "cpty_repo_rate" in d
-    have_int = "cpty_intensity" in d
-    if have_bond and have_repo and not have_int:
-        d["cpty_intensity"] = (d["cpty_bond_yield"] - d["cpty_repo_rate"]) \
-            / _loss_rate(rec, "cpty")
+def _derive_triple(d: dict, defaults: dict, prefix: str) -> None:
+    """Fill the missing members of the ``prefix`` credit triple of ``d``, in place."""
+    rate, base, _ = _TRIPLES[prefix]
+    rec = d.get(f"{prefix}_recovery", defaults[f"{prefix}_recovery"])
+    lam_key = f"{prefix}_intensity"
+    if rate in d and base in d:
+        if lam_key not in d:
+            if rec == 1.0:
+                raise ValueError(f"{prefix}_recovery = 1 leaves {lam_key} undetermined "
+                                 f"by the spread; give {lam_key} explicitly")
+            d[lam_key] = (d[rate] - d[base]) / (1.0 - rec)
         return
-    if have_bond and have_repo and have_int:
-        return
-    lam = d.get("cpty_intensity", base["cpty_intensity"])
-    d["cpty_intensity"] = lam
-    if have_repo:
-        d["cpty_bond_yield"] = d["cpty_repo_rate"] + lam * (1.0 - rec)
-    elif have_bond:
-        d["cpty_repo_rate"] = d["cpty_bond_yield"] - lam * (1.0 - rec)
+    lam = d.setdefault(lam_key, defaults[lam_key])
+    if rate in d:
+        d[base] = d[rate] - lam * (1.0 - rec)
     else:
-        d["cpty_repo_rate"] = r
-        d["cpty_bond_yield"] = r + lam * (1.0 - rec)
+        d.setdefault(base, d["risk_free_rate"])
+        d[rate] = d[base] + lam * (1.0 - rec)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a ``RunConfig`` from a flat dict of field values.
 
-    Missing fields take the benchmark defaults.  Within each credit triple
-    any two members may be given and the third is derived; an overdetermined
-    inconsistent triple raises ``ValueError``.  Unknown keys raise.
+    Missing fields take the benchmark defaults.  In each credit triple a
+    missing intensity is derived from a given rate and base; otherwise the
+    missing rate or base is derived from the other (the base defaulting to
+    the risk-free rate).  Inconsistent triples and unknown keys raise.
     """
     unknown = set(data) - _ALL_KEYS
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    base = {f.name: f.default for f in dataclasses.fields(MarketParams)}
+    defaults = {f.name: f.default for f in dataclasses.fields(MarketParams)}
     mkt = {k: data[k] for k in _MARKET_KEYS if k in data}
-    _derive_issuer(mkt, base)
-    _derive_cpty(mkt, base)
+    mkt.setdefault("risk_free_rate", defaults["risk_free_rate"])
+    for prefix in _TRIPLES:
+        _derive_triple(mkt, defaults, prefix)
     option = OptionSpec(**{k: data[k] for k in _OPTION_KEYS if k in data})
     market = MarketParams(**mkt)
     capital = CapitalParams(**{k: data[k] for k in _CAPITAL_KEYS if k in data})
@@ -354,11 +329,5 @@ def benchmark_config(option_kind: str = "put", driver: str = "linear",
     the module defaults, full capital funding, and the standard regulatory
     capital parameters of ``CapitalParams()``.
     """
-    return RunConfig(
-        option=OptionSpec(kind=option_kind, strike=15.0, maturity=1.0),
-        market=MarketParams(),
-        capital=CapitalParams(),
-        driver=driver,
-        cells=cells,
-        degree=degree,
-    )
+    return RunConfig(option=OptionSpec(kind=option_kind), driver=driver,
+                     cells=cells, degree=degree)

@@ -69,6 +69,11 @@ __all__ = [
 #: configurations of one ``solve_many`` group may differ in these alone
 BATCHED_FIELDS = ("capital_hurdle", "collateral_rate")
 
+#: ``xva_breakdown`` quadrature: composite-Simpson time intervals (even) and
+#: Gauss-Hermite nodes per lognormal expectation
+_SIMPSON_INTERVALS = 200
+_HERMITE_ORDER = 64
+
 
 class SolverDivergedError(RuntimeError):
     """The march lost finiteness; carries where (step, tau, cell) it happened."""
@@ -300,18 +305,16 @@ class XVABreakdown:
 
 
 def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
-                  capital: CapitalParams,
-                  quadrature: tuple[int, int] = (200, 64)) -> XVABreakdown:
+                  capital: CapitalParams) -> XVABreakdown:
     """Decompose the linear-convention adjustment at ``spot``, time zero.
 
     Each component is E of a running cost discounted by the issuer-funding
     plus counterparty-intensity kernel.  Expectations over the stock at
     horizon u use Gauss-Hermite quadrature of the lognormal law; the time
-    integral is composite Simpson on ``quadrature[0]`` intervals (rounded up
-    to even) with ``quadrature[1]`` Hermite nodes.
+    integral is composite Simpson on ``_SIMPSON_INTERVALS`` intervals with
+    ``_HERMITE_ORDER`` Hermite nodes.
     """
-    time_intervals, hermite_order = quadrature
-    n = max(2, time_intervals + (time_intervals % 2))
+    n = _SIMPSON_INTERVALS
     maturity = option.maturity
     times = np.linspace(0.0, maturity, n + 1)
     decay = market.issuer_funding_rate + market.cpty_intensity
@@ -322,7 +325,7 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
                                  sigma=market.sigma, horizon=u)
 
         def for_each(fn):
-            return lognormal_expectation(fn, kernel, hermite_order)
+            return lognormal_expectation(fn, kernel, _HERMITE_ORDER)
 
         def mark(z):
             return bs_value(option, z, u, market)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xvadg.config import (CapitalParams, MarketParams, OptionSpec, RunConfig,
                           benchmark_config, config_from_dict, config_to_dict,
@@ -42,6 +42,14 @@ def test_market_rejects_inconsistent_credit_triple():
     with pytest.raises(ValueError, match="issuer"):
         MarketParams(issuer_funding_rate=0.08)
     with pytest.raises(ValueError, match="counterparty"):
+        MarketParams(cpty_bond_yield=0.2)
+
+
+def test_inconsistent_triple_message_names_its_fields():
+    # MarketParams checks members, it never derives them
+    with pytest.raises(ValueError, match="issuer_funding_rate - risk_free_rate"):
+        MarketParams(issuer_funding_rate=0.08)
+    with pytest.raises(ValueError, match="cpty_bond_yield - cpty_repo_rate"):
         MarketParams(cpty_bond_yield=0.2)
 
 
@@ -170,3 +178,120 @@ def test_config_immutable():
     cfg = benchmark_config()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.cells = 99
+
+
+# ---------------------------------------------------------------------------
+# the credit-triple rule over every subset of the credit keys
+# ---------------------------------------------------------------------------
+
+_CREDIT_KEYS = ("risk_free_rate", "issuer_funding_rate", "issuer_intensity",
+                "issuer_recovery", "cpty_bond_yield", "cpty_repo_rate",
+                "cpty_intensity", "cpty_recovery")
+_TRIPLE_FIELDS = (("issuer_funding_rate", "risk_free_rate", "issuer"),
+                  ("cpty_bond_yield", "cpty_repo_rate", "cpty"))
+
+
+def _reference_loss_rate(recovery, prefix):
+    if recovery == 1.0:
+        raise ValueError(
+            f"{prefix}_recovery = 1 leaves {prefix}_intensity undetermined "
+            f"by the spread; give {prefix}_intensity explicitly")
+    return 1.0 - recovery
+
+
+def _reference_derive_issuer(d, base):
+    """The issuer derivation as it stood before the one-table rule."""
+    r = d.get("risk_free_rate", base["risk_free_rate"])
+    rec = d.get("issuer_recovery", base["issuer_recovery"])
+    have_rate = "issuer_funding_rate" in d
+    have_int = "issuer_intensity" in d
+    if have_rate and not have_int:
+        d["issuer_intensity"] = (d["issuer_funding_rate"] - r) \
+            / _reference_loss_rate(rec, "issuer")
+    elif not have_rate:
+        lam = d.get("issuer_intensity", base["issuer_intensity"])
+        d["issuer_intensity"] = lam
+        d["issuer_funding_rate"] = r + lam * (1.0 - rec)
+
+
+def _reference_derive_cpty(d, base):
+    """The counterparty derivation as it stood before the one-table rule."""
+    r = d.get("risk_free_rate", base["risk_free_rate"])
+    rec = d.get("cpty_recovery", base["cpty_recovery"])
+    have_bond = "cpty_bond_yield" in d
+    have_repo = "cpty_repo_rate" in d
+    have_int = "cpty_intensity" in d
+    if have_bond and have_repo and not have_int:
+        d["cpty_intensity"] = (d["cpty_bond_yield"] - d["cpty_repo_rate"]) \
+            / _reference_loss_rate(rec, "cpty")
+        return
+    if have_bond and have_repo and have_int:
+        return
+    lam = d.get("cpty_intensity", base["cpty_intensity"])
+    d["cpty_intensity"] = lam
+    if have_repo:
+        d["cpty_bond_yield"] = d["cpty_repo_rate"] + lam * (1.0 - rec)
+    elif have_bond:
+        d["cpty_repo_rate"] = d["cpty_bond_yield"] - lam * (1.0 - rec)
+    else:
+        d["cpty_repo_rate"] = r
+        d["cpty_bond_yield"] = r + lam * (1.0 - rec)
+
+
+def _reference_market(data):
+    base = {f.name: f.default for f in dataclasses.fields(MarketParams)}
+    mkt = dict(data)
+    _reference_derive_issuer(mkt, base)
+    _reference_derive_cpty(mkt, base)
+    return MarketParams(**mkt)
+
+
+def _subsets(values):
+    """Every subset of the credit keys, as a dict of the drawn values."""
+    for mask in range(1 << len(_CREDIT_KEYS)):
+        yield {k: values[k] for i, k in enumerate(_CREDIT_KEYS) if mask >> i & 1}
+
+
+_RECOVERY = st.one_of(st.sampled_from([0.0, 0.3, 0.78, 1.0]), _UNIT)
+
+
+@st.composite
+def _credit_values(draw):
+    """One value per credit key; the rates consistent with the rest, or not."""
+    v = {"risk_free_rate": draw(_RATE), "cpty_repo_rate": draw(_RATE),
+         "issuer_intensity": draw(_RATE), "cpty_intensity": draw(_RATE),
+         "issuer_recovery": draw(_RECOVERY), "cpty_recovery": draw(_RECOVERY)}
+    for rate, base, prefix in _TRIPLE_FIELDS:
+        v[rate] = draw(_RATE) if draw(st.booleans()) else \
+            v[base] + v[f"{prefix}_intensity"] * (1.0 - v[f"{prefix}_recovery"])
+    return v
+
+
+@settings(max_examples=40)
+@given(values=_credit_values())
+def test_credit_derivation_matches_reference_on_every_subset(values):
+    for data in _subsets(values):
+        try:
+            expected = _reference_market(data)
+        except ValueError:
+            with pytest.raises(ValueError):
+                config_from_dict(data)
+            continue
+        assert repr(config_from_dict(data).market) == repr(expected), data
+
+
+@settings(max_examples=40)
+@given(values=_credit_values())
+def test_credit_derivation_keeps_given_keys_and_both_relations(values):
+    for data in _subsets(values):
+        try:
+            market = config_from_dict(data).market
+        except ValueError:
+            continue
+        for key, value in data.items():
+            assert getattr(market, key) == value, (key, data)
+        for rate, base, prefix in _TRIPLE_FIELDS:
+            gap = getattr(market, rate) - getattr(market, base) \
+                - getattr(market, f"{prefix}_intensity") \
+                * (1.0 - getattr(market, f"{prefix}_recovery"))
+            assert abs(gap) <= 1e-12, (rate, data)
