@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,18 @@ _TRIPLES = {
     "issuer": ("issuer_funding_rate", "risk_free_rate", "issuer"),
     "cpty": ("cpty_bond_yield", "cpty_repo_rate", "counterparty"),
 }
+
+
+def _require_finite(params) -> None:
+    """Raise naming the first numeric field of ``params`` that is not finite.
+
+    A field may hold a (B,) array: ``solver`` batches the ``BATCHED_FIELDS``.
+    """
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, (numbers.Real, np.ndarray)) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
 
 # Benchmark market data: the single-stock setting used throughout the test
 # suite and as the CLI default.  The issuer funding rate and counterparty
@@ -59,6 +72,7 @@ class OptionSpec:
     maturity: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.kind not in ("call", "put"):
             raise ValueError(f"option kind must be 'call' or 'put', got {self.kind!r}")
         if not self.strike > 0.0:
@@ -108,6 +122,7 @@ class MarketParams:
     capital_funding_fraction: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         for name in ("issuer_recovery", "cpty_recovery", "collateral_fraction",
@@ -116,12 +131,12 @@ class MarketParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         for name in ("issuer_intensity", "cpty_intensity"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         for prefix, (rate, base, who) in _TRIPLES.items():
             lam, rec = (getattr(self, f"{prefix}_{k}") for k in ("intensity", "recovery"))
             gap = getattr(self, rate) - getattr(self, base) - lam * (1.0 - rec)
-            if abs(gap) > _BASIS_TOL:
+            if not abs(gap) <= _BASIS_TOL:
                 raise ValueError(f"inconsistent {who} credit triple: {rate} - {base} differs "
                                  f"from {prefix}_intensity*(1-{prefix}_recovery) by {gap:.3e}")
 
@@ -175,6 +190,7 @@ class CapitalParams:
     days_per_year: float = 360.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.capital_ratio <= 1.0:
             raise ValueError(f"capital_ratio must lie in (0, 1], got {self.capital_ratio}")
         if not 0.0 < self.multiplier_floor < 1.0:
@@ -217,6 +233,7 @@ class RunConfig:
     cfl_constant: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.driver not in DRIVER_KINDS:
             raise ValueError(f"driver must be one of {DRIVER_KINDS}, got {self.driver!r}")
         if not (isinstance(self.cells, int) and self.cells >= 2):

@@ -30,11 +30,12 @@ Domain-boundary convection fluxes are variant-independent: f vanishes at
 S=0 identically and is taken one-sided from the interior at s_max (outflow
 for c > 0).
 
-The composed linear diffusion operator u -> diffusion(gradient(u)) is also
-assembled as a sparse block-tridiagonal matrix L, so M - coef * L is banded
-with kl = ku = 2*degree+1: ``assemble_implicit`` factors it once with LAPACK
-``dgbtrf`` and every implicit stage back-substitutes with ``dgbtrs``.  The
-linear convection form becomes a matrix by probing (``assemble_form_matrix``).
+The forms are the one definition of the operators: the composed diffusion
+u -> diffusion(gradient(u)) and the linear convection form both become sparse
+block-tridiagonal matrices by probing (``assemble_form_matrix``).  So the
+implicit matrix M - coef * L is banded with kl = ku = 2*degree+1:
+``assemble_implicit`` factors it once with LAPACK ``dgbtrf`` and every
+implicit stage back-substitutes with ``dgbtrs``.
 """
 
 from __future__ import annotations
@@ -316,50 +317,15 @@ def source_form(values: np.ndarray, mesh: Mesh, basis: Basis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_tridiagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix from (3, cells, k, k) sub/diagonal/super blocks; off-mesh ones drop."""
-    _, n, k, _ = blocks.shape
-    offset, row, a, b = np.ogrid[-1:2, :n, :k, :k]
-    rows = np.broadcast_to(row * k + a, blocks.shape)
-    cols = np.broadcast_to((row + offset) * k + b, blocks.shape)
-    keep = (cols >= 0) & (cols < n * k)
-    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
-                         shape=(n * k, n * k))
-
-
 def assemble_diffusion_matrix(mesh: Mesh, basis: Basis, variant: FluxVariant,
                               diffusion: Callable[[np.ndarray], np.ndarray]) -> sp.csr_matrix:
-    """Sparse matrix of u -> diffusion_form(gradient_form(u)), composed as D M^-1 K.
+    """Sparse matrix L of u -> diffusion_form(gradient_form(u)), probed from the forms.
 
-    The (sub, diagonal, super) blocks of the gradient K and of the diffusion D
-    are block bidiagonal in opposite directions, so the product is block
-    tridiagonal; its terms add in the order of a cellwise composition.
+    q in cell c reads u in c and one neighbour, and the residual in c reads q
+    in c and the other neighbour, so the composition couples c to c-1, c, c+1.
     """
-    n, k = mesh.cells, basis.n_nodes
-    volmat = _vol_mat(basis)
-    tl, tr = basis.trace_left, basis.trace_right
-    a_edge = diffusion(mesh.edges)
-    grad = np.zeros((3, k, k))
-    div = np.zeros((3, n, k, k))
-    div[1] = -volmat * diffusion(mesh.quad_points(basis))[:, None, :]
-    if variant is FluxVariant.UPWIND_LEFT:
-        grad[0] = -np.outer(tl, tr)
-        grad[1] = -volmat + np.outer(tr, tr)
-        div[1] -= a_edge[:-1, None, None] * np.outer(tl, tl)
-        div[1, -1] += a_edge[n] * np.outer(tr, tr)
-        div[2, :-1] = a_edge[1:-1, None, None] * np.outer(tr, tl)
-    else:
-        grad[1] = -volmat - np.outer(tl, tl)
-        grad[2] = np.outer(tr, tl)
-        div[1] += a_edge[1:, None, None] * np.outer(tr, tr)
-        div[1, 0] -= a_edge[0] * np.outer(tl, tl)
-        div[0, 1:] = -a_edge[1:-1, None, None] * np.outer(tl, tr)
-    sub, diag, sup = div * (2.0 / (mesh.width * basis.weights))
-    k_sub, k_diag, k_sup = grad
-    return _block_tridiagonal(np.stack([
-        diag @ k_sub + sub @ k_diag,
-        diag @ k_diag + sup @ k_sub + sub @ k_sup,
-        diag @ k_sup + sup @ k_diag]))
+    return assemble_form_matrix(
+        mesh, basis, lambda u: diffusion_form(gradient_form(u, variant), variant, diffusion))
 
 
 def assemble_form_matrix(mesh: Mesh, basis: Basis,
@@ -378,7 +344,11 @@ def assemble_form_matrix(mesh: Mesh, basis: Basis,
             probe = np.zeros((n, k))
             probe[cell % 3 == colour, i] = 1.0
             blocks[offset, cell, :, i] = form(DGField(mesh, basis, probe))
-    return _block_tridiagonal(blocks)
+    side, row, a, b = np.ogrid[-1:2, :n, :k, :k]
+    rows = np.broadcast_to(row * k + a, blocks.shape)
+    cols = np.broadcast_to((row + side) * k + b, blocks.shape)
+    keep = (cols >= 0) & (cols < n * k)   # the off-mesh neighbours of the end cells drop
+    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(n * k, n * k))
 
 
 @dataclass(eq=False)

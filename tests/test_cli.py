@@ -100,6 +100,25 @@ def test_missing_config_file_reports_json_error(tmp_path, capsys):
     assert set(err) == {"error", "message"}
 
 
+@pytest.mark.parametrize("config, name", [
+    ('{"dividend_yield": Infinity}', "dividend_yield"),
+    ('{"capital_hurdle": NaN}', "capital_hurdle"),
+    ('{"collateral_rate": NaN}', "collateral_rate"),
+], ids=["infinite-dividend", "nan-hurdle", "nan-collateral-rate"])
+def test_non_finite_config_reports_json_error(config, name, tmp_path, capsys):
+    # each once ran to exit 0: a plausible xva, or a CSV of blank cells
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    rc = main(["fbsde", "--config", str(path), "--strata", "80", "--paths", "4",
+               "--steps", "8", "--seed", "3", "--spots", "10,15",
+               "--out", str(tmp_path / "f")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"{name} must be finite")
+    assert not (tmp_path / "f" / "fbsde.csv").exists()
+
+
 def test_table3_without_mc(tmp_path):
     out = tmp_path / "t"
     rc = main(["table3", "--no-mc", "--cells", "160", "--out", str(out)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from xvadg.config import (CapitalParams, MarketParams, OptionSpec, RunConfig,
                           benchmark_config, config_from_dict, config_to_dict,
                           load_config, payoff, save_config)
+from xvadg.solver import solve_many
 
 
 def test_option_spec_validation():
@@ -62,6 +63,31 @@ def test_run_config_validation():
         RunConfig(degree=3)
     with pytest.raises(ValueError):
         RunConfig(domain_multiple=0.5)
+
+
+_NUMERIC_FIELDS = [(cls, f.name) for cls in (OptionSpec, MarketParams, CapitalParams, RunConfig)
+                   for f in dataclasses.fields(cls) if isinstance(f.default, (int, float))]
+
+
+@pytest.mark.parametrize("cls, name", _NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _NUMERIC_FIELDS])
+def test_every_numeric_field_refuses_a_non_finite_value(cls, name):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(cls(), **{name: bad})
+
+
+def test_batched_fields_take_finite_arrays():
+    # solve_many marches a group with (B,) arrays in the batched market fields
+    base = benchmark_config(cells=8)
+    configs = [dataclasses.replace(base, market=dataclasses.replace(base.market,
+                                                                    capital_hurdle=h))
+               for h in (0.06, 0.25)]
+    results = solve_many(configs)
+    assert results[0].meta["batch_width"] == 2
+    assert all(np.isfinite(r.xva(15.0)) for r in results)
+    with pytest.raises(ValueError, match="^collateral_rate must be finite"):
+        dataclasses.replace(base.market, collateral_rate=np.array([0.07, np.nan]))
 
 
 def test_strike_off_node_warns_not_raises(caplog):

@@ -184,7 +184,8 @@ def test_batched_march_meta_and_columns(degree, solves, evaluations):
 
 def test_nonfinite_column_stops_the_batch():
     base = benchmark_config(option_kind="put", driver="linear", cells=40)
-    poisoned = replace(base, market=replace(base.market, capital_hurdle=np.inf))
+    # the config refuses an infinite hurdle; one this large overflows in the march
+    poisoned = replace(base, market=replace(base.market, capital_hurdle=1e308))
     with np.errstate(all="ignore"):
         with pytest.raises(SolverDivergedError, match="finiteness") as exc:
             solve_many([base, poisoned])
