@@ -17,10 +17,17 @@ leverage term ``LR * (max(M, 0) + addon)`` is kept raw (it can be negative
 for puts and then never binds, since the CCR+CVA branch is >= 0).
 
 Everything is vectorized over ``t``, ``spot`` and ``mark`` with numpy
-broadcasting; the total is what the pricing drivers consume, the breakdown
-is exposed for audit.  The stack splits at the add-on: ``saccr_addon``
-holds what depends on (t, S) alone and ``capital_on_addon`` the rest, so a
-caller that prices many marks at one (t, S) computes the add-on once.
+broadcasting.  The stack splits at the mark.  ``saccr_addon`` gives the
+supervisory delta, the maturity factor and the add-on at (t, S), and a
+:class:`CapitalLevel` holds what else the stack needs of (t, S) alone: the
+add-on, the PFE denominator ``2 (1 - floor) addon`` (with the mask of the
+add-ons that are exactly zero, only where there are any), the CVA term's
+ratio ``(1 - exp(-x))/x`` and its scalar head, both of the CVA maturity
+``m_eff``.  ``CapitalLevel.total`` applies the rest to a mark in place and
+returns the binding requirement alone; ``capital_requirement_parts``
+applies the same formula helpers to fresh arrays and returns every
+intermediate as a ``CapitalBreakdown`` for audit.  A caller that prices
+many marks at one (t, S), as the drivers do, builds the level once.
 """
 
 from __future__ import annotations
@@ -40,6 +47,12 @@ _EXP_CAP = 50.0
 _MIN_HORIZON = 1.0 / 360.0
 
 
+def _new(*operands) -> np.ndarray:
+    """An uninitialised float array of the operands' broadcast shape (0-d
+    for scalars), for a chain of in-place operations to write into."""
+    return np.empty(np.broadcast(*operands).shape)
+
+
 def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarray | float,
                       sigma_r: float) -> np.ndarray | float:
     """Signed supervisory option delta.
@@ -52,11 +65,16 @@ def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarra
     s = np.asarray(spot, dtype=float)
     h = np.maximum(option.maturity - np.asarray(t, dtype=float), _MIN_HORIZON)
     root = sigma_r * np.sqrt(h)
-    arg = (np.log((s + 0.01) / (option.strike + 0.01)) + 0.5 * sigma_r ** 2 * h) / root
+    arg = np.add(s, 0.01, out=_new(s, h))
+    arg /= option.strike + 0.01
+    np.log(arg, out=arg)
+    arg += 0.5 * sigma_r ** 2 * h
+    arg /= root
     if option.kind == "call":
         out = norm_cdf(arg)
     else:
-        out = -norm_cdf(-arg)
+        out = norm_cdf(np.negative(arg, out=arg))
+        out = np.negative(out, out=out) if np.ndim(out) else -out
     return out if np.ndim(out) else float(out)
 
 
@@ -88,62 +106,141 @@ class CapitalBreakdown:
     k_total: np.ndarray | float
 
 
-def _pfe_multiplier(gap: np.ndarray, addon: np.ndarray,
-                    capital: CapitalParams) -> np.ndarray:
-    """min(1, floor + slope * exp(gap / (2 (1-floor) addon))), 1 where addon == 0."""
-    nonzero = addon != 0.0
-    safe = np.where(nonzero, addon, 1.0)
-    expo = np.clip(gap / (2.0 * (1.0 - capital.multiplier_floor) * safe), None, _EXP_CAP)
-    m = np.minimum(1.0, capital.multiplier_floor + capital.multiplier_slope * np.exp(expo))
-    return np.where(nonzero, m, 1.0)
-
-
-def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
-                              capital: CapitalParams) -> CapitalBreakdown:
-    """Full capital stack for explicit collateral; see ``capital_requirement``."""
-    return capital_on_addon(mark, collateral, t, option, capital,
-                            saccr_addon(spot, t, option, capital))
-
-
 def saccr_addon(spot, t, option: OptionSpec, capital: CapitalParams) -> tuple:
-    """The mark-free part of the capital stack at (t, S): the supervisory
-    delta, the maturity factor and the signed SA-CCR add-on
-    ``supervisory_factor * S * maturity_factor * delta``."""
+    """The supervisory delta, the maturity factor and the signed SA-CCR
+    add-on ``supervisory_factor * S * maturity_factor * delta`` at (t, S)."""
     delta = supervisory_delta(option, spot, t, capital.supervisory_vol)
     mf = maturity_factor(t, option.maturity, capital)
-    addon = capital.supervisory_factor * np.asarray(spot, dtype=float) * mf * delta
+    s = np.asarray(spot, dtype=float)
+    addon = np.multiply(s, capital.supervisory_factor, out=_new(s, mf, delta))
+    addon *= mf
+    addon *= delta
     return delta, mf, addon
 
 
-def capital_on_addon(mark, collateral, t, option: OptionSpec, capital: CapitalParams,
-                     addon_parts: tuple) -> CapitalBreakdown:
-    """Capital stack on a mark and collateral, given the ``saccr_addon``
-    of the same (t, S); the rest of ``capital_requirement_parts``."""
-    delta, mf, addon = addon_parts
-    m_ = np.asarray(mark, dtype=float)
-    x_ = np.asarray(collateral, dtype=float)
-    gap = m_ - x_
+@dataclass(frozen=True, eq=False)
+class CapitalLevel:
+    """The mark-free part of the capital stack at one (t, S) beyond the
+    supervisory delta: the add-on, the PFE denominator
+    ``2 (1 - floor) addon`` with 1 in place of an add-on that is exactly
+    ±0, the mask of those add-ons (``None`` when there is none), and, with
+    the CVA maturity ``m_eff = clip(T - t, 0, 1)``, the CVA term's ratio
+    ``(1 - exp(-x))/x`` at ``x = 0.05 m_eff`` and its scalar head
+    ``(12.5 * 0.65 / alpha) * cva_rw * m_eff``.
 
-    rc = np.maximum(gap, 0.0)
-    mult = _pfe_multiplier(np.asarray(gap, dtype=float), np.asarray(addon, dtype=float),
-                           capital)
-    pfe = np.where(addon != 0.0, mult * addon, 0.0)
-    ead = capital.saccr_alpha * np.maximum(rc + pfe, 0.0)
+    Each formula helper below writes into ``out`` and returns it, so
+    ``total`` runs the chain in place and ``capital_requirement_parts`` on
+    fresh arrays, with the same arithmetic.
+    """
 
-    rwa_ccr = capital.ccr_risk_weight * 12.5 * ead
+    capital: CapitalParams
+    addon: np.ndarray
+    denominator: np.ndarray
+    zero: np.ndarray | None
+    ratio: np.ndarray | float
+    cva_head: np.ndarray | float
 
+    def multiplier(self, gap, out: np.ndarray) -> np.ndarray:
+        """min(1, floor + slope * exp(min(gap / denominator, _EXP_CAP))),
+        1 where the add-on is 0."""
+        np.divide(gap, self.denominator, out=out)
+        np.minimum(out, _EXP_CAP, out=out)
+        np.exp(out, out=out)
+        out *= self.capital.multiplier_slope
+        out += self.capital.multiplier_floor
+        np.minimum(out, 1.0, out=out)
+        if self.zero is not None:
+            np.copyto(out, 1.0, where=self.zero)
+        return out
+
+    def pfe(self, multiplier, out: np.ndarray) -> np.ndarray:
+        """multiplier * addon, 0 where the add-on is 0."""
+        np.multiply(multiplier, self.addon, out=out)
+        if self.zero is not None:
+            np.copyto(out, 0.0, where=self.zero)
+        return out
+
+    def ead(self, rc, pfe, out: np.ndarray) -> np.ndarray:
+        """alpha * max(rc + pfe, 0)."""
+        np.add(rc, pfe, out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= self.capital.saccr_alpha
+        return out
+
+    def rwa_ccr(self, ead, out: np.ndarray) -> np.ndarray:
+        return np.multiply(ead, self.capital.ccr_risk_weight * 12.5, out=out)
+
+    def rwa_cva(self, ead, out: np.ndarray) -> np.ndarray:
+        np.multiply(ead, self.cva_head, out=out)
+        out *= self.ratio
+        return out
+
+    def charge(self, rwa, out: np.ndarray) -> np.ndarray:
+        """The capital ratio times a risk-weighted asset."""
+        return np.multiply(rwa, self.capital.capital_ratio, out=out)
+
+    def k_lr(self, mark, out: np.ndarray) -> np.ndarray:
+        """leverage_ratio * (max(mark, 0) + addon)."""
+        np.maximum(mark, 0.0, out=out)
+        out += self.addon
+        out *= self.capital.leverage_ratio
+        return out
+
+    def total(self, mark: np.ndarray, gap: np.ndarray, rc: np.ndarray) -> np.ndarray:
+        """``k_total`` on a mark, given its ``gap = mark - collateral`` and
+        ``rc = max(gap, 0)``, in a new array: ``max(k_ccr + k_cva, k_lr)``.
+
+        ``gap`` is scratch and is overwritten; it must have the broadcast
+        shape of the mark and the level.  ``rc`` and the mark are read only.
+        """
+        ead = self.ead(rc, self.pfe(self.multiplier(gap, gap), gap), gap)
+        k = self.rwa_ccr(ead, np.empty_like(ead))
+        self.charge(k, k)
+        k += self.charge(self.rwa_cva(ead, ead), ead)
+        return np.maximum(k, self.k_lr(mark, ead), out=k)
+
+
+def capital_level(spot, t, option: OptionSpec, capital: CapitalParams) -> CapitalLevel:
+    """The :class:`CapitalLevel` at (t, S)."""
+    return _level_on_addon(saccr_addon(spot, t, option, capital)[2], t, option, capital)
+
+
+def _level_on_addon(addon, t, option: OptionSpec, capital: CapitalParams) -> CapitalLevel:
+    addon = np.asarray(addon, dtype=float)
+    zero = addon == 0.0
+    if zero.any():
+        safe = np.where(zero, 1.0, addon)
+    else:
+        zero, safe = None, addon
     m_eff = np.clip(option.maturity - np.asarray(t, dtype=float), 0.0, 1.0)
     x = 0.05 * m_eff
     # (1 - exp(-x))/x, switching to its series below 5e-8 to dodge 0/0
     small = x < 5e-8
     xs = np.where(small, 1.0, x)
     ratio = np.where(small, 1.0 - 0.5 * x, (1.0 - np.exp(-xs)) / xs)
-    rwa_cva = (12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight \
-        * m_eff * ead * ratio
+    return CapitalLevel(
+        capital=capital, addon=addon,
+        denominator=2.0 * (1.0 - capital.multiplier_floor) * safe, zero=zero, ratio=ratio,
+        cva_head=(12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff)
 
-    k_ccr = capital.capital_ratio * rwa_ccr
-    k_cva = capital.capital_ratio * rwa_cva
-    k_lr = capital.leverage_ratio * (np.maximum(m_, 0.0) + addon)
+
+def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
+                              capital: CapitalParams) -> CapitalBreakdown:
+    """Full capital stack for explicit collateral, with every intermediate
+    in a fresh array; see ``capital_requirement``."""
+    delta, mf, addon = saccr_addon(spot, t, option, capital)
+    level = _level_on_addon(addon, t, option, capital)
+    m_ = np.asarray(mark, dtype=float)
+    gap = m_ - np.asarray(collateral, dtype=float)
+    rc = np.maximum(gap, 0.0)
+    mult = level.multiplier(gap, _new(gap, level.denominator))
+    pfe = level.pfe(mult, _new(mult, addon))
+    ead = level.ead(rc, pfe, _new(rc, pfe))
+    rwa_ccr = level.rwa_ccr(ead, _new(ead))
+    rwa_cva = level.rwa_cva(ead, _new(ead, level.cva_head, level.ratio))
+    k_ccr = level.charge(rwa_ccr, _new(rwa_ccr))
+    k_cva = level.charge(rwa_cva, _new(rwa_cva))
+    k_lr = level.k_lr(m_, _new(m_, addon))
     k_total = np.maximum(k_ccr + k_cva, k_lr)
 
     if np.ndim(k_total) == 0:

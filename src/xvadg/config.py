@@ -38,15 +38,18 @@ _TRIPLES = {
 }
 
 
-def _require_finite(params) -> None:
-    """Raise naming the first numeric field of ``params`` that is not finite.
-
-    A field may hold a (B,) array: ``solver`` batches the ``BATCHED_FIELDS``.
-    """
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
+def _check_finite(items) -> None:
+    """Raise naming the first ``(name, value)`` pair whose numeric value is
+    not finite.  A value may be a (B,) array: ``solver`` batches the
+    ``BATCHED_FIELDS``."""
+    for name, value in items:
         if isinstance(value, (numbers.Real, np.ndarray)) and not np.all(np.isfinite(value)):
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_finite(params) -> None:
+    """Raise naming the first numeric field of ``params`` that is not finite."""
+    _check_finite((f.name, getattr(params, f.name)) for f in dataclasses.fields(params))
 
 
 # Benchmark market data: the single-stock setting used throughout the test
@@ -295,13 +298,17 @@ def config_from_dict(data: dict) -> RunConfig:
     Missing fields take the benchmark defaults.  In each credit triple a
     missing intensity is derived from a given rate and base; otherwise the
     missing rate or base is derived from the other (the base defaulting to
-    the risk-free rate).  Inconsistent triples and unknown keys raise.
+    the risk-free rate).  Inconsistent triples, unknown keys and
+    non-finite market values raise, the last naming the key given.
     """
     unknown = set(data) - _ALL_KEYS
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     defaults = {f.name: f.default for f in dataclasses.fields(MarketParams)}
     mkt = {k: data[k] for k in _MARKET_KEYS if k in data}
+    # before deriving: a non-finite member would spread to the members
+    # derived from it and be reported under a field the dict never gave
+    _check_finite(mkt.items())
     mkt.setdefault("risk_free_rate", defaults["risk_free_rate"])
     for prefix in _TRIPLES:
         _derive_triple(mkt, defaults, prefix)

@@ -38,12 +38,22 @@ Carlo route ask it once.  ``linear``, ``garcia`` and ``garcia_ref`` read
 the closed-form default-free mark, which the driver computes itself.
 
 Each driver is built in two parts: :func:`driver_level` does the work that
-depends on (t, S) only (the closed-form mark and the capital total on it
-for the mark kinds, the SA-CCR add-on for ``nonlinear``) and returns the
-evaluation in v, which applies the rest.  :func:`driver_value` is the two
-in a row, so the PDE, which meets each (t, S) once, and the regression
-Monte Carlo, which reuses a level for two steps, share one definition of
-each formula.
+depends on (t, S) only and returns the evaluation in v, which applies the
+rest.  A level holds, beyond scalars, the closed-form mark and the capital
+on it times its cost coefficient for ``linear`` (the mark kinds
+``garcia`` and ``garcia_ref`` need only the latter), and the
+:class:`xvadg.capital.CapitalLevel` for ``nonlinear`` (the add-on and the
+PFE denominator).  A ``nonlinear`` evaluation forms the collateral, the
+gap ``v - X`` and the replacement cost ``(v - X)^+`` once, for both the
+loss term and the capital, and takes the capital total without building
+its audit breakdown; a ``linear`` one forms them from the mark, which its
+level keeps in their place.  Each sums its terms in place, in the order of
+the formulas above, so every output keeps the bits of the one-line
+formulas.
+:func:`driver_value` is the two in a row, so the PDE, which meets each
+(t, S) once, and the regression Monte Carlo, which reuses a level for two
+steps, share one definition of each formula.  Evaluations allocate their
+buffers per call, since the Monte Carlo runs them in pool threads.
 
 The time-reversed source consumed by the marching scheme is
 ``source_term = (sigma^2 - drift) v - F(maturity - tau, S, v)``, the
@@ -52,12 +62,16 @@ zeroth-order remainder of rewriting the generator in conservative form.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 from .black_scholes import bs_value
-from .capital import capital_on_addon, capital_requirement, saccr_addon
+from .capital import capital_level
+# not called here; it stays a name of this module for tools that wrap the
+# capital stack where each module looks it up (bench/tracing.py)
+from .capital import capital_requirement  # noqa: F401
 from .config import CapitalParams, MarketParams, OptionSpec
 
 #: driver kind -> whether it marches the adjustment itself from zero
@@ -88,11 +102,12 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
                  capital_fn: CapitalFn | None = None) -> DriverEval:
     """The driver F(t, S, .) at one (t, S) level, as a function of v.
 
-    The work that depends on (t, S) only is done here, once: the closed-form
-    mark and the capital on it for the mark kinds, the SA-CCR add-on for
-    ``nonlinear`` under the default capital stack, nothing for
-    ``riskfree``.  The returned function applies the rest in v, with the
-    arithmetic of :func:`driver_value` (which is this function applied once).
+    The work that depends on (t, S) only is done here, once: for the mark
+    kinds the closed-form mark and the capital on it, scaled by its cost
+    coefficient; for ``nonlinear`` under the default capital stack the
+    :class:`xvadg.capital.CapitalLevel`; nothing for ``riskfree``.  The
+    returned function applies the rest in v, with the arithmetic of
+    :func:`driver_value` (which is this function applied once).
     """
     is_adjustment_kind(kind)
     r = market.risk_free_rate
@@ -103,43 +118,67 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
     lam_c = market.cpty_intensity
     loss_c = market.cpty_spread
     hurdle = market.capital_hurdle
-    phi = market.capital_funding_fraction
+    frac = market.collateral_fraction
+    rx_rb = market.collateral_rate - rb
+    k_coef = hurdle - market.capital_funding_fraction * rb
 
     if kind == "nonlinear":
-        if capital_fn is None:
-            addon = saccr_addon(spot, t, option, capital)
-            capital_on = lambda v, coll: capital_on_addon(
-                v, coll, t, option, capital, addon).k_total
-        else:
-            capital_on = lambda v, coll: capital_fn(t, spot, v)
+        # the evaluation refers to the spots only through these two, so a
+        # level under the default stack does not keep them alive
+        level = None if capital_fn is not None else capital_level(spot, t, option, capital)
+        capital_on = None if capital_fn is None else functools.partial(capital_fn, t, spot)
+        addon = 0.0 if level is None else level.addon
 
         def nonlinear(v):
             v = np.asarray(v, dtype=float)
-            coll = market.collateral_fraction * v
-            k = capital_on(v, coll)
-            return (rb * v + loss_c * np.maximum(v - coll, 0.0)
-                    + (market.collateral_rate - rb) * coll
-                    + (hurdle - phi * rb) * k)
+            k = None if capital_on is None else capital_on(v)
+            shape = np.broadcast(v, addon, rx_rb, k_coef, 0.0 if k is None else k).shape
+            coll, gap, rc = _exposure(v, frac, shape)
+            if k is None:
+                k = level.total(v, gap, rc)
+            # rb v + lamC (1-RC) rc + (rX - rB) X + (gK - phi rB) K, in place
+            out = np.multiply(v, rb, out=gap)
+            out += np.multiply(rc, loss_c, out=rc)
+            out += np.multiply(coll, rx_rb, out=coll)
+            out += np.multiply(k, k_coef, out=rc)
+            return out
         return nonlinear
 
     mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
     if capital_fn is None:
-        k = capital_requirement(t, spot, mark, option, market, capital).k_total
+        level = capital_level(spot, t, option, capital)
+        _, gap, rc = _exposure(mark, frac, np.broadcast(mark, level.addon).shape)
+        k = level.total(mark, gap, rc)
     else:
         k = capital_fn(t, spot, mark)
 
-    if kind == "linear":
-        def linear(v):
-            coll = market.collateral_fraction * mark
-            return ((rb + lam_c) * v - lam_c * mark
-                    + loss_c * np.maximum(mark - coll, 0.0)
-                    + (market.collateral_rate - rb) * coll
-                    + (hurdle - phi * rb) * k)
-        return linear
     if kind == "garcia":
-        return lambda v: (hurdle + lam_c) * v + (hurdle - rb) * k
-    # garcia_ref
-    return lambda v: (rb + lam_c) * v + (hurdle - phi * rb) * k
+        k_term = (hurdle - rb) * k
+        return lambda v: (hurdle + lam_c) * v + k_term
+    k_term = k_coef * k
+    if kind == "garcia_ref":
+        return lambda v: (rb + lam_c) * v + k_term
+    mark_shape = np.broadcast(mark, rx_rb).shape
+
+    def linear(v):
+        v = np.asarray(v, dtype=float)
+        out = np.multiply(v, rb + lam_c, out=np.empty(np.broadcast(v, mark, rx_rb, k_term).shape))
+        coll, gap, rc = _exposure(mark, frac, mark_shape)
+        out -= np.multiply(mark, lam_c, out=gap)
+        out += np.multiply(rc, loss_c, out=rc)
+        out += np.multiply(coll, rx_rb, out=coll)
+        out += k_term
+        return out
+    return linear
+
+
+def _exposure(v: np.ndarray, frac, shape: tuple) -> tuple:
+    """The collateral ``frac * v``, the gap ``v - collateral`` and the
+    replacement cost ``max(gap, 0)``, each a new array of ``shape`` (the
+    broadcast shape of everything the caller combines them with)."""
+    coll = np.multiply(v, frac, out=np.empty(shape))
+    gap = np.subtract(v, coll, out=np.empty(shape))
+    return coll, gap, np.maximum(gap, 0.0)
 
 
 def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,

@@ -31,29 +31,34 @@ errors are the driver's explicit time stepping and the regression bias.
 
 The backward pass works level by level.  Every driver splits into a part
 that depends only on (t, S) (the closed-form mark and the capital on it,
-or the SA-CCR add-on; see :func:`xvadg.drivers.driver_level`) and an
-evaluation in Y.  The pass builds that part, the float64 spots, their
-strata and offsets once per time level t_i, uses them for the corrector
-of step i and, with the same spots, for the predictor of step i-1, and
-then overwrites them: 21 levels serve the 40 driver evaluations of a
-20-step pass.  All per-path work runs in cache-sized chunks of ``_CHUNK``
-paths, one task per chunk on a thread pool with one worker per available
-CPU that lives for one pass, in two phases per step.  The first predicts
-the values at t_{i+1} from the previous fit, evaluates the driver on them
-and builds the level at t_i with the predictor's regression target and
-its products; the second predicts the values at t_i, evaluates the driver
-on them and forms the corrector's target and products.  scipy's ``erf``
-and the capital chain release the GIL, so the chunks run side by side.
-Each of those operations is elementwise with a scalar t, so chunk
-boundaries and worker count do not change a bit.
+or the add-on and PFE denominator of the capital stack; see
+:func:`xvadg.drivers.driver_level`) and an evaluation in Y.  The pass
+builds that part, the float64 spots, their strata and offsets once per
+time level t_i, uses them for the corrector of step i and, with the same
+spots, for the predictor of step i-1, and then overwrites them: 21 levels
+serve the 40 driver evaluations of a 20-step pass.  All per-path work runs
+in cache-sized chunks of ``_CHUNK`` paths, one task per chunk on a thread
+pool with one worker per available CPU that lives for one pass, in two
+phases per step.  The first predicts the values at t_{i+1} from the
+previous fit, evaluates the driver on them and builds the level at t_i
+with the predictor's regression target and its products; the second
+predicts the values at t_i, evaluates the driver on them and forms the
+corrector's target and products.  scipy's ``erf`` and the capital chain
+release the GIL, so the chunks run side by side.  Each of those operations
+is elementwise with a scalar t, so chunk boundaries and worker count do
+not change a bit.
 The per-stratum sums of the fits are the one reduction: each chunk's task
 ends with one ``bincount`` per product, without waiting for other chunks,
 and once every task of the phase has ended the chunk rows are added in
-chunk order.  ``_CHUNK`` fixes the chunks, so the results do not depend on
-the worker count; they are not bitwise a ``bincount`` over the whole path
-array.  Only that add and the per-stratum solves between the phases are
-serial.  The results are those of evaluating the driver and the moments
-afresh at every use and summing them chunk by chunk, bit for bit.
+chunk order.  The first phase sums the path count, dx, dx^2, the target g
+and dx g; the second sums g and dx g, and g^2 only in the last step,
+because the residual variance is read only from the time-zero fit (its
+``stderr``) and the intercepts and slopes never read it.  ``_CHUNK`` fixes
+the chunks, so the results do not depend on the worker count; they are not
+bitwise a ``bincount`` over the whole path array.  Only that add and the
+per-stratum solves between the phases are serial.  The results are those
+of evaluating the driver and the moments afresh at every use and summing
+them chunk by chunk, bit for bit.
 A level's fit is read only at that level's own paths: the predictor at the
 strata and offsets it was fitted on, the corrector in the next step's
 first phase, before those are overwritten.  So a stratum that no path
@@ -98,12 +103,14 @@ from .drivers import driver_value  # noqa: F401
 _CHUNK = 1 << 15
 
 #: float64 path-length arrays a backward pass holds at its peak, with a
-#: margin of 2 or more (tracemalloc reads 7.1 at 1M paths for the linear
-#: put, 6.9 for the nonlinear call): the values y, the driver on them, one
-#: level's strata, offsets and driver parts (the mark and the capital on
-#: it for the linear driver); the predictor's values, the second driver
-#: evaluation, the regression targets and their products are chunk-local,
-#: as is the driver's scratch
+#: margin of 2 or more (tracemalloc reads 6.6 at 1M paths on two workers
+#: for the linear put and for the nonlinear call): the values y, the
+#: driver on them, one level's strata, offsets and driver parts (two
+#: arrays: the mark and its weighted capital for the linear driver, the
+#: add-on and the PFE denominator for the nonlinear one); the
+#: predictor's values, the second driver evaluation, the regression
+#: targets and their products are chunk-local, as is the driver's
+#: scratch
 _BACKWARD_ARRAYS = 10
 
 DriverFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -273,14 +280,15 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
 @dataclass(frozen=True, eq=False)
 class _StrataFit:
     """Piecewise-linear fit y ~ a + b (S - center_j), one (a, b) per stratum,
-    with the first and second moments needed for prediction errors."""
+    with the first and second moments needed for prediction errors (the
+    residual variance only on a fit given sum y^2, see ``_fit_strata``)."""
 
     intercept: np.ndarray
     slope: np.ndarray
     counts: np.ndarray
     mean_dx: np.ndarray
     sxx: np.ndarray
-    resid_var: np.ndarray
+    resid_var: np.ndarray | None
 
     def predict(self, bins: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """Fitted value at offsets ``dx = S - center`` in strata ``bins``."""
@@ -288,31 +296,28 @@ class _StrataFit:
 
 
 def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
-                rows: int) -> tuple[np.ndarray, np.ndarray]:
+                rows: int) -> np.ndarray:
     """Run ``task(k, chunk)`` for every chunk on ``pool`` and return the
-    phase's per-stratum path count and its ``rows`` sums.
+    phase's ``rows`` per-stratum sums, shape (rows, strata).
 
-    A task returns its chunk's strata and a tuple of ``rows`` weight arrays;
-    in the same pool task these become the chunk's integer ``bincount`` and
-    one weighted ``bincount`` row per weight.  Once every task has ended,
-    the first error in chunk order is raised, or the chunk rows are added in
-    chunk order.  The count is exact; the sums depend on the partition into
-    chunks, which ``_CHUNK`` fixes, and never on the worker count.
+    A task returns its chunk's strata and a tuple of ``rows`` weights; in
+    the same pool task each becomes one ``bincount`` row of the chunk, and a
+    weight of ``None`` gives the integer path count.  Once every task has
+    ended, the first error in chunk order is raised, or the chunk rows are
+    added in chunk order, in float64.  A count row is exact; the weighted
+    sums depend on the partition into chunks, which ``_CHUNK`` fixes, and
+    never on the worker count.
     """
-    def run(k: int, chunk) -> tuple[np.ndarray, list]:
+    def run(k: int, chunk) -> list:
         bins, weights = task(k, chunk)
-        return (np.bincount(bins, minlength=strata),
-                [np.bincount(bins, weights=w, minlength=strata) for w in weights])
+        return [np.bincount(bins, weights=w, minlength=strata) for w in weights]
 
     futures = [pool.submit(run, k, chunk) for k, chunk in enumerate(chunks)]
     wait(futures)
-    count = np.zeros(strata, dtype=np.int64)
     sums = np.zeros((rows, strata))
     for future in futures:
-        chunk_count, chunk_sums = future.result()
-        count += chunk_count
-        sums += chunk_sums
-    return count, sums
+        sums += future.result()
+    return sums
 
 
 def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
@@ -320,8 +325,10 @@ def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
 
     ``moments`` holds the regressor sums (n, sum dx, sum dx^2) of each
     stratum, with dx = S minus its stratum's center, shared by every fit
-    on the same spots; ``sums`` holds the response sums (sum y, sum y^2,
-    sum dx y).  The regressor is centered on the stratum midpoint, which
+    on the same spots; ``sums`` holds the response sums (sum y, sum dx y)
+    and, only where the residual variance is wanted, sum y^2 last; without
+    it ``resid_var`` is ``None``, and the intercepts and slopes never read
+    it.  The regressor is centered on the stratum midpoint, which
     keeps the normal equations conditioned even though a stratum spans
     only ~2% of its own scale.  A stratum with 1 path or zero spread gets
     a constant fit, and one with no paths the zero line.  The pass reads a
@@ -330,21 +337,23 @@ def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
     stratum.
     """
     n, sx, sxx_raw = moments
-    sy, syy, sxy = sums
+    sy, sxy, *syy = sums
 
     n_safe = np.maximum(n, 1.0)
     mean_x = sx / n_safe
     mean_y = sy / n_safe
     cxx = sxx_raw - n * mean_x * mean_x
-    cyy = np.maximum(syy - n * mean_y * mean_y, 0.0)
     cxy = sxy - n * mean_x * mean_y
 
     linear = (n >= 2.0) & (cxx > 1e-300)
     slope = np.where(linear, cxy / np.where(linear, cxx, 1.0), 0.0)
     intercept = mean_y - slope * mean_x
-    ssr = np.maximum(np.where(linear, cyy - slope * cxy, cyy), 0.0)
-    dof = np.maximum(np.where(linear, n - 2.0, n - 1.0), 1.0)
-    resid_var = ssr / dof
+    resid_var = None
+    if syy:
+        cyy = np.maximum(syy[0] - n * mean_y * mean_y, 0.0)
+        ssr = np.maximum(np.where(linear, cyy - slope * cxy, cyy), 0.0)
+        dof = np.maximum(np.where(linear, n - 2.0, n - 1.0), 1.0)
+        resid_var = ssr / dof
     return _StrataFit(intercept=intercept, slope=slope, counts=n,
                       mean_dx=mean_x, sxx=cxx, resid_var=resid_var)
 
@@ -500,15 +509,16 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         b = bins[sl] = grid.stratum_of(spot)
         d = dx[sl] = spot - centers[b]
         g = y[sl] - dt * f_right[sl]
-        return b, (d, d * d, g, g * g, d * g)
+        return b, (None, d, d * d, g, d * g)
 
     def left(k: int, sl: slice) -> tuple[np.ndarray, tuple]:
+        # sum g^2 feeds only the residual variance of the time-zero fit
         b, d = bins[sl], dx[sl]
         f_left = drivers[k](fit_pred.predict(b, d))
         g = y[sl] - 0.5 * dt * (f_right[sl] + f_left)
-        return b, (g, g * g, d * g)
+        return b, (g, d * g) if i else (g, d * g, g * g)
 
-    def evaluate(phase, levels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(phase, levels: int, rows: int) -> np.ndarray:
         counts["levels"] += levels
         counts["evaluations"] += 1
         counts["points"] += n_paths
@@ -516,11 +526,11 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
 
     with ThreadPoolExecutor(workers) as pool:
         for i in range(grid.steps - 1, -1, -1):
-            count, (sx, sxx_raw, *response) = evaluate(
+            count, sx, sxx_raw, *response = evaluate(
                 right_and_level, 2 if fit is None else 1, 5)
-            moments = (count.astype(float), sx, sxx_raw)
+            moments = (count, sx, sxx_raw)
             fit_pred = _fit_strata(moments, response)
-            fit = _fit_strata(moments, evaluate(left, 0, 3)[1])
+            fit = _fit_strata(moments, evaluate(left, 0, 2 if i else 3))
 
     return BackwardSolution(kind=kind, option=option, market=market, grid=grid,
                             is_adjustment=is_adjustment, fit=fit, seed=ensemble.seed,

@@ -1,13 +1,19 @@
 """Regulatory capital chain: supervisory delta, maturity factor, multiplier
 limits, exposure flooring, component identities, Lipschitz and monotonicity
-properties."""
+properties, and the in-place kernels against the one-line formulas, bit for
+bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from xvadg.capital import (capital_requirement, capital_requirement_parts,
-                           maturity_factor, supervisory_delta)
+import kernels_reference as ref
+from kernels_reference import bits
+from xvadg.black_scholes import norm_cdf
+from xvadg.capital import (capital_level, capital_requirement,
+                           capital_requirement_parts, maturity_factor,
+                           saccr_addon, supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -184,3 +190,78 @@ def test_scalar_inputs_give_scalar_outputs():
     for name in ("delta", "mat_factor", "replacement_cost", "addon",
                  "multiplier", "pfe", "ead", "k_total"):
         assert isinstance(getattr(parts, name), float)
+
+
+# spots whose add-on is exactly 0 (S = 0), +0 (a call's supervisory delta
+# underflows at 0.5 near maturity) and -0 (a put's at 300 near maturity)
+_ZERO_ADDON_SPOTS = (0.0, 0.5, 300.0)
+_SPOT = st.one_of(st.sampled_from(_ZERO_ADDON_SPOTS + (15.0, 60.0)), st.floats(0.0, 100.0))
+_MARK = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-300, -1e-300]),
+                  st.floats(-50.0, 50.0))
+_TIME = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def test_edge_spots_give_exactly_zero_addons():
+    assert saccr_addon(0.0, 0.0, CALL, CAP)[2] == 0.0
+    call = saccr_addon(np.array([0.5]), 1.0, CALL, CAP)[2]
+    put = saccr_addon(np.array([300.0]), 1.0, PUT, CAP)[2]
+    assert call[0] == 0.0 and not np.signbit(call[0])
+    assert put[0] == 0.0 and np.signbit(put[0])
+
+
+def _floats(draw, elements, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def _capital_case(draw):
+    """Spots and marks of one layout: (n,), (cells, nodes, 1) or a batch
+    of marks (cells, nodes, B) on (cells, nodes, 1) spots; t scalar or
+    per point."""
+    n, cells, nodes = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    spot_shape, mark_shape = draw(st.sampled_from([
+        ((n,), (n,)), ((cells, nodes, 1), (cells, nodes, 1)),
+        ((cells, nodes, 1), (cells, nodes, draw(st.integers(2, 4))))]))
+    t = draw(st.one_of(_TIME, st.just(None)))
+    if t is None:
+        t = _floats(draw, _TIME, spot_shape)
+    mark = _floats(draw, _MARK, mark_shape)
+    fraction = draw(st.sampled_from([0.0, 0.9, 1.0]))
+    return (draw(st.sampled_from([CALL, PUT])), _floats(draw, _SPOT, spot_shape), t,
+            mark, fraction * mark)
+
+
+@settings(max_examples=80)
+@given(case=_capital_case())
+def test_capital_kernels_equal_the_formulas_bitwise(case):
+    # the audit breakdown (fresh arrays) and the level's in-place total give
+    # every field of the one-line formulas bit for bit, also with add-ons of
+    # exactly ±0, marks of ±0, ±1e308 and 1e-300, and at t = 0 and maturity
+    option, spot, t, mark, coll = case
+    with np.errstate(all="ignore"):
+        want = ref.capital_parts(mark, coll, spot, t, option, CAP)
+        parts = capital_requirement_parts(mark, coll, spot, t, option, CAP)
+        level = capital_level(spot, t, option, CAP)
+        gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
+            mark.shape, level.addon.shape)))
+        total = level.total(mark, gap, np.maximum(gap, 0.0))
+    for name, value in want.items():
+        assert np.array_equal(bits(getattr(parts, name)), bits(value)), name
+    assert np.array_equal(bits(total), bits(want["k_total"]))
+
+
+@settings(max_examples=40)
+@given(x=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 8.5, -8.5, 1e308, -1e308,
+                                             1e-300, np.inf, -np.inf, np.nan]),
+                            st.floats(-12.0, 12.0)), min_size=0, max_size=40))
+def test_norm_cdf_equals_the_formula_bitwise(x):
+    # both branches (erf on everything, erf on the unsaturated part only:
+    # the padded array is more than three quarters saturated) write in place
+    # and keep 0.5 * (1 + erf(x / sqrt 2)) to the bit
+    x = np.array(x, dtype=float)
+    for arg in (x, np.concatenate([x, np.full(3 * x.size + 1, -9.0)])):
+        assert np.array_equal(bits(norm_cdf(arg)), bits(ref.norm_cdf(arg)))
+    for value in x[:3]:
+        assert bits(norm_cdf(float(value))) == bits(ref.norm_cdf(value))

@@ -200,6 +200,29 @@ def test_cpty_recovery_one_leaves_intensity_undetermined():
                           "cpty_repo_rate": 0.06})
 
 
+# each credit key with the companions under which the derivation would
+# otherwise spread its non-finite value to another member, or stop on a
+# recovery of 1, before any check named the key
+_NONFINITE_CREDIT_CASES = {
+    "risk_free_rate": {"issuer_funding_rate": 0.07, "issuer_recovery": 1.0},
+    "issuer_funding_rate": {"issuer_recovery": 1.0},
+    "issuer_intensity": {},
+    "issuer_recovery": {},
+    "cpty_bond_yield": {"cpty_repo_rate": 0.06, "cpty_recovery": 1.0},
+    "cpty_repo_rate": {},
+    "cpty_intensity": {},
+    "cpty_recovery": {},
+}
+
+
+@pytest.mark.parametrize("key", _NONFINITE_CREDIT_CASES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_credit_key_is_named_before_derivation(key, bad):
+    data = {key: bad, **_NONFINITE_CREDIT_CASES[key]}
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad!r}$"):
+        config_from_dict(data)
+
+
 def test_config_immutable():
     cfg = benchmark_config()
     with pytest.raises(dataclasses.FrozenInstanceError):

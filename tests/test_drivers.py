@@ -3,9 +3,15 @@ default-free-mark convention, monotonicity of the semilinear one, the
 closed-form mark computed inside the driver, the capital kill switch, and
 the source-term sign convention."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernels_reference as ref
+from kernels_reference import bits
 from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec
@@ -137,6 +143,70 @@ def test_driver_value_equals_hand_built_formulas_bitwise(option):
         level = driver_level(kind, t, spot, *args)
         for w in (v, 2.0 * v - 1.0):
             assert np.array_equal(level(w), formula(w)), kind
+
+
+_SPOT = st.one_of(st.sampled_from([0.0, 0.5, 300.0, 15.0, 60.0]), st.floats(0.0, 100.0))
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-300, -1e-300]),
+                   st.floats(-50.0, 50.0))
+
+
+def _floats(draw, elements, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def _driver_case(draw):
+    """One kind, option and t at a layout of the Monte Carlo (n,) or the
+    PDE (cells, nodes, 1), or a batch: (cells, nodes, B) values, or
+    (cells, nodes, 1) values widened by the batch, with (B,) arrays of the
+    capital hurdle and the collateral rate."""
+    n, cells, nodes, width = (draw(st.integers(1, 7)), draw(st.integers(1, 4)),
+                              draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    layout = draw(st.sampled_from(["flat", "column", "batched", "widened"]))
+    spot_shape = (n,) if layout == "flat" else (cells, nodes, 1)
+    v_shape = (cells, nodes, width) if layout == "batched" else spot_shape
+    market = MARKET
+    if layout in ("batched", "widened"):
+        market = dataclasses.replace(
+            MARKET, capital_hurdle=_floats(draw, st.floats(0.0, 0.3), (width,)),
+            collateral_rate=_floats(draw, st.floats(0.0, 0.1), (width,)))
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return (draw(st.sampled_from(ALL_DRIVER_KINDS)), draw(st.sampled_from([PUT, CALL])),
+            t, _floats(draw, _SPOT, spot_shape), _floats(draw, _VALUE, v_shape), market)
+
+
+@settings(max_examples=150)
+@given(case=_driver_case())
+def test_driver_kernels_equal_the_formulas_bitwise(case):
+    # every kind's level and in-place evaluation give the one-line formula
+    # of kernels_reference bit for bit, in every layout the two routes use
+    # and with batched coefficients that widen the result beyond v, for v
+    # of ±0, ±1e308 and 1e-300 and spots whose add-on is exactly ±0
+    kind, option, t, spot, v, market = case
+    with np.errstate(all="ignore"):
+        want = ref.driver(kind, t, spot, v, option, market, CAP)
+        got = driver_value(kind, t, spot, v, option, market, CAP)
+        level = driver_level(kind, t, spot, option, market, CAP)
+        again = [level(w) for w in (v, v[::-1], v)]
+        want_reversed = ref.driver(kind, t, spot, v[::-1], option, market, CAP)
+    assert np.array_equal(bits(got), bits(want)), kind
+    assert np.array_equal(bits(again[0]), bits(want)), kind
+    assert np.array_equal(bits(again[1]), bits(want_reversed)), kind
+    assert np.array_equal(bits(again[2]), bits(want)), kind
+
+
+@pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
+def test_level_does_not_keep_the_spots(kind):
+    # a Monte Carlo level lives across two steps for every chunk of paths:
+    # it keeps its own (t, S) parts, never the spots it was built on
+    spot = np.linspace(0.0, 40.0, 64)
+    spot_ref = weakref.ref(spot)
+    level = driver_level(kind, 0.4, spot, PUT, MARKET, CAP)
+    del spot
+    assert spot_ref() is None
+    assert level(np.ones(64)).shape == (64,)
 
 
 def test_riskfree_driver():

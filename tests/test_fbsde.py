@@ -3,10 +3,12 @@
 scaling, strata without paths (never read inside a pass, refused at
 t = 0), the per-chunk stratum sums of a phase, the
 per-level cache against the per-step reference loop at any chunking and
-worker count, errors raised in pool threads, the memory guard, queries
+worker count, the sums of y^2 formed only where they are read, errors
+raised in pool threads, the memory guard, queries
 outside the strata's span, and input validation.  All randomness is
 seeded; every assertion is deterministic."""
 
+import dataclasses
 import os
 import re
 import threading
@@ -363,7 +365,7 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
 
         moments = (np.bincount(bins, minlength=m).astype(float),
                    chunk_sums(dx), chunk_sums(dx * dx))
-        sums = (chunk_sums(y), chunk_sums(y * y), chunk_sums(dx * y))
+        sums = (chunk_sums(y), chunk_sums(dx * y), chunk_sums(y * y))
         return fbsde._fit_strata(moments, sums)
 
     s_term = ensemble.spots[-1].astype(np.float64)
@@ -406,6 +408,60 @@ def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
     _assert_same_fit(sol.fit, want)
 
 
+def _parent_fit_strata(moments, sums):
+    """The fit of the parent pass, which summed y^2 for every fit and formed
+    every residual variance."""
+    n, sx, sxx_raw = moments
+    sy, sxy, syy = sums
+    n_safe = np.maximum(n, 1.0)
+    mean_x = sx / n_safe
+    mean_y = sy / n_safe
+    cxx = sxx_raw - n * mean_x * mean_x
+    cyy = np.maximum(syy - n * mean_y * mean_y, 0.0)
+    cxy = sxy - n * mean_x * mean_y
+    linear = (n >= 2.0) & (cxx > 1e-300)
+    slope = np.where(linear, cxy / np.where(linear, cxx, 1.0), 0.0)
+    intercept = mean_y - slope * mean_x
+    ssr = np.maximum(np.where(linear, cyy - slope * cxy, cyy), 0.0)
+    dof = np.maximum(np.where(linear, n - 2.0, n - 1.0), 1.0)
+    return fbsde._StrataFit(intercept=intercept, slope=slope, counts=n,
+                            mean_dx=mean_x, sxx=cxx, resid_var=ssr / dof)
+
+
+def _recording(fits, fit_strata):
+    def record(moments, sums):
+        fits.append(fit_strata(moments, sums))
+        return fits[-1]
+    return record
+
+
+@pytest.mark.parametrize("option", [PUT, CALL], ids=["put", "call"])
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("chunk", [7, fbsde._CHUNK])
+def test_unread_square_sums_change_no_fit_bit(kind, option, chunk):
+    # the pass sums y^2 only for the time-zero corrector fit: every other
+    # fit has no residual variance, and every intercept and slope, the
+    # time-zero residual variance and the stderr read from it keep the bits
+    # of the parent's fits, which summed y^2 at every fit
+    grid = RegressionGrid(strata=40, paths_per_stratum=30, steps=6)
+    ens = simulate_forward(grid, MARKET, 1.0, seed=5)
+    got, want = [], []
+    with mock.patch.object(fbsde, "_CHUNK", chunk):
+        with mock.patch.object(fbsde, "_fit_strata", _recording(got, fbsde._fit_strata)):
+            sol = solve_backward(ens, kind, option)
+        with mock.patch.object(fbsde, "_fit_strata", _recording(want, _parent_fit_strata)):
+            _reference_backward(ens, kind, option)
+    assert len(got) == len(want) == 2 * grid.steps
+    for g, w in zip(got, want):
+        assert np.array_equal(g.intercept.view(np.int64), w.intercept.view(np.int64))
+        assert np.array_equal(g.slope.view(np.int64), w.slope.view(np.int64))
+    assert all(g.resid_var is None for g in got[:-1])
+    assert np.array_equal(got[-1].resid_var.view(np.int64), want[-1].resid_var.view(np.int64))
+    spots = np.geomspace(5.0, 30.0, 9)
+    parent = dataclasses.replace(sol, fit=want[-1])
+    assert np.array_equal(sol.stderr(spots).view(np.int64), parent.stderr(spots).view(np.int64))
+
+
 def _assert_same_fit(got, want):
     for name in ("intercept", "slope", "counts", "mean_dx", "sxx", "resid_var"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -429,7 +485,7 @@ def test_phase_sums_add_chunk_bincounts_in_chunk_order(data, strata, n, chunk):
     # the phase has ended: the same bits on one and on two pool threads,
     # also with empty strata (n may be 0, and strata are drawn from a
     # subset), -0.0 and magnitudes that round against each other; the path
-    # count is exact
+    # count, the row of a None weight, is exact
     used = data.draw(st.lists(st.integers(0, strata - 1), min_size=1, unique=True))
     bins = np.array(data.draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
                     dtype=np.int64)
@@ -442,10 +498,11 @@ def test_phase_sums_add_chunk_bincounts_in_chunk_order(data, strata, n, chunk):
     for workers in (1, 2):
         with ThreadPoolExecutor(workers) as pool:
             results.append(fbsde._phase_sums(
-                pool, chunks, lambda k, sl: (bins[sl], tuple(w[sl] for w in weights)),
-                strata, len(weights)))
-    (count, sums), (count_2, sums_2) = results
-    assert np.array_equal(sums.view(np.int64), sums_2.view(np.int64))
+                pool, chunks,
+                lambda k, sl: (bins[sl], (None, *(w[sl] for w in weights))),
+                strata, 1 + len(weights)))
+    (count, *sums), (count_2, *sums_2) = results
+    assert np.array_equal(np.array(sums).view(np.int64), np.array(sums_2).view(np.int64))
     assert np.array_equal(count, count_2)
     assert np.array_equal(count, np.bincount(bins, minlength=strata))
     for row, w in zip(sums, weights):
