@@ -11,13 +11,13 @@ rate ``r``; its solution is the usual lognormal formula with forward
   expectations E[h(S_u) | S_t] are integrated against the lognormal
   transition density with Gauss-Hermite nodes.
 
-The normal CDF is evaluated through ``scipy.special.erf`` (machine accurate,
-error below 1e-15), which also serves the supervisory delta in the capital
-module.  On an array it forms the result in place, in the buffer of the
-scaled argument x / sqrt(2).  Beyond
-``_ERF_SATURATES`` in magnitude erf is ±1 in float64, so on an array with
-many such points ``erf`` runs only on the others and the sign of the
-argument stands in for it, bit for bit.
+The normal CDF is evaluated through ``scipy.special.erf`` (machine
+accurate, error below 1e-15), which also serves the supervisory delta in
+the capital module.  On an array it forms the result in place, in the
+buffer of the scaled argument x / sqrt(2).  Beyond ``_ERF_SATURATES`` in
+magnitude erf is ±1 in float64, so on an array with many such points
+``erf`` runs only on the others and the sign of the argument stands in for
+it, bit for bit.
 """
 
 from __future__ import annotations
