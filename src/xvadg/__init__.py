@@ -43,6 +43,7 @@ from .config import (
 from .drivers import (
     ALL_DRIVER_KINDS,
     driver_level,
+    driver_levels,
     driver_value,
     source_term,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "driver_level",
+    "driver_levels",
     "driver_value",
     "garcia_scaling_check",
     "load_config",

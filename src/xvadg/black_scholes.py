@@ -11,6 +11,17 @@ rate ``r``; its solution is the usual lognormal formula with forward
   expectations E[h(S_u) | S_t] are integrated against the lognormal
   transition density with Gauss-Hermite nodes.
 
+The mark is built in three parts.  :func:`mark_space` holds what depends on
+S alone: the spots, the log-moneyness ``log(S/K)`` and the mask of the
+spots ``S <= 0``.  :func:`mark_times` holds what depends on t alone, one
+entry per time of any array of times: tau, ``vol = sigma sqrt(tau)``, the
+carry ``(beta + sigma^2/2) tau``, the growth ``exp((beta - r) tau)`` and the
+discounted strike.  :func:`mark_at` does the joint (t, S) work at one row of
+that table.  ``bs_value`` is the three on one time, so a caller that
+prices the same spots at many times (the PDE, at every stage of its march)
+builds the space part once and the time table once, and each operation
+keeps the operands and grouping of the one-line formula.
+
 The normal CDF is evaluated through ``scipy.special.erf`` (machine
 accurate, error below 1e-15), which also serves the supervisory delta in
 the capital module.  On an array it forms the result in place, in the
@@ -52,6 +63,11 @@ def norm_cdf(x: np.ndarray | float) -> np.ndarray | float:
     the result is bitwise 0.5 * (1 + erf(x / sqrt(2))), formed in place in
     the buffer of x / sqrt(2): erf, then ``+= 1`` and ``*= 0.5``.  A
     scalar takes erf directly.
+
+    erf is never called with ``where=``: on scipy 1.17.1,
+    ``erf(z, out=z, where=mask)`` returned wrong bits and then aborted with
+    heap corruption, so the saturated branch gathers the inner points
+    instead.
     """
     z = np.asarray(x, dtype=float) / _SQRT2
     if z.ndim == 0:
@@ -77,12 +93,97 @@ def _shape_like(out: np.ndarray, spot) -> np.ndarray | float:
     return float(out) if np.ndim(spot) == 0 else out
 
 
-def _d1_d2(option: OptionSpec, s: np.ndarray, tau: float, market: MarketParams):
-    vol = market.sigma * np.sqrt(tau)
+@dataclass(frozen=True, eq=False)
+class TimeTable:
+    """Coefficients that depend on the time alone, each field an array with
+    one entry per time (or a scalar for one time).  ``table[i]`` is the
+    table of the one time ``i``, each field indexed."""
+
+    def __getitem__(self, i) -> "TimeTable":
+        return type(self)(*(getattr(self, name)[i] for name in self.__dataclass_fields__))
+
+
+@dataclass(frozen=True, eq=False)
+class MarkSpace:
+    """The S-only part of the closed-form mark: the spots, their
+    log-moneyness ``log(S/K)`` (``log(1/K)`` where S <= 0) and the mask of
+    the spots S <= 0 (``None`` when there is none)."""
+
+    spot: np.ndarray
+    log_moneyness: np.ndarray
+    nonpositive: np.ndarray | None
+
+
+def mark_space(option: OptionSpec, spot: np.ndarray | float) -> MarkSpace:
+    """The :class:`MarkSpace` of ``spot``."""
+    s = np.asarray(spot, dtype=float)
+    positive = s > 0.0
     with np.errstate(divide="ignore"):
-        logm = np.log(np.where(s > 0.0, s, 1.0) / option.strike)
-    d1 = (logm + (market.drift + 0.5 * market.sigma ** 2) * tau) / vol
-    return d1, d1 - vol
+        logm = np.log(np.where(positive, s, 1.0) / option.strike)
+    return MarkSpace(spot=s, log_moneyness=logm,
+                     nonpositive=None if positive.all() else ~positive)
+
+
+@dataclass(frozen=True, eq=False)
+class MarkTimes(TimeTable):
+    """The t-only part of the closed-form mark at each time: ``tau = T - t``,
+    ``vol = sigma sqrt(tau)``, ``carry = (beta + sigma^2/2) tau``,
+    ``growth = exp((beta - r) tau)`` and ``disc_k = K exp(-r tau)``.  At a
+    time with tau <= 0 the mark is the payoff, and every field but tau holds
+    a placeholder."""
+
+    tau: np.ndarray | float
+    vol: np.ndarray | float
+    carry: np.ndarray | float
+    growth: np.ndarray | float
+    disc_k: np.ndarray | float
+
+
+def mark_times(option: OptionSpec, t: np.ndarray | float,
+               market: MarketParams) -> MarkTimes:
+    """The :class:`MarkTimes` of every time in ``t`` (any shape)."""
+    tau = option.maturity - np.asarray(t, dtype=float)
+    # the payoff's times compute nothing of their own: no sqrt of tau < 0
+    live = np.where(tau <= 0.0, 1.0, tau)
+    return MarkTimes(
+        tau=tau, vol=market.sigma * np.sqrt(live),
+        carry=(market.drift + 0.5 * market.sigma ** 2) * live,
+        growth=np.exp((market.drift - market.risk_free_rate) * live),
+        disc_k=option.strike * np.exp(-market.risk_free_rate * live))
+
+
+def _d1(space: MarkSpace, row: MarkTimes) -> np.ndarray:
+    """``d1 = (log-moneyness + carry) / vol`` at one time, in a new array."""
+    d1 = np.add(space.log_moneyness, row.carry, out=np.empty(np.shape(space.log_moneyness)))
+    d1 /= row.vol
+    return d1
+
+
+def mark_at(option: OptionSpec, space: MarkSpace, row: MarkTimes) -> np.ndarray:
+    """The default-free value on the spots of ``space`` at the one time of
+    ``row``, in a new array of the spots' shape; see :func:`bs_value`."""
+    s = space.spot
+    if row.tau <= 0.0:
+        return payoff(option, s)
+    d1 = _d1(space, row)
+    d2 = np.subtract(d1, row.vol, out=np.empty(d1.shape))
+    # s * growth * N(+-d1) and disc_k * N(+-d2), each product in place
+    held = np.multiply(s, row.growth, out=np.empty(d1.shape))
+    if option.kind == "call":
+        held *= norm_cdf(d1)
+        owed = norm_cdf(d2)
+        owed *= row.disc_k
+        held -= owed
+        out, boundary = held, 0.0
+    else:
+        owed = norm_cdf(np.negative(d2, out=d2))
+        owed *= row.disc_k
+        held *= norm_cdf(np.negative(d1, out=d1))
+        owed -= held
+        out, boundary = owed, row.disc_k
+    if space.nonpositive is not None:
+        out = np.where(space.nonpositive, boundary, out)
+    return out
 
 
 def bs_value(option: OptionSpec, spot: np.ndarray | float, t: float,
@@ -92,35 +193,23 @@ def bs_value(option: OptionSpec, spot: np.ndarray | float, t: float,
     At ``t >= maturity`` this is the payoff; at ``spot == 0`` the absorbing
     boundary value (0 for a call, discounted strike for a put).
     """
-    s = np.asarray(spot, dtype=float)
-    tau = option.maturity - t
-    if tau <= 0.0:
-        return _shape_like(payoff(option, s), spot)
-    d1, d2 = _d1_d2(option, s, tau, market)
-    growth = np.exp((market.drift - market.risk_free_rate) * tau)
-    disc_k = option.strike * np.exp(-market.risk_free_rate * tau)
-    if option.kind == "call":
-        out = s * growth * norm_cdf(d1) - disc_k * norm_cdf(d2)
-        out = np.where(s > 0.0, out, 0.0)
-    else:
-        out = disc_k * norm_cdf(-d2) - s * growth * norm_cdf(-d1)
-        out = np.where(s > 0.0, out, disc_k)
-    return _shape_like(out, spot)
+    return _shape_like(mark_at(option, mark_space(option, spot),
+                               mark_times(option, t, market)), spot)
 
 
 def bs_delta(option: OptionSpec, spot: np.ndarray | float, t: float,
              market: MarketParams) -> np.ndarray | float:
     """Derivative of ``bs_value`` in the stock level."""
     s = np.asarray(spot, dtype=float)
-    tau = option.maturity - t
-    if tau <= 0.0:
+    row = mark_times(option, t, market)
+    if row.tau <= 0.0:
         if option.kind == "call":
             out = np.where(s > option.strike, 1.0, 0.0)
         else:
             out = np.where(s < option.strike, -1.0, 0.0)
         return _shape_like(out, spot)
-    d1, _ = _d1_d2(option, s, tau, market)
-    growth = np.exp((market.drift - market.risk_free_rate) * tau)
+    d1 = _d1(mark_space(option, s), row)
+    growth = row.growth
     if option.kind == "call":
         out = growth * norm_cdf(d1)
         out = np.where(s > 0.0, out, 0.0)
@@ -134,14 +223,12 @@ def bs_gamma(option: OptionSpec, spot: np.ndarray | float, t: float,
              market: MarketParams) -> np.ndarray | float:
     """Second derivative of ``bs_value`` in the stock level (same for both kinds)."""
     s = np.asarray(spot, dtype=float)
-    tau = option.maturity - t
-    if tau <= 0.0:
+    row = mark_times(option, t, market)
+    if row.tau <= 0.0:
         return _shape_like(np.zeros_like(s), spot)
-    d1, _ = _d1_d2(option, s, tau, market)
-    growth = np.exp((market.drift - market.risk_free_rate) * tau)
-    vol = market.sigma * np.sqrt(tau)
+    d1 = _d1(mark_space(option, s), row)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0.0, growth * norm_pdf(d1) / (s * vol), 0.0)
+        out = np.where(s > 0.0, row.growth * norm_pdf(d1) / (s * row.vol), 0.0)
     return _shape_like(out, spot)
 
 

@@ -17,17 +17,27 @@ leverage term ``LR * (max(M, 0) + addon)`` is kept raw (it can be negative
 for puts and then never binds, since the CCR+CVA branch is >= 0).
 
 Everything is vectorized over ``t``, ``spot`` and ``mark`` with numpy
-broadcasting.  The stack splits at the mark.  ``saccr_addon`` gives the
-supervisory delta, the maturity factor and the add-on at (t, S), and a
-:class:`CapitalLevel` holds what else the stack needs of (t, S) alone: the
-add-on, the PFE denominator ``2 (1 - floor) addon`` (with the mask of the
-add-ons that are exactly zero, only where there are any), the CVA term's
-ratio ``(1 - exp(-x))/x`` and its scalar head, both of the CVA maturity
-``m_eff``.  ``CapitalLevel.total`` applies the rest to a mark in place and
-returns the binding requirement alone; ``capital_requirement_parts``
-applies the same formula helpers to fresh arrays and returns every
-intermediate as a ``CapitalBreakdown`` for audit.  A caller that prices
-many marks at one (t, S), as the drivers do, builds the level once.
+broadcasting.  The stack splits at the mark, and its mark-free part splits
+again into three.  :func:`capital_space` holds what depends on S alone: the
+supervisory log-moneyness ``log((S + 0.01)/(K + 0.01))`` and
+``S * supervisory_factor``.  :func:`capital_times` holds what depends on t
+alone, one entry per time of any array of times (or per point): the
+supervisory delta's ``sigma_r^2 h / 2`` and ``sigma_r sqrt(h)`` at the
+floored horizon h, the maturity factor, and the CVA term's ratio
+``(1 - exp(-x))/x`` and scalar head, both of the CVA maturity ``m_eff``.
+:func:`saccr_addon_at` does the joint (t, S) work at one row of that table
+(the supervisory delta and the add-on), and :func:`capital_level_at` turns
+it into a :class:`CapitalLevel`: the add-on, the PFE denominator
+``2 (1 - floor) addon`` (with the mask of the add-ons that are exactly
+zero, only where there are any), the ratio and the head.
+``CapitalLevel.total`` applies the rest to a mark in place and returns the
+binding requirement alone; ``capital_requirement_parts`` applies the same
+formula helpers to fresh arrays and returns every intermediate as a
+``CapitalBreakdown`` for audit.  The public functions of (t, S) are the
+three parts at their own times, so there is one code path: a caller that
+prices many marks at one (t, S), as the drivers do, builds the level once,
+and one that prices the same spots at many times (the PDE) builds the
+space part and the time table once each.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CapitalParams, MarketParams, OptionSpec
-from .black_scholes import norm_cdf
+from .black_scholes import TimeTable, norm_cdf
 
 # cap on the PFE-multiplier exponent: exp(50) already saturates min(1, .)
 # for every admissible slope, and larger arguments would only overflow
@@ -53,6 +63,31 @@ def _new(*operands) -> np.ndarray:
     return np.empty(np.broadcast(*operands).shape)
 
 
+def _delta_coefficients(maturity: float, t, sigma_r: float) -> tuple:
+    """``sigma_r^2 h / 2`` and ``sigma_r sqrt(h)`` at the horizon
+    ``h = max(T - t, _MIN_HORIZON)``."""
+    h = np.maximum(maturity - np.asarray(t, dtype=float), _MIN_HORIZON)
+    return 0.5 * sigma_r ** 2 * h, sigma_r * np.sqrt(h)
+
+
+def _log_moneyness(option: OptionSpec, spot) -> np.ndarray:
+    """The supervisory ``log((S + 0.01)/(K + 0.01))``, in a new array."""
+    s = np.asarray(spot, dtype=float)
+    arg = np.add(s, 0.01, out=_new(s))
+    arg /= option.strike + 0.01
+    return np.log(arg, out=arg)
+
+
+def _delta(option: OptionSpec, log_moneyness, half, root) -> np.ndarray | float:
+    """The signed supervisory delta ``N(+-(log_moneyness + half)/root)``."""
+    arg = np.add(log_moneyness, half, out=_new(log_moneyness, half, root))
+    arg /= root
+    if option.kind == "call":
+        return norm_cdf(arg)
+    out = norm_cdf(np.negative(arg, out=arg))
+    return np.negative(out, out=out) if np.ndim(out) else -out
+
+
 def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarray | float,
                       sigma_r: float) -> np.ndarray | float:
     """Signed supervisory option delta.
@@ -62,19 +97,8 @@ def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarra
     and the time to maturity floored at one business day (``_MIN_HORIZON``).
     Calls map to (0, 1), puts to (-1, 0).
     """
-    s = np.asarray(spot, dtype=float)
-    h = np.maximum(option.maturity - np.asarray(t, dtype=float), _MIN_HORIZON)
-    root = sigma_r * np.sqrt(h)
-    arg = np.add(s, 0.01, out=_new(s, h))
-    arg /= option.strike + 0.01
-    np.log(arg, out=arg)
-    arg += 0.5 * sigma_r ** 2 * h
-    arg /= root
-    if option.kind == "call":
-        out = norm_cdf(arg)
-    else:
-        out = norm_cdf(np.negative(arg, out=arg))
-        out = np.negative(out, out=out) if np.ndim(out) else -out
+    half, root = _delta_coefficients(option.maturity, t, sigma_r)
+    out = _delta(option, _log_moneyness(option, spot), half, root)
     return out if np.ndim(out) else float(out)
 
 
@@ -85,6 +109,62 @@ def maturity_factor(t: np.ndarray | float, maturity: float,
     window = np.clip(rem + capital.addon_days / capital.days_per_year, 0.0, 1.0)
     out = np.sqrt(window)
     return out if np.ndim(out) else float(out)
+
+
+@dataclass(frozen=True, eq=False)
+class CapitalSpace:
+    """The S-only part of the capital stack: the supervisory log-moneyness
+    ``log((S + 0.01)/(K + 0.01))`` and ``S * supervisory_factor``."""
+
+    log_moneyness: np.ndarray
+    scaled_spot: np.ndarray
+
+
+def capital_space(spot, option: OptionSpec, capital: CapitalParams) -> CapitalSpace:
+    """The :class:`CapitalSpace` of ``spot``."""
+    s = np.asarray(spot, dtype=float)
+    return CapitalSpace(log_moneyness=_log_moneyness(option, s),
+                        scaled_spot=np.multiply(s, capital.supervisory_factor, out=_new(s)))
+
+
+@dataclass(frozen=True, eq=False)
+class CapitalTimes(TimeTable):
+    """The t-only part of the capital stack at each time: the supervisory
+    delta's ``half = sigma_r^2 h / 2`` and ``root = sigma_r sqrt(h)``, the
+    maturity factor, and, with the CVA maturity ``m_eff = clip(T - t, 0,
+    1)``, the CVA term's ratio ``(1 - exp(-x))/x`` at ``x = 0.05 m_eff`` and
+    its head ``(12.5 * 0.65 / alpha) * cva_rw * m_eff``."""
+
+    half: np.ndarray | float
+    root: np.ndarray | float
+    mat_factor: np.ndarray | float
+    ratio: np.ndarray | float
+    cva_head: np.ndarray | float
+
+
+def capital_times(t, option: OptionSpec, capital: CapitalParams) -> CapitalTimes:
+    """The :class:`CapitalTimes` of every time in ``t`` (any shape)."""
+    half, root = _delta_coefficients(option.maturity, t, capital.supervisory_vol)
+    m_eff = np.clip(option.maturity - np.asarray(t, dtype=float), 0.0, 1.0)
+    x = 0.05 * m_eff
+    # (1 - exp(-x))/x, switching to its series below 5e-8 to dodge 0/0
+    small = x < 5e-8
+    xs = np.where(small, 1.0, x)
+    return CapitalTimes(
+        half=half, root=root, mat_factor=maturity_factor(t, option.maturity, capital),
+        ratio=np.where(small, 1.0 - 0.5 * x, (1.0 - np.exp(-xs)) / xs),
+        cva_head=(12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff)
+
+
+def saccr_addon_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes) -> tuple:
+    """The supervisory delta and the signed SA-CCR add-on
+    ``(S * supervisory_factor) * maturity_factor * delta`` on the spots of
+    ``space`` at the times of ``row`` (one time, or one per point)."""
+    delta = _delta(option, space.log_moneyness, row.half, row.root)
+    addon = np.multiply(space.scaled_spot, row.mat_factor,
+                        out=_new(space.scaled_spot, row.mat_factor, delta))
+    addon *= delta
+    return delta, addon
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,13 +189,9 @@ class CapitalBreakdown:
 def saccr_addon(spot, t, option: OptionSpec, capital: CapitalParams) -> tuple:
     """The supervisory delta, the maturity factor and the signed SA-CCR
     add-on ``supervisory_factor * S * maturity_factor * delta`` at (t, S)."""
-    delta = supervisory_delta(option, spot, t, capital.supervisory_vol)
-    mf = maturity_factor(t, option.maturity, capital)
-    s = np.asarray(spot, dtype=float)
-    addon = np.multiply(s, capital.supervisory_factor, out=_new(s, mf, delta))
-    addon *= mf
-    addon *= delta
-    return delta, mf, addon
+    times = capital_times(t, option, capital)
+    delta, addon = saccr_addon_at(option, capital_space(spot, option, capital), times)
+    return delta, times.mat_factor, addon
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,34 +278,38 @@ class CapitalLevel:
 
 def capital_level(spot, t, option: OptionSpec, capital: CapitalParams) -> CapitalLevel:
     """The :class:`CapitalLevel` at (t, S)."""
-    return _level_on_addon(saccr_addon(spot, t, option, capital)[2], t, option, capital)
+    return capital_level_at(option, capital_space(spot, option, capital),
+                            capital_times(t, option, capital), capital)
 
 
-def _level_on_addon(addon, t, option: OptionSpec, capital: CapitalParams) -> CapitalLevel:
+def capital_level_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes,
+                     capital: CapitalParams) -> CapitalLevel:
+    """The :class:`CapitalLevel` on the spots of ``space`` at the times of
+    ``row``."""
+    return _level_on_addon(saccr_addon_at(option, space, row)[1], row, capital)
+
+
+def _level_on_addon(addon, row: CapitalTimes, capital: CapitalParams) -> CapitalLevel:
     addon = np.asarray(addon, dtype=float)
     zero = addon == 0.0
     if zero.any():
         safe = np.where(zero, 1.0, addon)
     else:
         zero, safe = None, addon
-    m_eff = np.clip(option.maturity - np.asarray(t, dtype=float), 0.0, 1.0)
-    x = 0.05 * m_eff
-    # (1 - exp(-x))/x, switching to its series below 5e-8 to dodge 0/0
-    small = x < 5e-8
-    xs = np.where(small, 1.0, x)
-    ratio = np.where(small, 1.0 - 0.5 * x, (1.0 - np.exp(-xs)) / xs)
     return CapitalLevel(
         capital=capital, addon=addon,
-        denominator=2.0 * (1.0 - capital.multiplier_floor) * safe, zero=zero, ratio=ratio,
-        cva_head=(12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff)
+        denominator=2.0 * (1.0 - capital.multiplier_floor) * safe, zero=zero,
+        ratio=row.ratio, cva_head=row.cva_head)
 
 
 def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
                               capital: CapitalParams) -> CapitalBreakdown:
     """Full capital stack for explicit collateral, with every intermediate
     in a fresh array; see ``capital_requirement``."""
-    delta, mf, addon = saccr_addon(spot, t, option, capital)
-    level = _level_on_addon(addon, t, option, capital)
+    times = capital_times(t, option, capital)
+    delta, addon = saccr_addon_at(option, capital_space(spot, option, capital), times)
+    mf = times.mat_factor
+    level = _level_on_addon(addon, times, capital)
     m_ = np.asarray(mark, dtype=float)
     gap = m_ - np.asarray(collateral, dtype=float)
     rc = np.maximum(gap, 0.0)

@@ -37,11 +37,11 @@ adjustment is the value minus the closed-form mark; the PDE and the Monte
 Carlo route ask it once.  ``linear``, ``garcia`` and ``garcia_ref`` read
 the closed-form default-free mark, which the driver computes itself.
 
-Each driver is built in two parts: :func:`driver_level` does the work that
-depends on (t, S) only and returns the evaluation in v, which applies the
-rest.  A level holds, beyond scalars, the closed-form mark and the capital
-on it times its cost coefficient for ``linear`` (the mark kinds
-``garcia`` and ``garcia_ref`` need only the latter), and the
+Each driver is built in two parts: a level does the work that depends on
+(t, S) only and returns the evaluation in v, which applies the rest.  A
+level holds, beyond scalars, the closed-form mark and the capital on it
+times its cost coefficient for ``linear`` (the mark kinds ``garcia`` and
+``garcia_ref`` need only the latter), and the
 :class:`xvadg.capital.CapitalLevel` for ``nonlinear`` (the add-on and the
 PFE denominator).  A ``nonlinear`` evaluation forms the collateral, the
 gap ``v - X`` and the replacement cost ``(v - X)^+`` once, for both the
@@ -50,14 +50,25 @@ its audit breakdown; a ``linear`` one forms them from the mark, which its
 level keeps in their place.  Each sums its terms in place, in the order of
 the formulas above, so every output keeps the bits of the one-line
 formulas.
-:func:`driver_value` is the two in a row, so the PDE, which meets each
-(t, S) once, and the regression Monte Carlo, which reuses a level for two
-steps, share one definition of each formula.  Evaluations allocate their
-buffers per call, since the Monte Carlo runs them in pool threads.
+
+:func:`driver_levels` builds the levels of one spot array at many times,
+and its (t, S) work splits again into three parts: the space part of the
+mark and of the capital stack (:func:`xvadg.black_scholes.mark_space`,
+:func:`xvadg.capital.capital_space`), built once per call; their time
+tables over every time at once (:func:`xvadg.black_scholes.mark_times`,
+:func:`xvadg.capital.capital_times`); and the joint (t, S) arrays, built
+when a level is asked for by its index.  :func:`driver_level` is
+:func:`driver_levels` at one time, and :func:`driver_value` a level
+applied once, so the PDE, which builds one level per distinct stage time
+of its march, and the regression Monte Carlo, which builds one per chunk
+of paths and reuses it for two steps, share one definition of each
+formula.  Evaluations allocate their buffers per call, since the Monte
+Carlo runs them in pool threads.
 
 The time-reversed source consumed by the marching scheme is
 ``source_term = (sigma^2 - drift) v - F(maturity - tau, S, v)``, the
-zeroth-order remainder of rewriting the generator in conservative form.
+zeroth-order remainder of rewriting the generator in conservative form;
+:func:`source_on` forms it from a level.
 """
 
 from __future__ import annotations
@@ -67,8 +78,8 @@ from typing import Callable
 
 import numpy as np
 
-from .black_scholes import bs_value
-from .capital import capital_level
+from .black_scholes import mark_at, mark_space, mark_times
+from .capital import capital_level_at, capital_space, capital_times
 # not called here; it stays a name of this module for tools that wrap the
 # capital stack where each module looks it up (bench/tracing.py)
 from .capital import capital_requirement  # noqa: F401
@@ -97,22 +108,25 @@ def is_adjustment_kind(kind: str) -> bool:
         raise ValueError(f"unknown driver kind {kind!r}") from None
 
 
-def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
-                 market: MarketParams, capital: CapitalParams,
-                 capital_fn: CapitalFn | None = None) -> DriverEval:
-    """The driver F(t, S, .) at one (t, S) level, as a function of v.
+def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
+                  market: MarketParams, capital: CapitalParams,
+                  capital_fn: CapitalFn | None = None) -> Callable[[int], DriverEval]:
+    """The driver F(t, S, .) on ``spot`` at each time of ``times``, as a
+    function of the index ``i`` that builds the level at ``times[i]``.
 
-    The work that depends on (t, S) only is done here, once: for the mark
-    kinds the closed-form mark and the capital on it, scaled by its cost
-    coefficient; for ``nonlinear`` under the default capital stack the
-    :class:`xvadg.capital.CapitalLevel`; nothing for ``riskfree``.  The
-    returned function applies the rest in v, with the arithmetic of
-    :func:`driver_value` (which is this function applied once).
+    The space part and the time tables of the closed-form mark and of the
+    capital stack are built here, once, for what the kind reads: the mark
+    for the mark kinds, the :class:`xvadg.capital.CapitalLevel` under the
+    default capital stack, nothing for ``riskfree``.  Each call of the
+    returned function does the joint (t, S) work of one time afresh and
+    returns the level, a function of v with the arithmetic of
+    :func:`driver_value`; the caller keeps the levels it reuses.
     """
     is_adjustment_kind(kind)
+    times = np.asarray(times, dtype=float)
     r = market.risk_free_rate
     if kind == "riskfree":
-        return lambda v: r * np.asarray(v, dtype=float)
+        return lambda i: lambda v: r * np.asarray(v, dtype=float)
 
     rb = market.issuer_funding_rate
     lam_c = market.cpty_intensity
@@ -122,54 +136,83 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
     rx_rb = market.collateral_rate - rb
     k_coef = hurdle - market.capital_funding_fraction * rb
 
-    if kind == "nonlinear":
-        # the evaluation refers to the spots only through these two, so a
-        # level under the default stack does not keep them alive
-        level = None if capital_fn is not None else capital_level(spot, t, option, capital)
-        capital_on = None if capital_fn is None else functools.partial(capital_fn, t, spot)
-        addon = 0.0 if level is None else level.addon
+    if capital_fn is None:
+        cap_space = capital_space(spot, option, capital)
+        cap_times = capital_times(times, option, capital)
 
-        def nonlinear(v):
+    if kind == "nonlinear":
+        def nonlinear_level(i: int) -> DriverEval:
+            # the evaluation refers to the spots only through these two, so
+            # a level under the default stack does not keep them alive
+            level = None if capital_fn is not None else capital_level_at(
+                option, cap_space, cap_times[i], capital)
+            capital_on = None if capital_fn is None else functools.partial(
+                capital_fn, float(times[i]), spot)
+            addon = 0.0 if level is None else level.addon
+
+            def nonlinear(v):
+                v = np.asarray(v, dtype=float)
+                k = None if capital_on is None else capital_on(v)
+                shape = np.broadcast(v, addon, rx_rb, k_coef, 0.0 if k is None else k).shape
+                coll, gap, rc = _exposure(v, frac, shape)
+                if k is None:
+                    k = level.total(v, gap, rc)
+                # rb v + lamC (1-RC) rc + (rX - rB) X + (gK - phi rB) K, in place
+                out = np.multiply(v, rb, out=gap)
+                out += np.multiply(rc, loss_c, out=rc)
+                out += np.multiply(coll, rx_rb, out=coll)
+                out += np.multiply(k, k_coef, out=rc)
+                return out
+            return nonlinear
+        return nonlinear_level
+
+    m_space = mark_space(option, spot)
+    m_times = mark_times(option, times, market)
+
+    def mark_level(i: int) -> DriverEval:
+        mark = np.asarray(mark_at(option, m_space, m_times[i]), dtype=float)
+        if capital_fn is None:
+            level = capital_level_at(option, cap_space, cap_times[i], capital)
+            _, gap, rc = _exposure(mark, frac, np.broadcast(mark, level.addon).shape)
+            k = level.total(mark, gap, rc)
+        else:
+            k = capital_fn(float(times[i]), spot, mark)
+
+        if kind == "garcia":
+            k_term = (hurdle - rb) * k
+            return lambda v: (hurdle + lam_c) * v + k_term
+        k_term = k_coef * k
+        if kind == "garcia_ref":
+            return lambda v: (rb + lam_c) * v + k_term
+        mark_shape = np.broadcast(mark, rx_rb).shape
+
+        def linear(v):
             v = np.asarray(v, dtype=float)
-            k = None if capital_on is None else capital_on(v)
-            shape = np.broadcast(v, addon, rx_rb, k_coef, 0.0 if k is None else k).shape
-            coll, gap, rc = _exposure(v, frac, shape)
-            if k is None:
-                k = level.total(v, gap, rc)
-            # rb v + lamC (1-RC) rc + (rX - rB) X + (gK - phi rB) K, in place
-            out = np.multiply(v, rb, out=gap)
+            out = np.multiply(v, rb + lam_c, out=np.empty(np.broadcast(v, mark, rx_rb, k_term).shape))
+            coll, gap, rc = _exposure(mark, frac, mark_shape)
+            out -= np.multiply(mark, lam_c, out=gap)
             out += np.multiply(rc, loss_c, out=rc)
             out += np.multiply(coll, rx_rb, out=coll)
-            out += np.multiply(k, k_coef, out=rc)
+            out += k_term
             return out
-        return nonlinear
+        return linear
+    return mark_level
 
-    mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
-    if capital_fn is None:
-        level = capital_level(spot, t, option, capital)
-        _, gap, rc = _exposure(mark, frac, np.broadcast(mark, level.addon).shape)
-        k = level.total(mark, gap, rc)
-    else:
-        k = capital_fn(t, spot, mark)
 
-    if kind == "garcia":
-        k_term = (hurdle - rb) * k
-        return lambda v: (hurdle + lam_c) * v + k_term
-    k_term = k_coef * k
-    if kind == "garcia_ref":
-        return lambda v: (rb + lam_c) * v + k_term
-    mark_shape = np.broadcast(mark, rx_rb).shape
+def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
+                 market: MarketParams, capital: CapitalParams,
+                 capital_fn: CapitalFn | None = None) -> DriverEval:
+    """The driver F(t, S, .) at one (t, S) level, as a function of v:
+    :func:`driver_levels` at the one time ``t``.
 
-    def linear(v):
-        v = np.asarray(v, dtype=float)
-        out = np.multiply(v, rb + lam_c, out=np.empty(np.broadcast(v, mark, rx_rb, k_term).shape))
-        coll, gap, rc = _exposure(mark, frac, mark_shape)
-        out -= np.multiply(mark, lam_c, out=gap)
-        out += np.multiply(rc, loss_c, out=rc)
-        out += np.multiply(coll, rx_rb, out=coll)
-        out += k_term
-        return out
-    return linear
+    The work that depends on (t, S) only is done here, once: for the mark
+    kinds the closed-form mark and the capital on it, scaled by its cost
+    coefficient; for ``nonlinear`` under the default capital stack the
+    :class:`xvadg.capital.CapitalLevel`; nothing for ``riskfree``.  The
+    returned function applies the rest in v, with the arithmetic of
+    :func:`driver_value` (which is this function applied once).
+    """
+    return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)
 
 
 def _exposure(v: np.ndarray, frac, shape: tuple) -> tuple:
@@ -202,6 +245,11 @@ def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
     ``tau`` is time to maturity; the driver is evaluated at calendar time
     ``maturity - tau``.
     """
-    fwd = driver_value(kind, option.maturity - tau, spot, v, option, market,
-                       capital, capital_fn)
+    return source_on(driver_level(kind, option.maturity - tau, spot, option, market,
+                                  capital, capital_fn), v, market)
+
+
+def source_on(level: DriverEval, v: np.ndarray, market: MarketParams) -> np.ndarray:
+    """The source ``(sigma^2 - drift) v - F(v)`` of the driver level F."""
+    fwd = level(v)
     return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd

@@ -11,7 +11,15 @@ marches the contract value from the payoff, and its adjustment is the
 value minus the closed-form default-free value; an adjustment kind
 marches the adjustment from zero terminal data, and its value is the
 closed-form mark plus the field.  The driver, its mark included, comes
-whole from :func:`xvadg.drivers.source_term`.
+whole from :mod:`xvadg.drivers`: the march asks
+:func:`xvadg.drivers.driver_levels` once for every distinct stage time of
+the schedule :func:`xvadg.imex.stage_times` gives, so the space part of
+the driver's (t, S) work is built once per solve and its time table once
+per march.  Each stage looks its level up by its exact stage time (a stage
+time off the schedule is a ``KeyError``) and builds the joint (t, S) part
+when the time is new; the last level is kept, so third order, whose last
+stage time is the next step's first, builds 3 steps + 1 levels for its
+4 steps evaluations.  ``meta`` reports both counts.
 
 The scheme order is tied to the local degree (degree 1 -> second-order
 stepping, degree 2 -> third order) and the step count to the explicit CFL
@@ -28,7 +36,7 @@ its B scenarios as one (N, B) state, N = cells * (degree+1), column b
 holding scenario b's nodal values cell by cell.  The group's market carries
 the batched fields as (B,) arrays, so each driver formula broadcasts them
 over the last axis and evaluates its (t, S)-only part (closed-form mark,
-SA-CCR add-on) once per stage for the whole group.  ``solve`` is
+SA-CCR add-on) once per stage time for the whole group.  ``solve`` is
 ``solve_many`` on one configuration, so one march loop serves both.
 
 ``xva_breakdown`` prices the adjustment a second, independent way: each
@@ -54,7 +62,10 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import CapitalFn, is_adjustment_kind, source_term
+from .drivers import CapitalFn, driver_levels, is_adjustment_kind, source_on
+# not called here; it stays a name of this module for tools that wrap the
+# driver where each module looks it up (bench/tracing.py)
+from .drivers import source_term  # noqa: F401
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
     make_basis, project_payoff, source_form, variant_for_option
@@ -108,6 +119,7 @@ class SolveResult:
     batch_width: int
     implicit_solves: int
     driver_evaluations: int
+    driver_levels: int
 
     def _mark(self, s, fn):
         return fn(self.config.option, s, 0.0, self.config.market)
@@ -152,6 +164,7 @@ class SolveResult:
             "batch_width": self.batch_width,
             "implicit_solves": self.implicit_solves,
             "driver_evaluations": self.driver_evaluations,
+            "driver_levels": self.driver_levels,
             "runtime_seconds": self.runtime,
         }
 
@@ -238,12 +251,21 @@ def _march_group(group: list[RunConfig], kind: str | None,
 
     # (cells, nodes, 1): the driver's (t, S) part broadcasts over the batch
     spots = mesh.quad_points(basis)[..., None]
-    counts = {"implicit_solves": 0, "driver_evaluations": 0}
+    stage_taus = imex.stage_times(order, grid)
+    stage_index = {tau: i for i, tau in enumerate(stage_taus)}
+    level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
+                             spots, option, market, capital, capital_fn)
+    last = {}   # the level of the last stage time met, by its index
+    counts = {"implicit_solves": 0, "driver_evaluations": 0, "driver_levels": 0}
 
     def explicit_fn(state: np.ndarray, tau: float) -> np.ndarray:
+        i = stage_index[tau]
+        if i not in last:
+            last.clear()
+            last[i] = level_at(i)
+            counts["driver_levels"] += 1
         counts["driver_evaluations"] += 1
-        h_vals = source_term(kind, tau, spots, state.reshape(shape), option,
-                             market, capital, capital_fn)
+        h_vals = source_on(last[i], state.reshape(shape), market)
         return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:

@@ -1,18 +1,35 @@
-"""The normal CDF, the capital stack and the drivers as one-line numpy
-expressions, each operation on fresh arrays in the order the formulas are
-written.  The level-hoisted, in-place kernels of ``xvadg`` must give these
-values bit for bit; the tests compare them with ``.view(np.int64)``."""
+"""The normal CDF, the closed-form mark, the capital stack and the drivers
+as one-line numpy expressions at one time, each operation on fresh arrays
+in the order the formulas are written.  The split, level-hoisted, in-place
+kernels of ``xvadg`` must give these values bit for bit; the tests compare
+them with ``.view(np.int64)``."""
 
 import numpy as np
 from scipy.special import erf
 
-from xvadg.black_scholes import bs_value
+from xvadg.config import payoff
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def norm_cdf(x):
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / _SQRT2))
+
+
+def bs_value(option, spot, t, market):
+    s = np.asarray(spot, dtype=float)
+    tau = option.maturity - t
+    if tau <= 0.0:
+        return payoff(option, s)
+    vol = market.sigma * np.sqrt(tau)
+    d1 = (np.log(np.where(s > 0.0, s, 1.0) / option.strike)
+          + (market.drift + 0.5 * market.sigma ** 2) * tau) / vol
+    d2 = d1 - vol
+    growth = np.exp((market.drift - market.risk_free_rate) * tau)
+    disc_k = option.strike * np.exp(-market.risk_free_rate * tau)
+    if option.kind == "call":
+        return np.where(s > 0.0, s * growth * norm_cdf(d1) - disc_k * norm_cdf(d2), 0.0)
+    return np.where(s > 0.0, disc_k * norm_cdf(-d2) - s * growth * norm_cdf(-d1), disc_k)
 
 
 def supervisory_delta(option, spot, t, sigma_r):

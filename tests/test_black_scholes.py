@@ -9,10 +9,14 @@ complete the suite.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+import kernels_reference as ref
+from kernels_reference import bits
 from xvadg.black_scholes import (LognormalKernel, bs_delta, bs_gamma,
-                                 bs_value, lognormal_expectation, norm_cdf)
+                                 bs_value, lognormal_expectation, mark_at,
+                                 mark_space, mark_times, norm_cdf)
 from xvadg.config import MarketParams, OptionSpec, payoff
 
 MARKET = MarketParams()
@@ -89,6 +93,37 @@ def test_expiry_and_boundary_values():
     assert bs_delta(CALL, 20.0, 1.0, MARKET) == 1.0
     assert bs_delta(PUT, 20.0, 1.0, MARKET) == 0.0
     assert bs_gamma(CALL, 20.0, 1.0, MARKET) == 0.0
+
+
+_SPOT = st.one_of(st.sampled_from([0.0, 1e-300, 15.0, 60.0]), st.floats(0.0, 100.0))
+
+
+@st.composite
+def _march_times(draw):
+    """A vector of times as a march meets them: 0, maturity, times beyond
+    it, drawn times, and the floats adjacent to maturity and to a drawn
+    time."""
+    drawn = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=5))
+    near = drawn[0]
+    return np.array([0.0, 1.0, 1.25, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     np.nextafter(near, -1.0), np.nextafter(near, 2.0), *drawn])
+
+
+@settings(max_examples=60)
+@given(option=st.sampled_from([CALL, PUT]), market=st.sampled_from([MARKET, BASIS_MARKET]),
+       spot=st.one_of(_SPOT, st.lists(_SPOT, min_size=1, max_size=12).map(np.array)),
+       times=_march_times())
+def test_mark_time_table_rows_equal_the_formula_bitwise(option, market, spot, times):
+    # the space part built once, the time table over every time at once and
+    # the joint work at one row give the one-line closed form at that
+    # scalar time bit for bit, the payoff at and beyond maturity, and so
+    # does bs_value, which is the three parts at one time
+    space = mark_space(option, spot)
+    table = mark_times(option, times, market)
+    for i, t in enumerate(times):
+        want = bits(ref.bs_value(option, spot, float(t), market))
+        assert np.array_equal(bits(mark_at(option, space, table[i])), want), t
+        assert np.array_equal(bits(bs_value(option, spot, float(t), market)), want), t
 
 
 @pytest.mark.parametrize("option", [CALL, PUT], ids=["call", "put"])

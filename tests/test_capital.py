@@ -11,9 +11,10 @@ from scipy.special import erf
 import kernels_reference as ref
 from kernels_reference import bits
 from xvadg.black_scholes import norm_cdf
-from xvadg.capital import (capital_level, capital_requirement,
-                           capital_requirement_parts, maturity_factor,
-                           saccr_addon, supervisory_delta)
+from xvadg.capital import (capital_level, capital_level_at, capital_requirement,
+                           capital_requirement_parts, capital_space, capital_times,
+                           maturity_factor, saccr_addon, saccr_addon_at,
+                           supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -250,6 +251,53 @@ def test_capital_kernels_equal_the_formulas_bitwise(case):
     for name, value in want.items():
         assert np.array_equal(bits(getattr(parts, name)), bits(value)), name
     assert np.array_equal(bits(total), bits(want["k_total"]))
+
+
+@st.composite
+def _march_times(draw):
+    """A vector of times as a march meets them: 0, maturity, times beyond
+    it, drawn times, and the floats adjacent to maturity and to a drawn
+    time."""
+    drawn = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=5))
+    near = drawn[0]
+    return np.array([0.0, 1.0, 1.25, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     np.nextafter(near, -1.0), np.nextafter(near, 2.0), *drawn])
+
+
+@st.composite
+def _space_case(draw):
+    """Spots of one layout, (n,) or (cells, nodes, 1), with marks of the
+    same layout or widened by a batch, and their collateral."""
+    n, cells, nodes = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    spot_shape, mark_shape = draw(st.sampled_from([
+        ((n,), (n,)), ((cells, nodes, 1), (cells, nodes, draw(st.integers(1, 3))))]))
+    mark = _floats(draw, _MARK, mark_shape)
+    return (draw(st.sampled_from([CALL, PUT])), _floats(draw, _SPOT, spot_shape), mark,
+            draw(st.sampled_from([0.0, 0.9])) * mark)
+
+
+@settings(max_examples=60)
+@given(case=_space_case(), times=_march_times())
+def test_time_table_rows_equal_the_formulas_bitwise(case, times):
+    # the space part built once, the time table over every time at once and
+    # the joint work at one row give the one-line formulas at that scalar
+    # time bit for bit: the supervisory delta, the add-on and the level's
+    # total, at t = 0, at and beyond maturity and at adjacent floats
+    option, spot, mark, coll = case
+    space = capital_space(spot, option, CAP)
+    table = capital_times(times, option, CAP)
+    for i, t in enumerate(times):
+        with np.errstate(all="ignore"):
+            want = ref.capital_parts(mark, coll, spot, float(t), option, CAP)
+            delta, addon = saccr_addon_at(option, space, table[i])
+            level = capital_level_at(option, space, table[i], CAP)
+            gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
+                mark.shape, level.addon.shape)))
+            total = level.total(mark, gap, np.maximum(gap, 0.0))
+        assert np.array_equal(bits(delta), bits(want["delta"])), t
+        assert np.array_equal(bits(addon), bits(want["addon"])), t
+        assert np.array_equal(bits(level.addon), bits(want["addon"])), t
+        assert np.array_equal(bits(total), bits(want["k_total"])), t
 
 
 @settings(max_examples=40)

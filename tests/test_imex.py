@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from xvadg.imex import (ALPHA1, ALPHA2, BETA1, BETA2, GAMMA2, GAMMA3, KAPPA2,
-                        TimeGrid, implicit_coefficient, select_time_grid, step,
-                        step_order2, step_order3)
+                        STAGE_OFFSETS, TimeGrid, implicit_coefficient,
+                        select_time_grid, stage_times, step, step_order2,
+                        step_order3)
 from xvadg.ldg import Mesh
 
 
@@ -171,6 +172,38 @@ def test_steady_state_is_preserved_exactly(order):
                lambda u: 0.0 * u, lambda rhs: rhs / mass,
                lambda u, tau: 0.0 * u)
     assert np.allclose(out, u_star, atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_steps_meet_exactly_the_stage_schedule(order):
+    # a spy explicit part sees, step by step, the stage times tau + c delta
+    # of the offset table, and over a march that advances tau += delta
+    # exactly the distinct times of the schedule, in its order; third
+    # order's last stage time is the next step's first, bit for bit
+    grid = select_time_grid(Mesh(s_max=60.0, cells=160), order - 1, 0.03, 1.0)
+    met = []
+
+    def spy(u, tau):
+        met.append(tau)
+        return 0.0 * u
+
+    g = implicit_coefficient(order)
+    u, tau = np.ones(3), 0.0
+    for _ in range(grid.steps):
+        u = step(order, u, tau, grid.delta, np.ones(3), lambda v: -v,
+                 lambda rhs: rhs / (1.0 + grid.delta * g), spy)
+        tau += grid.delta
+    stages = len(STAGE_OFFSETS[order])
+    assert len(met) == stages * grid.steps
+    per_step = [met[k:k + stages] for k in range(0, len(met), stages)]
+    assert per_step[0] == [c * grid.delta for c in STAGE_OFFSETS[order]]
+    schedule = stage_times(order, grid)
+    assert list(dict.fromkeys(met)) == schedule
+    if order == 2:
+        assert len(schedule) == 2 * grid.steps
+    else:
+        assert len(schedule) == 3 * grid.steps + 1
+        assert all(a[-1] == b[0] for a, b in zip(per_step, per_step[1:]))
 
 
 def test_step_dispatch_and_determinism():

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xvadg import imex
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
-from xvadg.solver import (GarciaScalingCheck, SolverDivergedError, XVABreakdown,
-                          garcia_scaling_check, sample_grid, scenario_groups,
-                          solve, solve_many, xva_breakdown)
+from xvadg.drivers import ALL_DRIVER_KINDS, is_adjustment_kind, source_term
+from xvadg.ldg import (Mesh, assemble_form_matrix, assemble_implicit, convection_form,
+                       make_basis, project_payoff, source_form, variant_for_option)
+from xvadg.solver import (BATCHED_FIELDS, GarciaScalingCheck, SolverDivergedError,
+                          XVABreakdown, garcia_scaling_check, sample_grid,
+                          scenario_groups, solve, solve_many, xva_breakdown)
 
 # adjustment values at the reporting spots, frozen from the N=1280 runs
 # that the acceptance suite reproduces (keys: option, driver, spot)
@@ -180,6 +184,102 @@ def test_batched_march_meta_and_columns(degree, solves, evaluations):
     # each column prices its own hurdle: capital costs more as it rises
     xva = [r.xva(15.0) for r in results]
     assert xva[0] > xva[1] > xva[2]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_levels_are_built_once_per_distinct_stage_time(degree):
+    # second order meets 2 new stage times a step; third order 3 and the
+    # last stage time of the step before, so a group of any width builds
+    # one driver level per distinct stage time, for all its columns at once
+    base = replace(benchmark_config(option_kind="put", driver="nonlinear", cells=40),
+                   degree=degree)
+    single = solve(base).meta
+    group = solve_many([replace(base, market=replace(base.market, capital_hurdle=h))
+                        for h in (0.06, 0.1, 0.15, 0.2, 0.25)])[0].meta
+    steps = single["steps"]
+    assert group["batch_width"] == 5 and group["steps"] == steps
+    levels = 2 * steps if degree == 1 else 3 * steps + 1
+    assert single["driver_levels"] == group["driver_levels"] == levels
+    assert single["driver_evaluations"] == group["driver_evaluations"] == (
+        2 if degree == 1 else 4) * steps
+
+
+def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
+    # a stage time the schedule does not list is a bug, never a level built
+    # afresh
+    full = imex.stage_times
+    monkeypatch.setattr(imex, "stage_times", lambda order, grid: full(order, grid)[:-1])
+    with pytest.raises(KeyError):
+        solve(benchmark_config(cells=40))
+
+
+def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
+    """The (N, B) state at time zero of one ``solve_many`` group, marched
+    with the driver built afresh by ``source_term`` at every stage."""
+    config = configs[0]
+    option, capital, market = config.option, config.capital, config.market
+    width = len(configs)
+    if width > 1:
+        market = replace(market, **{name: np.array([getattr(c.market, name) for c in configs])
+                                    for name in BATCHED_FIELDS})
+    mesh, basis = Mesh(config.s_max, config.cells), make_basis(config.degree)
+    speed = market.sigma ** 2 - market.drift
+    grid = imex.select_time_grid(mesh, config.degree, speed, option.maturity,
+                                 config.cfl_constant)
+    order = config.degree + 1
+    op = assemble_implicit(mesh, basis, variant_for_option(option),
+                           grid.delta * imex.implicit_coefficient(order),
+                           lambda s: 0.5 * market.sigma ** 2 * np.asarray(s) ** 2)
+    convection = assemble_form_matrix(mesh, basis, lambda u: convection_form(u, speed))
+    shape = (mesh.cells, basis.n_nodes, width)
+    u = np.zeros(shape) if is_adjustment_kind(kind) else np.repeat(
+        project_payoff(option, mesh, basis).coeffs[..., None], width, axis=2)
+    u = u.reshape(-1, width)
+    spots = mesh.quad_points(basis)[..., None]
+
+    def explicit_fn(state, tau):
+        h_vals = source_term(kind, tau, spots, state.reshape(shape), option, market,
+                             capital, capital_fn)
+        return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
+
+    tau = 0.0
+    for _ in range(grid.steps):
+        u = imex.step(order, u, tau, grid.delta, op.mass[:, None], op.apply_diffusion,
+                      op.solve, explicit_fn)
+        tau += grid.delta
+    return u
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("option_kind", ["put", "call"])
+@pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
+def test_levels_built_once_equal_a_march_built_afresh_bitwise(kind, option_kind, degree,
+                                                              width):
+    # the solver's levels, built once per distinct stage time from a space
+    # part and a time table, march exactly as the driver built afresh at
+    # every stage does, in every column of a batch
+    base = replace(benchmark_config(option_kind=option_kind, cells=20), degree=degree)
+    configs = [replace(base, market=replace(base.market, capital_hurdle=h,
+                                            collateral_rate=r))
+               for h, r in ((0.1, 0.04), (0.2, 0.07))[:width]]
+    want = _march_afresh(configs, kind)
+    for b, result in enumerate(solve_many(configs, kind)):
+        got = result.value_field.coeffs.ravel()
+        assert np.array_equal(got.view(np.int64), want[:, b].view(np.int64)), b
+
+
+def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise():
+    # a capital profile is called with each level's own time, as afresh
+    def capital_fn(t, s, m):
+        return (0.01 + 0.02 * t) * np.abs(m) + 1e-3 * s
+
+    configs = [replace(benchmark_config(option_kind="call", driver="nonlinear", cells=20),
+                       degree=2)]
+    for kind in ("nonlinear", "linear"):
+        want = _march_afresh(configs, kind, capital_fn)
+        got = solve(configs[0], kind, capital_fn).value_field.coeffs.ravel()
+        assert np.array_equal(got.view(np.int64), want[:, 0].view(np.int64)), kind
 
 
 def test_nonfinite_column_stops_the_batch():
