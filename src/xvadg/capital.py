@@ -186,14 +186,6 @@ class CapitalBreakdown:
     k_total: np.ndarray | float
 
 
-def saccr_addon(spot, t, option: OptionSpec, capital: CapitalParams) -> tuple:
-    """The supervisory delta, the maturity factor and the signed SA-CCR
-    add-on ``supervisory_factor * S * maturity_factor * delta`` at (t, S)."""
-    times = capital_times(t, option, capital)
-    delta, addon = saccr_addon_at(option, capital_space(spot, option, capital), times)
-    return delta, times.mat_factor, addon
-
-
 @dataclass(frozen=True, eq=False)
 class CapitalLevel:
     """The mark-free part of the capital stack at one (t, S) beyond the
@@ -274,12 +266,6 @@ class CapitalLevel:
         self.charge(k, k)
         k += self.charge(self.rwa_cva(ead, ead), ead)
         return np.maximum(k, self.k_lr(mark, ead), out=k)
-
-
-def capital_level(spot, t, option: OptionSpec, capital: CapitalParams) -> CapitalLevel:
-    """The :class:`CapitalLevel` at (t, S)."""
-    return capital_level_at(option, capital_space(spot, option, capital),
-                            capital_times(t, option, capital), capital)
 
 
 def capital_level_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes,

@@ -39,17 +39,18 @@ the closed-form default-free mark, which the driver computes itself.
 
 Each driver is built in two parts: a level does the work that depends on
 (t, S) only and returns the evaluation in v, which applies the rest.  A
-level holds, beyond scalars, the closed-form mark and the capital on it
-times its cost coefficient for ``linear`` (the mark kinds ``garcia`` and
-``garcia_ref`` need only the latter), and the
-:class:`xvadg.capital.CapitalLevel` for ``nonlinear`` (the add-on and the
-PFE denominator).  A ``nonlinear`` evaluation forms the collateral, the
-gap ``v - X`` and the replacement cost ``(v - X)^+`` once, for both the
-loss term and the capital, and takes the capital total without building
-its audit breakdown; a ``linear`` one forms them from the mark, which its
-level keeps in their place.  Each sums its terms in place, in the order of
-the formulas above, so every output keeps the bits of the one-line
-formulas.
+level reaches its capital through one callable K(mark, gap, rc) at its
+time, :meth:`xvadg.capital.CapitalLevel.total` by default; ``capital_fn``
+only chooses the callable, the override at that time.  A level holds,
+beyond scalars, the closed-form mark and the capital on it times its cost
+coefficient for ``linear`` (``garcia`` and ``garcia_ref`` need only the
+latter), and the callable for ``nonlinear``.  A ``nonlinear`` evaluation
+forms the collateral, the gap ``v - X`` and the replacement cost
+``(v - X)^+`` once, for both the loss term and the capital, and takes the
+capital total without building its audit breakdown; a ``linear`` one
+forms them from the mark, which its level keeps in their place.  Each sums
+its terms in place, in the order of the formulas above, so every output
+keeps the bits of the one-line formulas.
 
 :func:`driver_levels` builds the levels of one spot array at many times,
 and its (t, S) work splits again into three parts: the space part of the
@@ -73,7 +74,6 @@ zeroth-order remainder of rewriting the generator in conservative form;
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 import numpy as np
@@ -116,11 +116,11 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
 
     The space part and the time tables of the closed-form mark and of the
     capital stack are built here, once, for what the kind reads: the mark
-    for the mark kinds, the :class:`xvadg.capital.CapitalLevel` under the
-    default capital stack, nothing for ``riskfree``.  Each call of the
-    returned function does the joint (t, S) work of one time afresh and
-    returns the level, a function of v with the arithmetic of
-    :func:`driver_value`; the caller keeps the levels it reuses.
+    for the mark kinds, the capital stack unless ``capital_fn`` replaces
+    it, nothing for ``riskfree``.  Each call of the returned function does
+    the joint (t, S) work of one time afresh and returns the level, a
+    function of v with the arithmetic of :func:`driver_value`; the caller
+    keeps the levels it reuses.
     """
     is_adjustment_kind(kind)
     times = np.asarray(times, dtype=float)
@@ -136,27 +136,29 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     rx_rb = market.collateral_rate - rb
     k_coef = hurdle - market.capital_funding_fraction * rb
 
+    # the capital callable K(mark, gap, rc) at times[i]; gap is scratch
     if capital_fn is None:
         cap_space = capital_space(spot, option, capital)
         cap_times = capital_times(times, option, capital)
 
+        def capital_at(i: int) -> Callable:
+            return capital_level_at(option, cap_space, cap_times[i], capital).total
+    else:
+        def capital_at(i: int) -> Callable:
+            t_i = float(times[i])
+            return lambda mark, gap, rc: capital_fn(t_i, spot, mark)
+    # the spots' shape at zero stride: a level must not keep the spots
+    like_spot = np.broadcast_to(0.0, np.shape(spot))
+
     if kind == "nonlinear":
         def nonlinear_level(i: int) -> DriverEval:
-            # the evaluation refers to the spots only through these two, so
-            # a level under the default stack does not keep them alive
-            level = None if capital_fn is not None else capital_level_at(
-                option, cap_space, cap_times[i], capital)
-            capital_on = None if capital_fn is None else functools.partial(
-                capital_fn, float(times[i]), spot)
-            addon = 0.0 if level is None else level.addon
+            capital_on = capital_at(i)
 
             def nonlinear(v):
                 v = np.asarray(v, dtype=float)
-                k = None if capital_on is None else capital_on(v)
-                shape = np.broadcast(v, addon, rx_rb, k_coef, 0.0 if k is None else k).shape
+                shape = np.broadcast(v, like_spot, rx_rb, k_coef).shape
                 coll, gap, rc = _exposure(v, frac, shape)
-                if k is None:
-                    k = level.total(v, gap, rc)
+                k = capital_on(v, gap, rc)
                 # rb v + lamC (1-RC) rc + (rX - rB) X + (gK - phi rB) K, in place
                 out = np.multiply(v, rb, out=gap)
                 out += np.multiply(rc, loss_c, out=rc)
@@ -171,12 +173,8 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
 
     def mark_level(i: int) -> DriverEval:
         mark = np.asarray(mark_at(option, m_space, m_times[i]), dtype=float)
-        if capital_fn is None:
-            level = capital_level_at(option, cap_space, cap_times[i], capital)
-            _, gap, rc = _exposure(mark, frac, np.broadcast(mark, level.addon).shape)
-            k = level.total(mark, gap, rc)
-        else:
-            k = capital_fn(float(times[i]), spot, mark)
+        _, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
+        k = capital_at(i)(mark, gap, rc)
 
         if kind == "garcia":
             k_term = (hurdle - rb) * k
@@ -207,10 +205,9 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
 
     The work that depends on (t, S) only is done here, once: for the mark
     kinds the closed-form mark and the capital on it, scaled by its cost
-    coefficient; for ``nonlinear`` under the default capital stack the
-    :class:`xvadg.capital.CapitalLevel`; nothing for ``riskfree``.  The
-    returned function applies the rest in v, with the arithmetic of
-    :func:`driver_value` (which is this function applied once).
+    coefficient; for ``nonlinear`` the capital callable; nothing for
+    ``riskfree``.  The returned function applies the rest in v, with the
+    arithmetic of :func:`driver_value` (which is this function applied once).
     """
     return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)
 
@@ -229,8 +226,8 @@ def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,
                  capital_fn: CapitalFn | None = None) -> np.ndarray:
     """Evaluate the driver F(t, S, v) for the given mark convention.
 
-    ``capital_fn`` overrides the regulatory capital profile; the default is
-    the full SA-CCR/CVA/leverage stack.  Passing
+    ``capital_fn`` chooses the capital callable of the level: the override
+    at ``t`` in place of the full SA-CCR/CVA/leverage stack.  Passing
     ``capital_fn=lambda t, s, m: 0.0 * m`` switches capital costs off,
     which several validation cases use.
     """

@@ -219,12 +219,9 @@ def _march_group(group: list[RunConfig], kind: str | None,
     is_adjustment = is_adjustment_kind(kind)
     option, capital, market = config.option, config.capital, config.market
     width = len(group)
-    if width > 1:
-        # a group of one keeps its scalars, which every stage would
-        # otherwise turn into (1,) arrays at a ufunc call each
-        market = dataclasses.replace(market, **{
-            name: np.array([getattr(c.market, name) for c in group])
-            for name in BATCHED_FIELDS})
+    market = dataclasses.replace(market, **{
+        name: np.array([getattr(c.market, name) for c in group])
+        for name in BATCHED_FIELDS})
     mesh = Mesh(config.s_max, config.cells)
     basis = make_basis(config.degree)
     variant = variant_for_option(option)

@@ -11,10 +11,9 @@ from scipy.special import erf
 import kernels_reference as ref
 from kernels_reference import bits
 from xvadg.black_scholes import norm_cdf
-from xvadg.capital import (capital_level, capital_level_at, capital_requirement,
+from xvadg.capital import (capital_level_at, capital_requirement,
                            capital_requirement_parts, capital_space, capital_times,
-                           maturity_factor, saccr_addon, saccr_addon_at,
-                           supervisory_delta)
+                           maturity_factor, saccr_addon_at, supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -202,10 +201,15 @@ _MARK = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-300, -1e-300]),
 _TIME = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+def _addon(spot, t, option):
+    return saccr_addon_at(option, capital_space(spot, option, CAP),
+                          capital_times(t, option, CAP))[1]
+
+
 def test_edge_spots_give_exactly_zero_addons():
-    assert saccr_addon(0.0, 0.0, CALL, CAP)[2] == 0.0
-    call = saccr_addon(np.array([0.5]), 1.0, CALL, CAP)[2]
-    put = saccr_addon(np.array([300.0]), 1.0, PUT, CAP)[2]
+    assert _addon(0.0, 0.0, CALL) == 0.0
+    call = _addon(np.array([0.5]), 1.0, CALL)
+    put = _addon(np.array([300.0]), 1.0, PUT)
     assert call[0] == 0.0 and not np.signbit(call[0])
     assert put[0] == 0.0 and np.signbit(put[0])
 
@@ -244,7 +248,8 @@ def test_capital_kernels_equal_the_formulas_bitwise(case):
     with np.errstate(all="ignore"):
         want = ref.capital_parts(mark, coll, spot, t, option, CAP)
         parts = capital_requirement_parts(mark, coll, spot, t, option, CAP)
-        level = capital_level(spot, t, option, CAP)
+        level = capital_level_at(option, capital_space(spot, option, CAP),
+                                 capital_times(t, option, CAP), CAP)
         gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
             mark.shape, level.addon.shape)))
         total = level.total(mark, gap, np.maximum(gap, 0.0))

@@ -1,9 +1,10 @@
 """Driver right-hand sides: the kind table, affine structure of the
 default-free-mark convention, monotonicity of the semilinear one, the
-closed-form mark computed inside the driver, the capital kill switch, and
-the source-term sign convention."""
+closed-form mark computed inside the driver, the capital kill switch, the
+capital stack as an override, and the source-term sign convention."""
 
 import dataclasses
+import itertools
 import weakref
 
 import numpy as np
@@ -14,9 +15,11 @@ import kernels_reference as ref
 from kernels_reference import bits
 from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
-from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec
+from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
+    benchmark_config
 from xvadg.drivers import (ALL_DRIVER_KINDS, driver_level, driver_value,
                            is_adjustment_kind, source_term)
+from xvadg.solver import solve
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)
@@ -156,15 +159,18 @@ def _floats(draw, elements, shape):
                     dtype=float).reshape(shape)
 
 
+_LAYOUTS = ("flat", "column", "batched", "widened")
+
+
 @st.composite
-def _driver_case(draw):
+def _driver_case(draw, kinds=ALL_DRIVER_KINDS, layouts=_LAYOUTS):
     """One kind, option and t at a layout of the Monte Carlo (n,) or the
     PDE (cells, nodes, 1), or a batch: (cells, nodes, B) values, or
     (cells, nodes, 1) values widened by the batch, with (B,) arrays of the
     capital hurdle and the collateral rate."""
     n, cells, nodes, width = (draw(st.integers(1, 7)), draw(st.integers(1, 4)),
                               draw(st.integers(2, 3)), draw(st.integers(2, 4)))
-    layout = draw(st.sampled_from(["flat", "column", "batched", "widened"]))
+    layout = draw(st.sampled_from(layouts))
     spot_shape = (n,) if layout == "flat" else (cells, nodes, 1)
     v_shape = (cells, nodes, width) if layout == "batched" else spot_shape
     market = MARKET
@@ -173,7 +179,7 @@ def _driver_case(draw):
             MARKET, capital_hurdle=_floats(draw, st.floats(0.0, 0.3), (width,)),
             collateral_rate=_floats(draw, st.floats(0.0, 0.1), (width,)))
     t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    return (draw(st.sampled_from(ALL_DRIVER_KINDS)), draw(st.sampled_from([PUT, CALL])),
+    return (draw(st.sampled_from(kinds)), draw(st.sampled_from([PUT, CALL])),
             t, _floats(draw, _SPOT, spot_shape), _floats(draw, _VALUE, v_shape), market)
 
 
@@ -195,6 +201,36 @@ def test_driver_kernels_equal_the_formulas_bitwise(case):
     assert np.array_equal(bits(again[0]), bits(want)), kind
     assert np.array_equal(bits(again[1]), bits(want_reversed)), kind
     assert np.array_equal(bits(again[2]), bits(want)), kind
+
+
+def _stack(option, market, capital):
+    """The default capital stack as a ``capital_fn``."""
+    return lambda t, s, m: capital_requirement(t, s, m, option, market, capital).k_total
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_the_capital_stack_as_an_override_is_the_default_bitwise(kind, layout, data):
+    # a level reaches its capital through one callable, which capital_fn
+    # only chooses: the stack passed as the override gives the default's bits
+    _, _, drawn, spot, v, market = data.draw(_driver_case((kind,), (layout,)))
+    for option, t in itertools.product((PUT, CALL), (0.0, PUT.maturity, drawn)):
+        with np.errstate(all="ignore"):
+            want = driver_value(kind, t, spot, v, option, market, CAP)
+            got = driver_value(kind, t, spot, v, option, market, CAP,
+                               capital_fn=_stack(option, market, CAP))
+        assert np.array_equal(bits(got), bits(want)), (option.kind, t)
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear", "garcia"])
+def test_a_solve_under_the_stack_as_an_override_is_the_default_bitwise(kind):
+    config = benchmark_config(option_kind="call", driver="nonlinear", cells=20, degree=2)
+    want = solve(config, kind).value_field.coeffs
+    got = solve(config, kind, _stack(config.option, config.market,
+                                     config.capital)).value_field.coeffs
+    assert np.array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)

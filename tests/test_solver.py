@@ -215,7 +215,9 @@ def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
 
 def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
     """The (N, B) state at time zero of one ``solve_many`` group, marched
-    with the driver built afresh by ``source_term`` at every stage."""
+    with the driver built afresh by ``source_term`` at every stage.  A group
+    of one keeps its scalars here: it is the batch-of-one reference that
+    pins the solver's (1,) batched fields to the scalar march, bit for bit."""
     config = configs[0]
     option, capital, market = config.option, config.capital, config.market
     width = len(configs)
