@@ -268,11 +268,16 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
     spots = np.asarray(spots, dtype=float)
     combos = [(okind, drv) for okind in ("put", "call")
               for drv in ("linear", "nonlinear")]
+    # refuse spots beyond the PDE domain or the strata before any work
+    outside = ~((spots >= 0.0) & (spots <= config.s_max))
+    if np.any(outside):
+        raise ValueError(f"query spot {float(spots[outside][0])!r} lies outside the "
+                         f"solution domain [0, {config.s_max:g}]")
     ensemble = None
     if with_mc:
         if grid is None:
             grid = RegressionGrid()
-        grid.locate(spots)  # refuse spots beyond the strata before simulating
+        grid.locate(spots)
         ensemble = simulate_forward(grid, config.market,
                                     maturity=config.option.maturity, seed=seed)
     rows = []

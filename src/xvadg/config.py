@@ -241,8 +241,8 @@ class RunConfig:
             raise ValueError(f"driver must be one of {DRIVER_KINDS}, got {self.driver!r}")
         if not (isinstance(self.cells, int) and self.cells >= 2):
             raise ValueError(f"cells must be an integer >= 2, got {self.cells!r}")
-        if self.degree not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
+        if not (type(self.degree) is int and self.degree in (1, 2)):  # no float, no bool
+            raise ValueError(f"degree must be the integer 1 or 2, got {self.degree!r}")
         if not self.domain_multiple > 1.0:
             raise ValueError("domain_multiple must exceed 1 so the strike is interior")
         if not self.cfl_constant > 0.0:

@@ -41,16 +41,15 @@ Each driver is built in two parts: a level does the work that depends on
 (t, S) only and returns the evaluation in v, which applies the rest.  A
 level reaches its capital through one callable K(mark, gap, rc) at its
 time, :meth:`xvadg.capital.CapitalLevel.total` by default; ``capital_fn``
-only chooses the callable, the override at that time.  A level holds,
-beyond scalars, the closed-form mark and the capital on it times its cost
-coefficient for ``linear`` (``garcia`` and ``garcia_ref`` need only the
-latter), and the callable for ``nonlinear``.  A ``nonlinear`` evaluation
+only chooses the callable, the override at that time.  The three mark
+kinds are affine in v, F = rate v + rest(t, S): their level holds, beyond
+scalars, the one array ``rest``, the terms free of v summed left to right
+in the order of the formulas above, and an evaluation is ``rate * v +
+rest``.  A ``nonlinear`` level holds the capital callable; its evaluation
 forms the collateral, the gap ``v - X`` and the replacement cost
-``(v - X)^+`` once, for both the loss term and the capital, and takes the
-capital total without building its audit breakdown; a ``linear`` one
-forms them from the mark, which its level keeps in their place.  Each sums
-its terms in place, in the order of the formulas above, so every output
-keeps the bits of the one-line formulas.
+``(v - X)^+`` once, for both the loss term and the capital, takes the
+capital total without building its audit breakdown, and sums its terms in
+place in the order of its formula.
 
 :func:`driver_levels` builds the levels of one spot array at many times,
 and its (t, S) work splits again into three parts: the space part of the
@@ -120,7 +119,8 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     it, nothing for ``riskfree``.  Each call of the returned function does
     the joint (t, S) work of one time afresh and returns the level, a
     function of v with the arithmetic of :func:`driver_value`; the caller
-    keeps the levels it reuses.
+    keeps the levels it reuses.  A mark kind's level holds ``rest(t, S)``
+    and evaluates ``rate * v + rest``.
     """
     is_adjustment_kind(kind)
     times = np.asarray(times, dtype=float)
@@ -170,30 +170,17 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
 
     m_space = mark_space(option, spot)
     m_times = mark_times(option, times, market)
+    # every mark kind is affine: F = rate v + rest(t, S)
+    rate, k_coef = (hurdle + lam_c, hurdle - rb) if kind == "garcia" else (rb + lam_c, k_coef)
 
     def mark_level(i: int) -> DriverEval:
         mark = np.asarray(mark_at(option, m_space, m_times[i]), dtype=float)
-        _, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
-        k = capital_at(i)(mark, gap, rc)
-
-        if kind == "garcia":
-            k_term = (hurdle - rb) * k
-            return lambda v: (hurdle + lam_c) * v + k_term
-        k_term = k_coef * k
-        if kind == "garcia_ref":
-            return lambda v: (rb + lam_c) * v + k_term
-        mark_shape = np.broadcast(mark, rx_rb).shape
-
-        def linear(v):
-            v = np.asarray(v, dtype=float)
-            out = np.multiply(v, rb + lam_c, out=np.empty(np.broadcast(v, mark, rx_rb, k_term).shape))
-            coll, gap, rc = _exposure(mark, frac, mark_shape)
-            out -= np.multiply(mark, lam_c, out=gap)
-            out += np.multiply(rc, loss_c, out=rc)
-            out += np.multiply(coll, rx_rb, out=coll)
-            out += k_term
-            return out
-        return linear
+        coll, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
+        rest = k_coef * capital_at(i)(mark, gap, rc)
+        if kind == "linear":
+            # -lamC M + lamC (1-RC) (M-X)^+ + (rX-rB) X + (gK - phi rB) K
+            rest = -lam_c * mark + loss_c * rc + rx_rb * coll + rest
+        return lambda v: rate * v + rest
     return mark_level
 
 
@@ -204,10 +191,10 @@ def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
     :func:`driver_levels` at the one time ``t``.
 
     The work that depends on (t, S) only is done here, once: for the mark
-    kinds the closed-form mark and the capital on it, scaled by its cost
-    coefficient; for ``nonlinear`` the capital callable; nothing for
-    ``riskfree``.  The returned function applies the rest in v, with the
-    arithmetic of :func:`driver_value` (which is this function applied once).
+    kinds the terms free of v, ``rest``; for ``nonlinear`` the capital
+    callable; nothing for ``riskfree``.  The returned function applies the
+    part in v, with the arithmetic of :func:`driver_value` (which is this
+    function applied once).
     """
     return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)
 

@@ -105,9 +105,9 @@ _CHUNK = 1 << 15
 #: float64 path-length arrays a backward pass holds at its peak, with a
 #: margin of 2 or more (tracemalloc reads 6.6 at 1M paths on two workers
 #: for the linear put and for the nonlinear call): the values y, the
-#: driver on them, one level's strata, offsets and driver parts (two
-#: arrays: the mark and its weighted capital for the linear driver, the
-#: add-on and the PFE denominator for the nonlinear one); the
+#: driver on them, one level's strata, offsets and driver parts (one
+#: array, rest(t, S), for the linear driver; two, the add-on and the PFE
+#: denominator, for the nonlinear one, which sets the count); the
 #: predictor's values, the second driver evaluation, the regression
 #: targets and their products are chunk-local, as is the driver's
 #: scratch

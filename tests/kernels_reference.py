@@ -92,8 +92,9 @@ def driver(kind, t, spot, v, option, market, capital):
     k = capital_parts(mark, frac * mark, spot, t, option, capital)["k_total"]
     if kind == "linear":
         coll = frac * mark
-        return ((rb + lam_c) * v - lam_c * mark + loss_c * np.maximum(mark - coll, 0.0)
-                + (market.collateral_rate - rb) * coll + (hurdle - phi * rb) * k)
+        return (rb + lam_c) * v + (-lam_c * mark + loss_c * np.maximum(mark - coll, 0.0)
+                                   + (market.collateral_rate - rb) * coll
+                                   + (hurdle - phi * rb) * k)
     if kind == "garcia":
         return (hurdle + lam_c) * v + (hurdle - rb) * k
     return (rb + lam_c) * v + (hurdle - phi * rb) * k

@@ -267,6 +267,42 @@ def test_spot_beyond_the_strata_is_refused_before_simulating(tmp_path, capsys,
     spy.assert_not_called()
 
 
+def test_table3_refuses_spots_outside_the_domain_before_any_work(tmp_path, capsys,
+                                                                monkeypatch):
+    # strike 5 puts s_max at 20: spot 30 has no PDE value, and once it was
+    # refused only after the forward simulation and a first PDE solve
+    calls = []
+    for name in ("simulate_forward", "solve"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    path = tmp_path / "cfg.json"
+    path.write_text('{"cells": 40, "strike": 5.0}')
+    rc = main(["table3", "--config", str(path), "--strata", "20", "--paths", "10",
+               "--out", str(tmp_path / "t")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"] == ("query spot 30.0 lies outside the solution "
+                                 "domain [0, 20]")
+    # a spot inside the domain but below the strata is refused as well
+    with pytest.raises(ValueError, match="outside the Monte Carlo strata's span"):
+        run_table3(benchmark_config(), spots=(0.0,), pde_cells=40,
+                   grid=RegressionGrid(strata=20, paths_per_stratum=10, steps=2))
+    assert calls == []
+    assert not (tmp_path / "t" / "table3.csv").exists()
+
+
+def test_price_refuses_a_float_degree_in_the_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"degree": 1.0}')
+    rc = main(["price", "--config", str(path), "--cells", "40",
+               "--out", str(tmp_path / "p")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"] == "degree must be the integer 1 or 2, got 1.0"
+    assert not (tmp_path / "p" / "price.csv").exists()
+
+
 def test_breakdown_cli(tmp_path):
     out = tmp_path / "b"
     rc = main(["breakdown", "--spot", "15", "--cells", "160", "--out", str(out)])

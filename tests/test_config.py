@@ -61,6 +61,11 @@ def test_run_config_validation():
         RunConfig(cells=1)
     with pytest.raises(ValueError):
         RunConfig(degree=3)
+    # numpy rejects a float polynomial degree only deep inside a solve
+    with pytest.raises(ValueError, match="degree must be the integer 1 or 2, got 1.0"):
+        RunConfig(degree=1.0)
+    with pytest.raises(ValueError, match="degree must be the integer 1 or 2, got True"):
+        RunConfig(degree=True)
     with pytest.raises(ValueError):
         RunConfig(domain_multiple=0.5)
 

@@ -4,7 +4,9 @@ closed-form mark computed inside the driver, the capital kill switch, the
 capital stack as an override, and the source-term sign convention."""
 
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,10 +109,10 @@ def test_garcia_and_reference_forms():
 @pytest.mark.parametrize("option", [PUT, CALL], ids=["put", "call"])
 def test_driver_value_equals_hand_built_formulas_bitwise(option):
     # driver_value is the (t, S) level part followed by the evaluation in v;
-    # both keep the arithmetic of the one-line formulas, so every kind
-    # matches them bit for bit, including the closed-form mark the driver
-    # computes itself and the nonlinear capital stack split at the add-on,
-    # and one level serves any number of v
+    # both keep the arithmetic of the one-line formulas (a mark kind's as
+    # rate * v + rest), so every kind matches them bit for bit, including
+    # the closed-form mark the driver computes itself and the nonlinear
+    # capital stack split at the add-on, and one level serves any number of v
     spot = np.linspace(0.5, 45.0, 13)
     v = np.linspace(-1.5, 4.0, 13)
     t = 0.35
@@ -130,10 +132,10 @@ def test_driver_value_equals_hand_built_formulas_bitwise(option):
                 + (MARKET.collateral_rate - rb) * coll + (hurdle - phi * rb) * k)
 
     hand = {
-        "linear": lambda v: ((rb + lam) * v - lam * mark
-                             + loss * np.maximum(mark - coll_mark, 0.0)
-                             + (MARKET.collateral_rate - rb) * coll_mark
-                             + (hurdle - phi * rb) * k_mark),
+        "linear": lambda v: (rb + lam) * v + (-lam * mark
+                                              + loss * np.maximum(mark - coll_mark, 0.0)
+                                              + (MARKET.collateral_rate - rb) * coll_mark
+                                              + (hurdle - phi * rb) * k_mark),
         "nonlinear": nonlinear,
         "garcia": lambda v: (hurdle + lam) * v + (hurdle - rb) * k_mark,
         "garcia_ref": lambda v: (rb + lam) * v + (hurdle - phi * rb) * k_mark,
@@ -203,6 +205,28 @@ def test_driver_kernels_equal_the_formulas_bitwise(case):
     assert np.array_equal(bits(again[2]), bits(want)), kind
 
 
+@settings(max_examples=150)
+@given(case=_driver_case(kinds=("linear",)))
+def test_linear_level_moves_only_at_rounding_level(case):
+    # the level adds rate * v to the v-free rest last; the one-line formula
+    # of the same five terms, summed left to right, lies within 4 ulps of
+    # the sum of their magnitudes
+    _, option, t, spot, v, market = case
+    rb, lam = market.issuer_funding_rate, market.cpty_intensity
+    with np.errstate(all="ignore"):
+        mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
+        coll = market.collateral_fraction * mark
+        k = ref.capital_parts(mark, coll, spot, t, option, CAP)["k_total"]
+        terms = [(rb + lam) * v, -lam * mark,
+                 market.cpty_spread * np.maximum(mark - coll, 0.0),
+                 (market.collateral_rate - rb) * coll,
+                 (market.capital_hurdle - market.capital_funding_fraction * rb) * k]
+        left_to_right = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+        got = driver_value("linear", t, spot, v, option, market, CAP)
+    magnitude = sum(np.abs(term) for term in terms)
+    assert np.all(np.abs(got - left_to_right) <= 4.0 * np.spacing(magnitude))
+
+
 def _stack(option, market, capital):
     """The default capital stack as a ``capital_fn``."""
     return lambda t, s, m: capital_requirement(t, s, m, option, market, capital).k_total
@@ -243,6 +267,27 @@ def test_level_does_not_keep_the_spots(kind):
     del spot
     assert spot_ref() is None
     assert level(np.ones(64)).shape == (64,)
+
+
+@pytest.mark.parametrize("kind, most", [
+    ("linear", 1.2), ("garcia", 1.2), ("garcia_ref", 1.2),
+    ("nonlinear", 2.2), ("riskfree", 0.2)])
+def test_a_mark_kind_level_holds_one_array(kind, most):
+    # a mark kind's level keeps rest(t, S) alone; a nonlinear one keeps
+    # the capital's add-on and PFE denominator (and the mask of zero
+    # add-ons); counted in spot-length float64 arrays
+    n = 1 << 15
+    spot = np.linspace(0.0, 60.0, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        level = driver_level(kind, 0.4, spot, PUT, MARKET, CAP)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert callable(level)
+    assert held <= most
 
 
 def test_riskfree_driver():
