@@ -37,7 +37,7 @@ import numpy as np
 from .config import (DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec,
                      RunConfig, benchmark_config, config_to_dict, load_config)
 from .fbsde import RegressionGrid, simulate_forward, solve_backward
-from .ldg import field_error_norms
+from .ldg import check_domain, field_error_norms
 from .solver import garcia_scaling_check, sample_grid, scenario_groups, solve, \
     solve_many, xva_breakdown
 
@@ -265,14 +265,10 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
     "meta": {...}, "forward": {...}}; Monte Carlo entries and the forward
     simulation's meta are None when ``with_mc`` is off.
     """
-    spots = np.asarray(spots, dtype=float)
     combos = [(okind, drv) for okind in ("put", "call")
               for drv in ("linear", "nonlinear")]
     # refuse spots beyond the PDE domain or the strata before any work
-    outside = ~((spots >= 0.0) & (spots <= config.s_max))
-    if np.any(outside):
-        raise ValueError(f"query spot {float(spots[outside][0])!r} lies outside the "
-                         f"solution domain [0, {config.s_max:g}]")
+    spots = check_domain(spots, config.s_max)
     ensemble = None
     if with_mc:
         if grid is None:
@@ -348,7 +344,7 @@ def run_sweep(config: RunConfig, param: str,
     field, defaults, baseline = _SWEEPS[param]
     if values is None:
         values = defaults
-    spots = np.asarray(spots, dtype=float)
+    spots = check_domain(spots, config.s_max)
     configs = [dataclasses.replace(config, market=dataclasses.replace(
         config.market, **{field: float(v)})) for v in values]
     results = solve_many(configs)
@@ -412,6 +408,7 @@ def _fbsde(config: RunConfig, args) -> Output:
 
 
 def _breakdown(config: RunConfig, args) -> Output:
+    check_domain(args.spot, config.s_max)
     parts = xva_breakdown(args.spot, config.option, config.market, config.capital)
     # the decomposition is of the linear-driver adjustment
     config = dataclasses.replace(config, driver="linear")

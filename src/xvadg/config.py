@@ -38,18 +38,30 @@ _TRIPLES = {
 }
 
 
+def _is_number(value) -> bool:
+    """A real scalar or array; a bool or a string is not a number."""
+    return isinstance(value, (numbers.Real, np.ndarray)) and not isinstance(value, bool)
+
+
 def _check_finite(items) -> None:
-    """Raise naming the first ``(name, value)`` pair whose numeric value is
-    not finite.  A value may be a (B,) array: ``solver`` batches the
+    """Raise naming the first ``(name, value)`` pair whose value is not a
+    finite number.  A value may be a (B,) array: ``solver`` batches the
     ``BATCHED_FIELDS``."""
     for name, value in items:
-        if isinstance(value, (numbers.Real, np.ndarray)) and not np.all(np.isfinite(value)):
+        if not _is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _require_finite(params) -> None:
-    """Raise naming the first numeric field of ``params`` that is not finite."""
-    _check_finite((f.name, getattr(params, f.name)) for f in dataclasses.fields(params))
+    """Raise naming the first numeric field of ``params`` that is not a finite
+    number.  The int fields (``cells``, ``degree``) check their own type, so
+    a non-number there is left to that check."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(f.default, float) or type(f.default) is int and _is_number(value):
+            _check_finite([(f.name, value)])
 
 
 # Benchmark market data: the single-stock setting used throughout the test

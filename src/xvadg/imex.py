@@ -28,16 +28,16 @@ b1, b2, a1, a2 are fixed by the order conditions (b1 + b2 + g = 1).  The
 explicit weights of the final combination also sum to one, so a steady
 state of the stage equations is preserved exactly.
 
-Both steps read their explicit stage times off one table,
-``STAGE_OFFSETS``: stage k of the step from tau is evaluated at
-``tau + c_k * delta``.  :func:`stage_times` runs the same arithmetic over a
+``SCHEMES`` holds each pair as one row of a table, and :func:`step` is the
+one algorithm over a row.  Stage k of the step from tau is evaluated at
+``tau + c_k * delta``; :func:`stage_times` runs the same arithmetic over a
 whole march, so a caller can prepare what each stage time needs before the
-march starts.  Third order is stiffly accurate (c = 1 last; Ascher, Ruuth
-& Spiteri, Appl. Numer. Math. 25, 1997): its last stage time is the next
-step's first, bit for bit, and a march of n steps meets 3n + 1 distinct
-stage times in 4n evaluations; second order meets 2n in 2n.
+march starts.  Third order has c = 1 last (Ascher, Ruuth & Spiteri, Appl.
+Numer. Math. 25, 1997): its last stage time is the next step's first, bit
+for bit, and a march of n steps meets 3n + 1 distinct stage times in 4n
+evaluations; second order meets 2n in 2n.
 
-The steps take the state as an (N,) vector or as an (N, B) array whose B
+A step takes the state as an (N,) vector or as an (N, B) array whose B
 columns are independent scenarios sharing M, L and the time grid (the
 solver batches the scenarios of a parameter sweep this way); ``mass`` is
 then the (N, 1) column of the diagonal, and every stage is one solve with
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,18 +72,38 @@ ALPHA1 = -0.35
 ALPHA2 = (1.0 / 3.0 - 2.0 * GAMMA3 ** 2 - 2.0 * BETA2 * ALPHA1 * GAMMA3) \
     / (GAMMA3 * (1.0 - GAMMA3))
 
-#: scheme order -> the explicit stage abscissae c: the step from tau
-#: evaluates its explicit part at the stage times tau + c * delta, in order
-STAGE_OFFSETS = {2: (0.0, GAMMA2), 3: (0.0, GAMMA3, 0.5 * (1.0 + GAMMA3), 1.0)}
+_C3 = 0.5 * (1.0 + GAMMA3)   # third order's middle stage abscissa
+
+
+class Scheme(NamedTuple):
+    """One IMEX pair; its first stage is (M - dg L) u1 = M u + dg E0."""
+
+    gamma: float
+    c: tuple[float, ...]          # explicit stage abscissae
+    stages: tuple                 # each later stage: (weights on L u1.., on E0..)
+    b: tuple[float, ...] | None   # on L u_k + E_k; None: u_k is the new value
+
+
+#: scheme order -> its pair
+SCHEMES = {
+    2: Scheme(GAMMA2, (0.0, GAMMA2),
+              (((1.0 - GAMMA2,), (KAPPA2, 1.0 - KAPPA2)),), None),
+    3: Scheme(GAMMA3, (0.0, GAMMA3, _C3, 1.0),
+              (((0.5 * (1.0 - GAMMA3),), (_C3 - ALPHA1, ALPHA1)),
+               ((BETA1, BETA2), (0.0, 1.0 - ALPHA2, ALPHA2))),
+              (BETA1, BETA2, GAMMA3)),
+}
+
+
+def _scheme(order: int) -> Scheme:
+    if order not in SCHEMES:
+        raise ValueError(f"unsupported scheme order {order}")
+    return SCHEMES[order]
 
 
 def implicit_coefficient(order: int) -> float:
     """The shared stage coefficient gamma multiplying delta in every solve."""
-    if order == 2:
-        return GAMMA2
-    if order == 3:
-        return GAMMA3
-    raise ValueError(f"unsupported scheme order {order}")
+    return _scheme(order).gamma
 
 
 @dataclass(frozen=True)
@@ -112,11 +132,6 @@ ExplicitFn = Callable[[np.ndarray, float], np.ndarray]
 ApplyFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _stage_times(order: int, tau: float, delta: float) -> list[float]:
-    """The explicit stage times of the step of ``order`` from ``tau``."""
-    return [tau + c * delta for c in STAGE_OFFSETS[order]]
-
-
 def stage_times(order: int, grid: TimeGrid) -> list[float]:
     """The distinct explicit stage times of a march of ``grid.steps`` steps
     from tau = 0, in the order the steps meet them, with the arithmetic of
@@ -125,66 +140,34 @@ def stage_times(order: int, grid: TimeGrid) -> list[float]:
     times: dict = {}
     tau = 0.0
     for _ in range(grid.steps):
-        times.update(dict.fromkeys(_stage_times(order, tau, grid.delta)))
+        times.update(dict.fromkeys(tau + c * grid.delta for c in _scheme(order).c))
         tau += grid.delta
     return list(times)
 
 
-def step_order2(u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
-                apply_l: ApplyFn, solve_shifted: ApplyFn,
-                explicit_fn: ExplicitFn) -> np.ndarray:
-    """Advance one step of the second-order pair on (N,) or (N, B) states.
-
-    ``solve_shifted`` must solve (M - delta*GAMMA2*L) x = rhs.
-    """
-    g = GAMMA2
-    t0, t1 = _stage_times(2, tau, delta)
-    e0 = explicit_fn(u, t0)
-    base = mass * u
-    u1 = solve_shifted(base + delta * g * e0)
-    lu1 = apply_l(u1)
-    e1 = explicit_fn(u1, t1)
-    rhs = base + delta * ((1.0 - g) * lu1 + KAPPA2 * e0 + (1.0 - KAPPA2) * e1)
-    return solve_shifted(rhs)
-
-
-def step_order3(u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
-                apply_l: ApplyFn, solve_shifted: ApplyFn,
-                explicit_fn: ExplicitFn) -> np.ndarray:
-    """Advance one step of the third-order pair on (N,) or (N, B) states.
-
-    ``solve_shifted`` must solve (M - delta*GAMMA3*L) x = rhs.
-    """
-    g = GAMMA3
-    c2 = STAGE_OFFSETS[3][2]
-    t0, t1, t2, t3 = _stage_times(3, tau, delta)
-    base = mass * u
-    e0 = explicit_fn(u, t0)
-    u1 = solve_shifted(base + delta * g * e0)
-    l1 = apply_l(u1)
-    e1 = explicit_fn(u1, t1)
-
-    rhs2 = base + delta * (0.5 * (1.0 - g) * l1
-                           + (c2 - ALPHA1) * e0 + ALPHA1 * e1)
-    u2 = solve_shifted(rhs2)
-    l2 = apply_l(u2)
-    e2 = explicit_fn(u2, t2)
-
-    rhs3 = base + delta * (BETA1 * l1 + BETA2 * l2
-                           + (1.0 - ALPHA2) * e1 + ALPHA2 * e2)
-    u3 = solve_shifted(rhs3)
-    l3 = apply_l(u3)
-    e3 = explicit_fn(u3, t3)
-
-    acc = base + delta * (BETA1 * (l1 + e1) + BETA2 * (l2 + e2) + g * (l3 + e3))
-    return acc / mass
+def _weighted(weights, terms) -> np.ndarray:
+    """sum_k w_k * term_k, left to right; a zero weight adds no term."""
+    products = [w * t for w, t in zip(weights, terms) if w != 0.0]
+    return sum(products[1:], products[0])
 
 
 def step(order: int, u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
          apply_l: ApplyFn, solve_shifted: ApplyFn,
          explicit_fn: ExplicitFn) -> np.ndarray:
-    if order == 2:
-        return step_order2(u, tau, delta, mass, apply_l, solve_shifted, explicit_fn)
-    if order == 3:
-        return step_order3(u, tau, delta, mass, apply_l, solve_shifted, explicit_fn)
-    raise ValueError(f"unsupported scheme order {order}")
+    """Advance one step of the pair of ``order`` on (N,) or (N, B) states;
+    ``solve_shifted`` must solve (M - delta*gamma*L) x = rhs."""
+    pair = _scheme(order)
+    times = [tau + c * delta for c in pair.c]
+    base = mass * u
+    es = [explicit_fn(u, times[0])]
+    x = solve_shifted(base + delta * pair.gamma * es[0])
+    ls = []
+    for l_weights, e_weights in pair.stages:
+        ls.append(apply_l(x))
+        es.append(explicit_fn(x, times[len(es)]))
+        x = solve_shifted(base + delta * _weighted(l_weights + e_weights, ls + es))
+    if pair.b is None:
+        return x
+    ls.append(apply_l(x))
+    es.append(explicit_fn(x, times[len(es)]))
+    return (base + delta * _weighted(pair.b, [l + e for l, e in zip(ls, es[1:])])) / mass

@@ -20,7 +20,7 @@ The second-order term is split LDG-style with an auxiliary gradient field q:
     gradient_form   q-residual      <q, v> = -<u, v'> + utilde v | edges
     diffusion_form  u-residual from d/dS(a q), interface values qtilde
     convection_form Lax-Friedrichs fluxes for c S u
-    source_form     collocated H weighted by the diagonal mass
+    mass_diag       weights the collocated source H
 
 ``FluxVariant`` fixes the alternating interface pairing.  ``UPWIND_LEFT``
 takes utilde from the left cell and qtilde from the right, with u pinned to
@@ -152,6 +152,16 @@ def _lagrange_eval_raw(xi: np.ndarray, nodes: np.ndarray, bary: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
+def check_domain(s, s_max: float) -> np.ndarray:
+    """The query spots as a 1-d array; raises naming the first outside [0, s_max]."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    outside = ~((s >= 0.0) & (s <= s_max))
+    if np.any(outside):
+        raise ValueError(f"query spot {float(s[outside][0])!r} lies outside the "
+                         f"solution domain [0, {s_max:g}]")
+    return s
+
+
 @dataclass(eq=False)
 class DGField:
     """Cellwise polynomial data: nodal values at the quadrature points."""
@@ -162,11 +172,7 @@ class DGField:
 
     def _locate(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and basis values at each query spot; outside [0, s_max] raises."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        outside = ~((s >= 0.0) & (s <= self.mesh.s_max))
-        if np.any(outside):
-            raise ValueError(f"query spot {float(s[outside][0])!r} lies outside the "
-                             f"solution domain [0, {self.mesh.s_max:g}]")
+        s = check_domain(s, self.mesh.s_max)
         h = self.mesh.width
         j = np.clip(np.floor(s / h).astype(int), 0, self.mesh.cells - 1)
         xi = 2.0 * (s - j * h) / h - 1.0
@@ -301,15 +307,6 @@ def convection_form(u: DGField, speed: float) -> np.ndarray:
     return (vol
             - flux[1:, None] * basis.trace_right[None, :]
             + flux[:-1, None] * basis.trace_left[None, :])
-
-
-def source_form(values: np.ndarray, mesh: Mesh, basis: Basis) -> np.ndarray:
-    """Collocated source residual: nodal values weighted by the diagonal mass.
-
-    ``values`` is (cells, degree+1), or (cells, degree+1, B) for B scenarios.
-    """
-    weights = 0.5 * mesh.width * basis.weights
-    return weights.reshape(weights.shape + (1,) * (np.ndim(values) - 2)) * values
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from .drivers import CapitalFn, driver_levels, is_adjustment_kind, source_on
 from .drivers import source_term  # noqa: F401
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
-    make_basis, project_payoff, source_form, variant_for_option
+    make_basis, project_payoff, variant_for_option
 
 __all__ = [
     "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
@@ -252,6 +252,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
     stage_index = {tau: i for i, tau in enumerate(stage_taus)}
     level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
                              spots, option, market, capital, capital_fn)
+    mass = op.mass[:, None]
     last = {}   # the level of the last stage time met, by its index
     counts = {"implicit_solves": 0, "driver_evaluations": 0, "driver_levels": 0}
 
@@ -263,13 +264,12 @@ def _march_group(group: list[RunConfig], kind: str | None,
             counts["driver_levels"] += 1
         counts["driver_evaluations"] += 1
         h_vals = source_on(last[i], state.reshape(shape), market)
-        return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
+        return convection @ state + mass * h_vals.reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
         counts["implicit_solves"] += 1
         return op.solve(rhs)
 
-    mass = op.mass[:, None]
     started = time.perf_counter()
     tau = 0.0
     for n in range(grid.steps):

@@ -1,13 +1,15 @@
 """The normal CDF, the closed-form mark, the capital stack and the drivers
 as one-line numpy expressions at one time, each operation on fresh arrays
-in the order the formulas are written.  The split, level-hoisted, in-place
-kernels of ``xvadg`` must give these values bit for bit; the tests compare
-them with ``.view(np.int64)``."""
+in the order the formulas are written, and the two IMEX steps written out
+by hand.  The split, level-hoisted, in-place and table-driven kernels of
+``xvadg`` must give these values bit for bit; the tests compare them with
+``.view(np.int64)`` or ``np.array_equal``."""
 
 import numpy as np
 from scipy.special import erf
 
 from xvadg.config import payoff
+from xvadg.imex import ALPHA1, ALPHA2, BETA1, BETA2, GAMMA2, GAMMA3, KAPPA2
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -98,6 +100,48 @@ def driver(kind, t, spot, v, option, market, capital):
     if kind == "garcia":
         return (hurdle + lam_c) * v + (hurdle - rb) * k
     return (rb + lam_c) * v + (hurdle - phi * rb) * k
+
+
+def step_order2(u, tau, delta, mass, apply_l, solve_shifted, explicit_fn):
+    """One step of the second-order pair; ``solve_shifted`` solves
+    (M - delta*GAMMA2*L) x = rhs."""
+    g = GAMMA2
+    t0, t1 = (tau + c * delta for c in (0.0, GAMMA2))
+    e0 = explicit_fn(u, t0)
+    base = mass * u
+    u1 = solve_shifted(base + delta * g * e0)
+    lu1 = apply_l(u1)
+    e1 = explicit_fn(u1, t1)
+    rhs = base + delta * ((1.0 - g) * lu1 + KAPPA2 * e0 + (1.0 - KAPPA2) * e1)
+    return solve_shifted(rhs)
+
+
+def step_order3(u, tau, delta, mass, apply_l, solve_shifted, explicit_fn):
+    """One step of the third-order pair; ``solve_shifted`` solves
+    (M - delta*GAMMA3*L) x = rhs."""
+    g = GAMMA3
+    c2 = 0.5 * (1.0 + GAMMA3)
+    t0, t1, t2, t3 = (tau + c * delta for c in (0.0, GAMMA3, c2, 1.0))
+    base = mass * u
+    e0 = explicit_fn(u, t0)
+    u1 = solve_shifted(base + delta * g * e0)
+    l1 = apply_l(u1)
+    e1 = explicit_fn(u1, t1)
+
+    rhs2 = base + delta * (0.5 * (1.0 - g) * l1
+                           + (c2 - ALPHA1) * e0 + ALPHA1 * e1)
+    u2 = solve_shifted(rhs2)
+    l2 = apply_l(u2)
+    e2 = explicit_fn(u2, t2)
+
+    rhs3 = base + delta * (BETA1 * l1 + BETA2 * l2
+                           + (1.0 - ALPHA2) * e1 + ALPHA2 * e2)
+    u3 = solve_shifted(rhs3)
+    l3 = apply_l(u3)
+    e3 = explicit_fn(u3, t3)
+
+    acc = base + delta * (BETA1 * (l1 + e1) + BETA2 * (l2 + e2) + g * (l3 + e3))
+    return acc / mass
 
 
 def bits(x) -> np.ndarray:

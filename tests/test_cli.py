@@ -291,6 +291,51 @@ def test_table3_refuses_spots_outside_the_domain_before_any_work(tmp_path, capsy
     assert not (tmp_path / "t" / "table3.csv").exists()
 
 
+@pytest.mark.parametrize("entries, message", [
+    ('"sigma": true', "sigma must be a number, got True"),
+    ('"capital_ratio": true', "capital_ratio must be a number, got True"),
+    ('"cells": 40, "strike": true', "strike must be a number, got True"),
+    ('"sigma": "0.3"', "sigma must be a number, got '0.3'"),
+], ids=["sigma-bool", "capital_ratio-bool", "strike-bool", "sigma-str"])
+def test_price_refuses_a_bool_or_a_string_in_a_numeric_field(tmp_path, capsys, entries,
+                                                             message):
+    # each once ran at 1.0 (sigma 1, a 100% capital ratio, strike 1) and
+    # exited 0, or stopped on an unnamed TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text("{" + entries + "}")
+    rc = main(["price", "--config", str(path), "--cells", "40",
+               "--out", str(tmp_path / "p")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "p" / "price.csv").exists()
+
+
+@pytest.mark.parametrize("argv, config, work", [
+    (["breakdown", "--spot", "100"], "{}", ("xva_breakdown", "solve")),
+    (["sweep", "--param", "sigma"], '{"strike": 5.0, "cells": 40}', ("solve_many",)),
+], ids=["breakdown", "sweep"])
+def test_breakdown_and_sweep_refuse_spots_outside_the_domain_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, config, work):
+    # breakdown once ran the quadrature and a 640-cell solve, and sweep all
+    # five solves, before the spot outside [0, s_max] raised
+    calls = []
+    for name in work:
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    rc = main(argv + ["--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    spot = 100.0 if argv[0] == "breakdown" else 30.0
+    s_max = 60 if argv[0] == "breakdown" else 20
+    assert record == {"error": "ValueError",
+                      "message": f"query spot {spot} lies outside the solution "
+                                 f"domain [0, {s_max}]"}
+    assert calls == []
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_price_refuses_a_float_degree_in_the_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"degree": 1.0}')

@@ -82,6 +82,20 @@ def test_every_numeric_field_refuses_a_non_finite_value(cls, name):
             dataclasses.replace(cls(), **{name: bad})
 
 
+_FLOAT_FIELDS = [(cls, f.name) for cls in (OptionSpec, MarketParams, CapitalParams)
+                 for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_every_float_field_refuses_a_bool_and_a_string(cls, name):
+    # JSON true once ran as 1.0 (sigma 1, capital ratio 100%, strike 1), and
+    # "0.3" stopped later on an unnamed comparison of str with float
+    for bad in (True, False, "0.3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad!r}$"):
+            dataclasses.replace(cls(), **{name: bad})
+
+
 def test_batched_fields_take_finite_arrays():
     # solve_many marches a group with (B,) arrays in the batched market fields
     base = benchmark_config(cells=8)
@@ -225,6 +239,14 @@ _NONFINITE_CREDIT_CASES = {
 def test_non_finite_credit_key_is_named_before_derivation(key, bad):
     data = {key: bad, **_NONFINITE_CREDIT_CASES[key]}
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad!r}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("key", _NONFINITE_CREDIT_CASES)
+@pytest.mark.parametrize("bad", [True, "0.07"], ids=["bool", "str"])
+def test_a_non_number_credit_key_is_named_before_derivation(key, bad):
+    data = {key: bad, **_NONFINITE_CREDIT_CASES[key]}
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got {bad!r}$"):
         config_from_dict(data)
 
 

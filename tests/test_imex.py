@@ -1,16 +1,18 @@
 """Time integrator: tableau identities and order conditions, CFL step
 selection, measured temporal convergence orders, affinity, steady-state
-preservation, and dispatch."""
+preservation, the table-driven step against the hand-written steps, and
+dispatch."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from kernels_reference import step_order2, step_order3
 from xvadg.imex import (ALPHA1, ALPHA2, BETA1, BETA2, GAMMA2, GAMMA3, KAPPA2,
-                        STAGE_OFFSETS, TimeGrid, implicit_coefficient,
-                        select_time_grid, stage_times, step, step_order2,
-                        step_order3)
+                        SCHEMES, TimeGrid, implicit_coefficient,
+                        select_time_grid, stage_times, step)
 from xvadg.ldg import Mesh
 
 
@@ -177,7 +179,7 @@ def test_steady_state_is_preserved_exactly(order):
 @pytest.mark.parametrize("order", [2, 3])
 def test_steps_meet_exactly_the_stage_schedule(order):
     # a spy explicit part sees, step by step, the stage times tau + c delta
-    # of the offset table, and over a march that advances tau += delta
+    # of the scheme table, and over a march that advances tau += delta
     # exactly the distinct times of the schedule, in its order; third
     # order's last stage time is the next step's first, bit for bit
     grid = select_time_grid(Mesh(s_max=60.0, cells=160), order - 1, 0.03, 1.0)
@@ -193,10 +195,10 @@ def test_steps_meet_exactly_the_stage_schedule(order):
         u = step(order, u, tau, grid.delta, np.ones(3), lambda v: -v,
                  lambda rhs: rhs / (1.0 + grid.delta * g), spy)
         tau += grid.delta
-    stages = len(STAGE_OFFSETS[order])
+    stages = len(SCHEMES[order].c)
     assert len(met) == stages * grid.steps
     per_step = [met[k:k + stages] for k in range(0, len(met), stages)]
-    assert per_step[0] == [c * grid.delta for c in STAGE_OFFSETS[order]]
+    assert per_step[0] == [c * grid.delta for c in SCHEMES[order].c]
     schedule = stage_times(order, grid)
     assert list(dict.fromkeys(met)) == schedule
     if order == 2:
@@ -204,6 +206,52 @@ def test_steps_meet_exactly_the_stage_schedule(order):
     else:
         assert len(schedule) == 3 * grid.steps + 1
         assert all(a[-1] == b[0] for a, b in zip(per_step, per_step[1:]))
+
+
+def _recording_parts(n, delta, order):
+    """A fixed linear L, the diagonal solve of (M - delta*gamma*L') for a
+    diagonal L', and an explicit part nonlinear in the state and in tau;
+    every call is appended to the returned log with its argument's bits."""
+    log = []
+    lmat = -2.0 * np.eye(n) + np.eye(n, k=1) + 0.5 * np.eye(n, k=-1)
+    shift = 1.0 + delta * implicit_coefficient(order) * np.linspace(1.0, 2.0, n)
+
+    def apply_l(v):
+        log.append(("L", v.shape, v.tobytes()))
+        return lmat @ v
+
+    def solve_shifted(rhs):
+        log.append(("S", rhs.shape, rhs.tobytes()))
+        return rhs / shift.reshape((n,) + (1,) * (rhs.ndim - 1))
+
+    def explicit_fn(v, tau):
+        log.append(("E", tau, v.tobytes()))
+        return np.sin(v) * np.cos(3.0 * tau) + 0.3 * v * v * tau - np.exp(-tau)
+
+    return apply_l, solve_shifted, explicit_fn, log
+
+
+@given(order=st.sampled_from([2, 3]), n=st.integers(1, 9),
+       width=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2 ** 16),
+       tau=st.floats(0.0, 3.0), delta=st.floats(1e-4, 0.5))
+def test_table_step_equals_the_hand_written_steps_bitwise(order, n, width, seed, tau,
+                                                          delta):
+    # one algorithm over the scheme table gives the hand-written steps' bits,
+    # meets their stage times and calls L, the solve and E in their order on
+    # the same bits; states spanning eight decades keep M u from absorbing
+    # the rounding of the delta terms
+    rng = np.random.default_rng(seed)
+    shape = (n,) if width is None else (n, width)
+    u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 0.0, shape)
+    mass = rng.uniform(0.5, 2.0, n).reshape((n,) + (1,) * (len(shape) - 1))
+    direct = step_order2 if order == 2 else step_order3
+    *got_parts, got_log = _recording_parts(n, delta, order)
+    *want_parts, want_log = _recording_parts(n, delta, order)
+    got = step(order, u, tau, delta, mass, *got_parts)
+    want = direct(u, tau, delta, mass, *want_parts)
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_log == want_log
 
 
 def test_step_dispatch_and_determinism():

@@ -12,8 +12,7 @@ from xvadg.config import OptionSpec
 from xvadg.ldg import (DGField, FluxVariant, Mesh, assemble_diffusion_matrix,
                        assemble_form_matrix, assemble_implicit, convection_form,
                        diffusion_form, field_error_norms, gradient_form,
-                       make_basis, mass_diag, project_payoff, source_form,
-                       variant_for_option)
+                       make_basis, mass_diag, project_payoff, variant_for_option)
 
 SIGMA = 0.3
 
@@ -413,19 +412,6 @@ def test_field_error_norms_arithmetic():
     md = mass_diag(mesh, basis)
     assert l2 == pytest.approx(np.sqrt(np.sum(md * delta ** 2)), rel=1e-12)
     assert linf == pytest.approx(np.max(np.abs(delta)), rel=1e-12)
-
-
-def test_source_form_is_mass_weighting():
-    mesh = Mesh(s_max=10.0, cells=4)
-    basis = make_basis(2)
-    vals = np.arange(4 * 3, dtype=float).reshape(4, 3)
-    assert np.allclose(source_form(vals, mesh, basis),
-                       mass_diag(mesh, basis) * vals, rtol=1e-15)
-    # a trailing scenario axis weights every column alike
-    batch = np.stack([vals, 2.0 * vals], axis=-1)
-    out = source_form(batch, mesh, basis)
-    assert np.array_equal(out[..., 0], source_form(vals, mesh, basis))
-    assert np.array_equal(out[..., 1], source_form(2.0 * vals, mesh, basis))
 
 
 def test_variant_for_option():

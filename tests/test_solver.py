@@ -13,7 +13,7 @@ from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
 from xvadg.drivers import ALL_DRIVER_KINDS, is_adjustment_kind, source_term
 from xvadg.ldg import (Mesh, assemble_form_matrix, assemble_implicit, convection_form,
-                       make_basis, project_payoff, source_form, variant_for_option)
+                       make_basis, mass_diag, project_payoff, variant_for_option)
 from xvadg.solver import (BATCHED_FIELDS, GarciaScalingCheck, SolverDivergedError,
                           XVABreakdown, garcia_scaling_check, sample_grid,
                           scenario_groups, solve, solve_many, xva_breakdown)
@@ -238,11 +238,13 @@ def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
         project_payoff(option, mesh, basis).coeffs[..., None], width, axis=2)
     u = u.reshape(-1, width)
     spots = mesh.quad_points(basis)[..., None]
+    # the collocated source weighted by the mass diagonal, alike in every column
+    weights = mass_diag(mesh, basis)[..., None]
 
     def explicit_fn(state, tau):
         h_vals = source_term(kind, tau, spots, state.reshape(shape), option, market,
                              capital, capital_fn)
-        return convection @ state + source_form(h_vals, mesh, basis).reshape(state.shape)
+        return convection @ state + (weights * h_vals).reshape(state.shape)
 
     tau = 0.0
     for _ in range(grid.steps):
