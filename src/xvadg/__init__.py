@@ -42,7 +42,6 @@ from .config import (
 )
 from .drivers import (
     ALL_DRIVER_KINDS,
-    driver_level,
     driver_levels,
     driver_value,
     source_term,
@@ -90,7 +89,6 @@ __all__ = [
     "capital_requirement_parts",
     "config_from_dict",
     "config_to_dict",
-    "driver_level",
     "driver_levels",
     "driver_value",
     "garcia_scaling_check",

@@ -25,14 +25,14 @@ alone, one entry per time of any array of times (or per point): the
 supervisory delta's ``sigma_r^2 h / 2`` and ``sigma_r sqrt(h)`` at the
 floored horizon h, the maturity factor, and the CVA term's ratio
 ``(1 - exp(-x))/x`` and scalar head, both of the CVA maturity ``m_eff``.
-:func:`saccr_addon_at` does the joint (t, S) work at one row of that table
-(the supervisory delta and the add-on), and :func:`capital_level_at` turns
-it into a :class:`CapitalLevel`: the add-on, the PFE denominator
-``2 (1 - floor) addon`` (with the mask of the add-ons that are exactly
-zero, only where there are any), the ratio and the head.
-``CapitalLevel.total`` applies the rest to a mark in place and returns the
-binding requirement alone; ``capital_requirement_parts`` applies the same
-formula helpers to fresh arrays and returns every intermediate as a
+:func:`capital_level_at` does the joint (t, S) work at one row of that
+table and is the one builder of a :class:`CapitalLevel`: the supervisory
+delta, the signed add-on, the PFE denominator ``2 (1 - floor) addon``
+(with the mask of the add-ons that are exactly zero, only where there are
+any), the ratio and the head.  ``CapitalLevel.total`` applies the rest to
+a mark in place and returns the binding requirement alone;
+``capital_requirement_parts`` builds its level the same way, applies the
+same formula helpers to fresh arrays and returns every intermediate as a
 ``CapitalBreakdown`` for audit.  The public functions of (t, S) are the
 three parts at their own times, so there is one code path: a caller that
 prices many marks at one (t, S), as the drivers do, builds the level once,
@@ -156,17 +156,6 @@ def capital_times(t, option: OptionSpec, capital: CapitalParams) -> CapitalTimes
         cva_head=(12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff)
 
 
-def saccr_addon_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes) -> tuple:
-    """The supervisory delta and the signed SA-CCR add-on
-    ``(S * supervisory_factor) * maturity_factor * delta`` on the spots of
-    ``space`` at the times of ``row`` (one time, or one per point)."""
-    delta = _delta(option, space.log_moneyness, row.half, row.root)
-    addon = np.multiply(space.scaled_spot, row.mat_factor,
-                        out=_new(space.scaled_spot, row.mat_factor, delta))
-    addon *= delta
-    return delta, addon
-
-
 @dataclass(frozen=True, eq=False)
 class CapitalBreakdown:
     """All intermediate quantities of one capital evaluation (broadcast shapes)."""
@@ -271,12 +260,13 @@ class CapitalLevel:
 def capital_level_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes,
                      capital: CapitalParams) -> CapitalLevel:
     """The :class:`CapitalLevel` on the spots of ``space`` at the times of
-    ``row``."""
-    return _level_on_addon(saccr_addon_at(option, space, row)[1], row, capital)
-
-
-def _level_on_addon(addon, row: CapitalTimes, capital: CapitalParams) -> CapitalLevel:
-    addon = np.asarray(addon, dtype=float)
+    ``row`` (one time, or one per point): the signed SA-CCR add-on
+    ``(S * supervisory_factor) * maturity_factor * delta`` and what is
+    built on it."""
+    delta = _delta(option, space.log_moneyness, row.half, row.root)
+    addon = np.multiply(space.scaled_spot, row.mat_factor,
+                        out=_new(space.scaled_spot, row.mat_factor, delta))
+    addon *= delta
     zero = addon == 0.0
     if zero.any():
         safe = np.where(zero, 1.0, addon)
@@ -292,10 +282,12 @@ def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
                               capital: CapitalParams) -> CapitalBreakdown:
     """Full capital stack for explicit collateral, with every intermediate
     in a fresh array; see ``capital_requirement``."""
+    space = capital_space(spot, option, capital)
     times = capital_times(t, option, capital)
-    delta, addon = saccr_addon_at(option, capital_space(spot, option, capital), times)
+    delta = _delta(option, space.log_moneyness, times.half, times.root)
     mf = times.mat_factor
-    level = _level_on_addon(addon, times, capital)
+    level = capital_level_at(option, space, times, capital)
+    addon = level.addon
     m_ = np.asarray(mark, dtype=float)
     gap = m_ - np.asarray(collateral, dtype=float)
     rc = np.maximum(gap, 0.0)

@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec,
-                     RunConfig, benchmark_config, config_to_dict, load_config)
+from .config import (DRIVER_KINDS, RunConfig, benchmark_config, config_to_dict,
+                     load_config)
 from .fbsde import RegressionGrid, simulate_forward, solve_backward
 from .ldg import check_domain, field_error_norms
 from .solver import garcia_scaling_check, sample_grid, scenario_groups, solve, \
@@ -160,6 +160,8 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
     ref_cells: int
     ref_steps: int
+    #: the solves' metas: {"reference": ..., "ladder": [one per rung]}
+    solver_meta: dict = dataclasses.field(default_factory=dict)
 
     def text_table(self) -> str:
         lines = [f"{'cells':>6s} {'steps':>6s} {'err_L2':>12s} {'EOC':>6s} "
@@ -205,9 +207,11 @@ def run_convergence(config: RunConfig,
     _check_nested(ladder, int(ref_cells))
     reference = solve(dataclasses.replace(config, cells=int(ref_cells)))
     rows = []
+    metas = []
     prev = None
     for n in ladder:
         sol = solve(dataclasses.replace(config, cells=n))
+        metas.append(sol.meta)
         l2, linf = field_error_norms(sol.value_field, reference.value_field)
         if prev is None:
             eoc2 = eoci = float("nan")
@@ -218,7 +222,8 @@ def run_convergence(config: RunConfig,
         rows.append(ConvergenceRow(n, sol.time_grid.steps, l2, eoc2, linf, eoci))
         prev = (n, l2, linf)
     return ConvergenceReport(tuple(rows), reference.mesh.cells,
-                             reference.time_grid.steps)
+                             reference.time_grid.steps,
+                             {"reference": reference.meta, "ladder": metas})
 
 
 def _converge(config: RunConfig, args) -> Output:
@@ -227,7 +232,8 @@ def _converge(config: RunConfig, args) -> Output:
     return Output(config, [f.name for f in dataclasses.fields(ConvergenceRow)],
                   [dataclasses.astuple(r) for r in report.rows],
                   {"ladder": list(ladder), "ref_cells": report.ref_cells,
-                   "ref_steps": report.ref_steps}, report.text_table())
+                   "ref_steps": report.ref_steps, "solver": report.solver_meta},
+                  report.text_table())
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +418,8 @@ def _breakdown(config: RunConfig, args) -> Output:
     parts = xva_breakdown(args.spot, config.option, config.market, config.capital)
     # the decomposition is of the linear-driver adjustment
     config = dataclasses.replace(config, driver="linear")
-    pde_xva = float(solve(config).xva(args.spot))
+    result = solve(config)
+    pde_xva = float(result.xva(args.spot))
     gap = abs(parts.total - pde_xva)
     terms = ("cva", "fbva", "fcva", "cra", "kva")
     lines = [f"adjustment decomposition at spot {args.spot} ({config.option.kind}):"]
@@ -421,7 +428,8 @@ def _breakdown(config: RunConfig, args) -> Output:
     return Output(config, ["spot", *terms, "total", "pde_xva", "abs_gap"],
                   [(args.spot, *(getattr(parts, name) for name in terms),
                     parts.total, pde_xva, gap)],
-                  {"spot": args.spot, "abs_gap": gap}, "\n".join(lines))
+                  {"spot": args.spot, "abs_gap": gap, "solver": result.meta},
+                  "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +449,9 @@ def _garcia_check(config: RunConfig, args) -> Output:
             f"  max |lhs-rhs| {check.max_abs_diff:.6e}")
     return Output(config, ["spot", "reduced_xva", "scaled_reference", "abs_diff"],
                   list(zip(nodes, lhs, rhs, np.abs(lhs - rhs))),
-                  {"scale_factor": check.factor, "max_abs_diff": check.max_abs_diff},
+                  {"scale_factor": check.factor, "max_abs_diff": check.max_abs_diff,
+                   "solver": {"reduced": check.reduced.meta,
+                              "reference": check.reference.meta}},
                   text)
 
 

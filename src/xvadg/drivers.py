@@ -57,13 +57,13 @@ mark and of the capital stack (:func:`xvadg.black_scholes.mark_space`,
 :func:`xvadg.capital.capital_space`), built once per call; their time
 tables over every time at once (:func:`xvadg.black_scholes.mark_times`,
 :func:`xvadg.capital.capital_times`); and the joint (t, S) arrays, built
-when a level is asked for by its index.  :func:`driver_level` is
-:func:`driver_levels` at one time, and :func:`driver_value` a level
-applied once, so the PDE, which builds one level per distinct stage time
-of its march, and the regression Monte Carlo, which builds one per chunk
-of paths and reuses it for two steps, share one definition of each
-formula.  Evaluations allocate their buffers per call, since the Monte
-Carlo runs them in pool threads.
+when a level is asked for by its index.  It is the one builder of a
+level: :func:`driver_value` and :func:`source_term` are a level at one
+time applied once, so the PDE, which builds one level per distinct stage
+time of its march, and the regression Monte Carlo, which builds one per
+chunk of paths at one time and reuses it for two steps, share one
+definition of each formula.  Evaluations allocate their buffers per
+call, since the Monte Carlo runs them in pool threads.
 
 The time-reversed source consumed by the marching scheme is
 ``source_term = (sigma^2 - drift) v - F(maturity - tau, S, v)``, the
@@ -184,21 +184,6 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     return mark_level
 
 
-def driver_level(kind: str, t: float, spot: np.ndarray, option: OptionSpec,
-                 market: MarketParams, capital: CapitalParams,
-                 capital_fn: CapitalFn | None = None) -> DriverEval:
-    """The driver F(t, S, .) at one (t, S) level, as a function of v:
-    :func:`driver_levels` at the one time ``t``.
-
-    The work that depends on (t, S) only is done here, once: for the mark
-    kinds the terms free of v, ``rest``; for ``nonlinear`` the capital
-    callable; nothing for ``riskfree``.  The returned function applies the
-    part in v, with the arithmetic of :func:`driver_value` (which is this
-    function applied once).
-    """
-    return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)
-
-
 def _exposure(v: np.ndarray, frac, shape: tuple) -> tuple:
     """The collateral ``frac * v``, the gap ``v - collateral`` and the
     replacement cost ``max(gap, 0)``, each a new array of ``shape`` (the
@@ -218,7 +203,7 @@ def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,
     ``capital_fn=lambda t, s, m: 0.0 * m`` switches capital costs off,
     which several validation cases use.
     """
-    return driver_level(kind, t, spot, option, market, capital, capital_fn)(v)
+    return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)(v)
 
 
 def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
@@ -229,8 +214,8 @@ def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
     ``tau`` is time to maturity; the driver is evaluated at calendar time
     ``maturity - tau``.
     """
-    return source_on(driver_level(kind, option.maturity - tau, spot, option, market,
-                                  capital, capital_fn), v, market)
+    return source_on(driver_levels(kind, (option.maturity - tau,), spot, option, market,
+                                   capital, capital_fn)(0), v, market)
 
 
 def source_on(level: DriverEval, v: np.ndarray, market: MarketParams) -> np.ndarray:

@@ -32,7 +32,7 @@ errors are the driver's explicit time stepping and the regression bias.
 The backward pass works level by level.  Every driver splits into a part
 that depends only on (t, S) (the closed-form mark and the capital on it,
 or the add-on and PFE denominator of the capital stack; see
-:func:`xvadg.drivers.driver_level`) and an evaluation in Y.  The pass
+:func:`xvadg.drivers.driver_levels`) and an evaluation in Y.  The pass
 builds that part, the float64 spots, their strata and offsets once per
 time level t_i, uses them for the corrector of step i and, with the same
 spots, for the predictor of step i-1, and then overwrites them: 21 levels
@@ -91,7 +91,7 @@ import numpy as np
 
 from .black_scholes import bs_value
 from .config import CapitalParams, MarketParams, OptionSpec, payoff
-from .drivers import CapitalFn, DriverEval, driver_level, is_adjustment_kind
+from .drivers import CapitalFn, DriverEval, driver_levels, is_adjustment_kind
 # not called here; it stays a name of this module for tools that wrap the
 # driver where each module looks it up (bench/tracing.py)
 from .drivers import driver_value  # noqa: F401
@@ -451,7 +451,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
 
     ``driver_override(t, S, y)``, when given, replaces the driver entirely
     (the analytic test oracles use F = 0 and F = r*y); ``capital_fn``
-    passes through to :func:`xvadg.drivers.driver_level`.  Both are called
+    passes through to :func:`xvadg.drivers.driver_levels`.  Both are called
     once per chunk of paths, from the pass's pool threads, possibly side by
     side: they must be pure, elementwise functions of their arguments.
     """
@@ -481,8 +481,8 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         spot = ensemble.spots[i, sl].astype(np.float64)
         if driver_override is not None:
             return spot, functools.partial(driver_override, t, spot)
-        return spot, driver_level(kind, t, spot, option, market, capital,
-                                  capital_fn)
+        return spot, driver_levels(kind, (t,), spot, option, market, capital,
+                                   capital_fn)(0)
 
     # the path-length state of the pass: the values y at t_{i+1}, the driver
     # on them, and the level at t_i (strata, offsets, driver parts per chunk),

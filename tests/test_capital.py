@@ -13,7 +13,7 @@ from kernels_reference import bits
 from xvadg.black_scholes import norm_cdf
 from xvadg.capital import (capital_level_at, capital_requirement,
                            capital_requirement_parts, capital_space, capital_times,
-                           maturity_factor, saccr_addon_at, supervisory_delta)
+                           maturity_factor, supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -202,8 +202,8 @@ _TIME = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def _addon(spot, t, option):
-    return saccr_addon_at(option, capital_space(spot, option, CAP),
-                          capital_times(t, option, CAP))[1]
+    return capital_level_at(option, capital_space(spot, option, CAP),
+                            capital_times(t, option, CAP), CAP).addon
 
 
 def test_edge_spots_give_exactly_zero_addons():
@@ -286,15 +286,17 @@ def _space_case(draw):
 def test_time_table_rows_equal_the_formulas_bitwise(case, times):
     # the space part built once, the time table over every time at once and
     # the joint work at one row give the one-line formulas at that scalar
-    # time bit for bit: the supervisory delta, the add-on and the level's
-    # total, at t = 0, at and beyond maturity and at adjacent floats
+    # time bit for bit: the level's add-on and total, at t = 0, at and
+    # beyond maturity and at adjacent floats; the audit breakdown at that
+    # time gives the supervisory delta and the add-on
     option, spot, mark, coll = case
     space = capital_space(spot, option, CAP)
     table = capital_times(times, option, CAP)
     for i, t in enumerate(times):
         with np.errstate(all="ignore"):
             want = ref.capital_parts(mark, coll, spot, float(t), option, CAP)
-            delta, addon = saccr_addon_at(option, space, table[i])
+            parts = capital_requirement_parts(mark, coll, spot, float(t), option, CAP)
+            delta, addon = parts.delta, parts.addon
             level = capital_level_at(option, space, table[i], CAP)
             gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
                 mark.shape, level.addon.shape)))

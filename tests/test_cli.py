@@ -463,6 +463,31 @@ def test_every_sidecar_reports_peak_rss(command, tmp_path):
         assert mc(meta)["chunks"] == 1 and mc(meta)["workers"] == 1
 
 
+def test_converge_breakdown_and_garcia_sidecars_carry_their_solves_meta(tmp_path):
+    # the three commands that solve the PDE outside price, sweep and table3
+    # report each solve's meta, so their step and level counts are read off
+    # the sidecar as price's are
+    meta = {}
+    for command in ("converge", "breakdown", "garcia-check"):
+        argv, sidecar = SIDECARS[command]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        meta[command] = json.loads((tmp_path / sidecar).read_text())
+    converge = meta["converge"]["solver"]
+    garcia = meta["garcia-check"]["solver"]
+    for solve in (converge["reference"], *converge["ladder"], meta["breakdown"]["solver"],
+                  garcia["reduced"], garcia["reference"]):
+        for key in ("steps", "implicit_solves", "driver_evaluations", "driver_levels",
+                    "cfl_number"):
+            assert key in solve, (key, solve)
+    header, rows = _read_csv(tmp_path / "converge.csv")
+    steps = header.index("steps")
+    assert [m["steps"] for m in converge["ladder"]] == [int(row[steps]) for row in rows]
+    assert converge["reference"]["steps"] == meta["converge"]["ref_steps"]
+    assert converge["reference"]["cells"] == 80
+    assert meta["breakdown"]["solver"]["kind"] == "linear"
+    assert (garcia["reduced"]["kind"], garcia["reference"]["kind"]) == ("garcia", "garcia_ref")
+
+
 def test_check_nested_unit_cases():
     _check_nested((10, 20, 40), 80)
     _check_nested((16, 64), 128)

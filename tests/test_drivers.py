@@ -19,7 +19,7 @@ from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
     benchmark_config
-from xvadg.drivers import (ALL_DRIVER_KINDS, driver_level, driver_value,
+from xvadg.drivers import (ALL_DRIVER_KINDS, driver_levels, driver_value,
                            is_adjustment_kind, source_term)
 from xvadg.solver import solve
 
@@ -145,7 +145,7 @@ def test_driver_value_equals_hand_built_formulas_bitwise(option):
     for kind, formula in hand.items():
         args = (option, MARKET, CAP)
         assert np.array_equal(driver_value(kind, t, spot, v, *args), formula(v)), kind
-        level = driver_level(kind, t, spot, *args)
+        level = driver_levels(kind, (t,), spot, *args)(0)
         for w in (v, 2.0 * v - 1.0):
             assert np.array_equal(level(w), formula(w)), kind
 
@@ -196,7 +196,7 @@ def test_driver_kernels_equal_the_formulas_bitwise(case):
     with np.errstate(all="ignore"):
         want = ref.driver(kind, t, spot, v, option, market, CAP)
         got = driver_value(kind, t, spot, v, option, market, CAP)
-        level = driver_level(kind, t, spot, option, market, CAP)
+        level = driver_levels(kind, (t,), spot, option, market, CAP)(0)
         again = [level(w) for w in (v, v[::-1], v)]
         want_reversed = ref.driver(kind, t, spot, v[::-1], option, market, CAP)
     assert np.array_equal(bits(got), bits(want)), kind
@@ -263,7 +263,7 @@ def test_level_does_not_keep_the_spots(kind):
     # it keeps its own (t, S) parts, never the spots it was built on
     spot = np.linspace(0.0, 40.0, 64)
     spot_ref = weakref.ref(spot)
-    level = driver_level(kind, 0.4, spot, PUT, MARKET, CAP)
+    level = driver_levels(kind, (0.4,), spot, PUT, MARKET, CAP)(0)
     del spot
     assert spot_ref() is None
     assert level(np.ones(64)).shape == (64,)
@@ -281,7 +281,7 @@ def test_a_mark_kind_level_holds_one_array(kind, most):
     gc.collect()
     tracemalloc.start()
     try:
-        level = driver_level(kind, 0.4, spot, PUT, MARKET, CAP)
+        level = driver_levels(kind, (0.4,), spot, PUT, MARKET, CAP)(0)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] / (8 * n)
     finally:
