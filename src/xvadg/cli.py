@@ -50,6 +50,8 @@ SWEEP_SPOTS = (5.0, 10.0, 15.0, 20.0, 30.0)
 
 #: cell counts of the default convergence ladder
 CONVERGENCE_LADDER = (10, 20, 40, 80, 160, 320, 640)
+#: cell count of the ladder's default reference solve
+_REFERENCE_CELLS = 1280
 
 _FLOAT_FMT = "%.12e"
 
@@ -195,7 +197,7 @@ def _check_nested(ladder: tuple[int, ...], ref_cells: int) -> None:
 
 def run_convergence(config: RunConfig,
                     ladder: tuple[int, ...] = CONVERGENCE_LADDER,
-                    ref_cells: int = 1280) -> ConvergenceReport:
+                    ref_cells: int = _REFERENCE_CELLS) -> ConvergenceReport:
     """Solve the ladder and measure errors against the fine reference.
 
     Both norms are taken over the coarse mesh's own quadrature nodes (the
@@ -481,8 +483,13 @@ _SHARED_FLAGS = {
     "--cells": dict(type=int, metavar="N", help="spatial cells (overrides config)"),
     "--degree": dict(type=int, choices=(1, 2),
                      help="local polynomial degree (overrides config)"),
-    "--seed": dict(type=int, default=0, help="Monte Carlo seed (default: 0)"),
+    "--seed": dict(type=int, default=0, help="Monte Carlo seed (default: %(default)s)"),
 }
+
+
+def _listed(values) -> str:
+    """A default list as its flag takes it: comma-separated numbers."""
+    return ",".join(f"{v:g}" for v in values)
 
 
 def _shared(*names: str) -> dict:
@@ -492,9 +499,10 @@ def _shared(*names: str) -> dict:
 _PDE_FLAGS = _shared("--option", "--driver", "--cells", "--degree")
 
 _MC_FLAGS = {
-    "--strata": dict(type=int, default=500),
-    "--paths": dict(type=int, default=10000, help="paths per stratum (default 10000)"),
-    "--steps": dict(type=int, default=20),
+    "--strata": dict(type=int, default=RegressionGrid.strata),
+    "--paths": dict(type=int, default=RegressionGrid.paths_per_stratum,
+                    help="paths per stratum (default %(default)s)"),
+    "--steps": dict(type=int, default=RegressionGrid.steps),
 }
 
 COMMANDS = {
@@ -504,9 +512,9 @@ COMMANDS = {
         "refinement ladder with error norms and EOC", "converge", _converge, flags={
             **_shared("--option", "--driver", "--degree"),
             "--ladder": dict(metavar="N1,N2,...",
-                             help="cell counts (default 10,20,...,640)"),
-            "--ref-cells": dict(type=int, default=1280,
-                                help="reference resolution (default 1280)")}),
+                             help=f"cell counts (default {_listed(CONVERGENCE_LADDER)})"),
+            "--ref-cells": dict(type=int, default=_REFERENCE_CELLS,
+                                help="reference resolution (default %(default)s)")}),
     "table3": Command(
         "benchmark adjustment table, PDE and Monte Carlo", "table3", _table3,
         cells=1280, flags={
@@ -525,7 +533,7 @@ COMMANDS = {
         "regression Monte Carlo adjustment at query spots", "fbsde", _fbsde, flags={
             **_shared("--option", "--driver", "--seed"), **_MC_FLAGS,
             "--spots": dict(metavar="S1,S2,...",
-                            help="query spots (default 5,10,15,20,30,60)")}),
+                            help=f"query spots (default {_listed(TABLE_SPOTS)})")}),
     "breakdown": Command(
         "term-by-term adjustment decomposition vs PDE", "breakdown", _breakdown,
         cells=640, flags={**_shared("--option", "--cells", "--degree"),
@@ -541,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH",
                         help="JSON configuration file to start from")
     common.add_argument("--out", metavar="DIR", default="out",
-                        help="output directory (default: ./out)")
+                        help="output directory (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="xvadg",

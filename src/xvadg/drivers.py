@@ -58,17 +58,13 @@ mark and of the capital stack (:func:`xvadg.black_scholes.mark_space`,
 tables over every time at once (:func:`xvadg.black_scholes.mark_times`,
 :func:`xvadg.capital.capital_times`); and the joint (t, S) arrays, built
 when a level is asked for by its index.  It is the one builder of a
-level: :func:`driver_value` and :func:`source_term` are a level at one
-time applied once, so the PDE, which builds one level per distinct stage
-time of its march, and the regression Monte Carlo, which builds one per
-chunk of paths at one time and reuses it for two steps, share one
-definition of each formula.  Evaluations allocate their buffers per
-call, since the Monte Carlo runs them in pool threads.
-
-The time-reversed source consumed by the marching scheme is
-``source_term = (sigma^2 - drift) v - F(maturity - tau, S, v)``, the
-zeroth-order remainder of rewriting the generator in conservative form;
-:func:`source_on` forms it from a level.
+level: :func:`driver_value` is a level at one time applied once, so the
+PDE, which builds one level per distinct stage time of its march, and the
+regression Monte Carlo, which builds one per chunk of paths at one time
+and reuses it for two steps, share one definition of each formula.
+Evaluations allocate their buffers per call, since the Monte Carlo runs
+them in pool threads.  The PDE's conservative-form source, which reads F
+from a level, is defined in :mod:`xvadg.solver`.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ from .config import CapitalParams, MarketParams, OptionSpec
 _MARCHES_ADJUSTMENT = {"linear": False, "nonlinear": False, "garcia": True,
                        "garcia_ref": True, "riskfree": False}
 
-#: kinds accepted by driver_value / source_term
+#: kinds accepted by driver_levels / driver_value
 ALL_DRIVER_KINDS = tuple(_MARCHES_ADJUSTMENT)
 
 CapitalFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -204,21 +200,3 @@ def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,
     which several validation cases use.
     """
     return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)(v)
-
-
-def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
-                option: OptionSpec, market: MarketParams, capital: CapitalParams,
-                capital_fn: CapitalFn | None = None) -> np.ndarray:
-    """Zeroth-order source of the time-reversed conservative-form equation.
-
-    ``tau`` is time to maturity; the driver is evaluated at calendar time
-    ``maturity - tau``.
-    """
-    return source_on(driver_levels(kind, (option.maturity - tau,), spot, option, market,
-                                   capital, capital_fn)(0), v, market)
-
-
-def source_on(level: DriverEval, v: np.ndarray, market: MarketParams) -> np.ndarray:
-    """The source ``(sigma^2 - drift) v - F(v)`` of the driver level F."""
-    fwd = level(v)
-    return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd

@@ -171,8 +171,7 @@ class RegressionGrid:
         """Stratum index of each spot, clipped to the grid (vectorized)."""
         s = np.asarray(spot, dtype=float)
         dlog = (self.log_hi - self.log_lo) / self.strata
-        with np.errstate(divide="ignore"):
-            x = np.floor((np.log(np.maximum(s, 1e-300)) - self.log_lo) / dlog)
+        x = np.floor((np.log(np.maximum(s, 1e-300)) - self.log_lo) / dlog)
         return np.clip(x, 0, self.strata - 1).astype(np.int64)
 
     def locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +216,7 @@ class PathEnsemble:
 
 
 def simulate_forward(grid: RegressionGrid, market: MarketParams,
-                     maturity: float = 1.0, seed: int = 0) -> PathEnsemble:
+                     maturity: float, seed: int) -> PathEnsemble:
     """Simulate the stratified forward ensemble.
 
     Initial log-spots are uniform within each stratum; increments use the

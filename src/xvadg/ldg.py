@@ -6,14 +6,15 @@ conservative form
     du/dtau + d/dS [ c S u ] = d/dS [ a(S) du/dS ] + H(tau, S, u),
 
 with convection speed ``c = sigma^2 - drift``, diffusion ``a(S) =
-sigma^2 S^2 / 2`` and the zeroth-order/source remainder ``H`` supplied by
-the driver module.  The domain [0, s_max] is split into ``cells`` uniform
-cells; on each cell the solution lives in the Lagrange basis on the
-Gauss-Legendre points of degree+1 nodes.  That choice makes the mass matrix
-exactly diagonal, (h/2) w_i, and because the diffusion coefficient is a
-quadratic polynomial every bilinear-form integrand below has degree at most
-2*degree+1, so the basis's own quadrature integrates it exactly; the one
-deliberately inexact rule is the nodal collocation of H.
+sigma^2 S^2 / 2`` and the zeroth-order/source remainder ``H = c u - F``
+formed by :mod:`xvadg.solver` from the driver F of :mod:`xvadg.drivers`.
+The domain [0, s_max] is split into ``cells`` uniform cells; on each cell
+the solution lives in the Lagrange basis on the Gauss-Legendre points of
+degree+1 nodes.  That choice makes the mass matrix exactly diagonal,
+(h/2) w_i, and because the diffusion coefficient is a quadratic polynomial
+every bilinear-form integrand below has degree at most 2*degree+1, so the
+basis's own quadrature integrates it exactly; the one deliberately inexact
+rule is the nodal collocation of H.
 
 The second-order term is split LDG-style with an auxiliary gradient field q:
 

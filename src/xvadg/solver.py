@@ -11,7 +11,11 @@ marches the contract value from the payoff, and its adjustment is the
 value minus the closed-form default-free value; an adjustment kind
 marches the adjustment from zero terminal data, and its value is the
 closed-form mark plus the field.  The driver, its mark included, comes
-whole from :mod:`xvadg.drivers`: the march asks
+whole from :mod:`xvadg.drivers`; this module adds the rest of the explicit
+source, ``(sigma^2 - drift) v - F(maturity - tau, S, v)``, the zeroth-order
+remainder of rewriting the generator in conservative form, formed from a
+level by one private function that :func:`source_term` (one time to
+maturity) and the march share.  The march asks
 :func:`xvadg.drivers.driver_levels` once for every distinct stage time of
 the schedule :func:`xvadg.imex.stage_times` gives, so the space part of
 the driver's (t, S) work is built once per solve and its time table once
@@ -62,10 +66,7 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import CapitalFn, driver_levels, is_adjustment_kind, source_on
-# not called here; it stays a name of this module for tools that wrap the
-# driver where each module looks it up (bench/tracing.py)
-from .drivers import source_term  # noqa: F401
+from .drivers import CapitalFn, DriverEval, driver_levels, is_adjustment_kind
 from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
     assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
     make_basis, project_payoff, variant_for_option
@@ -73,7 +74,7 @@ from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
 __all__ = [
     "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
     "GarciaScalingCheck", "solve", "solve_many", "scenario_groups",
-    "xva_breakdown", "garcia_scaling_check", "sample_grid",
+    "xva_breakdown", "garcia_scaling_check", "sample_grid", "source_term",
 ]
 
 #: market fields that enter the driver only as scalar coefficients: the
@@ -263,7 +264,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
             last[i] = level_at(i)
             counts["driver_levels"] += 1
         counts["driver_evaluations"] += 1
-        h_vals = source_on(last[i], state.reshape(shape), market)
+        h_vals = _source_on(last[i], state.reshape(shape), market)
         return convection @ state + mass * h_vals.reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
@@ -292,6 +293,24 @@ def _march_group(group: list[RunConfig], kind: str | None,
             time_grid=grid, is_adjustment=is_adjustment,
             runtime=elapsed, batch_width=width, **counts))
     return results
+
+
+def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
+                option: OptionSpec, market: MarketParams, capital: CapitalParams,
+                capital_fn: CapitalFn | None = None) -> np.ndarray:
+    """Zeroth-order source of the time-reversed conservative-form equation.
+
+    ``tau`` is time to maturity; the driver is evaluated at calendar time
+    ``maturity - tau``.
+    """
+    return _source_on(driver_levels(kind, (option.maturity - tau,), spot, option, market,
+                                    capital, capital_fn)(0), v, market)
+
+
+def _source_on(level: DriverEval, v: np.ndarray, market: MarketParams) -> np.ndarray:
+    """The source ``(sigma^2 - drift) v - F(v)`` of the driver level F."""
+    fwd = level(v)
+    return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd
 
 
 def sample_grid(result: SolveResult) -> np.ndarray:

@@ -19,9 +19,9 @@ from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
     benchmark_config
-from xvadg.drivers import (ALL_DRIVER_KINDS, driver_levels, driver_value,
-                           is_adjustment_kind, source_term)
-from xvadg.solver import solve
+from xvadg.drivers import ALL_DRIVER_KINDS, driver_levels, driver_value, \
+    is_adjustment_kind
+from xvadg.solver import solve, source_term
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)

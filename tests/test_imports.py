@@ -1,8 +1,11 @@
-"""Every module-level import of the package is read by its module, is
-re-exported through ``__all__``, or is one of the names kept only for tools
-that wrap a function where each module looks it up (``# noqa: F401``)."""
+"""Every module-level import of the package is read by its module, or is
+one of the names kept only for tools that wrap a function where each module
+looks it up (``# noqa: F401``).  A name listed in ``__all__`` is not read by
+that, so no module re-exports an import, and each name has one home."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import xvadg
@@ -10,8 +13,7 @@ import xvadg
 PACKAGE = Path(xvadg.__file__).parent
 
 #: the names kept only as lookup points for bench/tracing.py's patches
-TRACER_ONLY = {("drivers", "capital_requirement"), ("solver", "source_term"),
-               ("fbsde", "driver_value")}
+TRACER_ONLY = {("drivers", "capital_requirement"), ("fbsde", "driver_value")}
 
 
 def _module_imports(tree: ast.Module):
@@ -31,14 +33,6 @@ def _module_imports(tree: ast.Module):
                 yield name, node.lineno, node.end_lineno
 
 
-def _exported(tree: ast.Module) -> set:
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(source: str) -> tuple[list, list]:
     """The unused module-level import names of ``source``, and the names
     exempted by ``# noqa: F401`` on their import's lines."""
@@ -46,10 +40,9 @@ def unused_imports(source: str) -> tuple[list, list]:
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    exported = _exported(tree)
     unused, noqa = [], []
     for name, first, last in _module_imports(tree):
-        if name in read or name in exported:
+        if name in read:
             continue
         if any("# noqa: F401" in line for line in lines[first - 1:last]):
             noqa.append(name)
@@ -80,4 +73,12 @@ def test_the_check_sees_a_planted_unused_import():
     assert unused_imports(planted) == (["math"], ["capital_requirement"])
     assert unused_imports("from x import (a,\n    b)  # noqa: F401\nb\n") == ([], ["a"])
     assert unused_imports("from __future__ import annotations\nimport os\n"
-                          "__all__ = ['os']\n") == ([], [])
+                          "__all__ = ['os']\n") == (["os"], [])
+
+
+def test_the_config_module_loads_no_other_module_of_the_package():
+    code = ("import sys, xvadg.config; print(' '.join(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('scipy', 'xvadg'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.split() == ["xvadg", "xvadg.config"]

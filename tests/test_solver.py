@@ -11,12 +11,13 @@ from hypothesis import given, strategies as st
 from xvadg import imex
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
-from xvadg.drivers import ALL_DRIVER_KINDS, is_adjustment_kind, source_term
+from xvadg.drivers import ALL_DRIVER_KINDS, is_adjustment_kind
 from xvadg.ldg import (Mesh, assemble_form_matrix, assemble_implicit, convection_form,
                        make_basis, mass_diag, project_payoff, variant_for_option)
 from xvadg.solver import (BATCHED_FIELDS, GarciaScalingCheck, SolverDivergedError,
                           XVABreakdown, garcia_scaling_check, sample_grid,
-                          scenario_groups, solve, solve_many, xva_breakdown)
+                          scenario_groups, solve, solve_many, source_term,
+                          xva_breakdown)
 
 # adjustment values at the reporting spots, frozen from the N=1280 runs
 # that the acceptance suite reproduces (keys: option, driver, spot)
