@@ -234,8 +234,8 @@ class RunConfig:
     marks at the adjusted value itself (semilinear PDE), ``"garcia"`` solves
     the reduced capital-adjustment equation.  The spatial domain is
     ``[0, domain_multiple * strike]`` with ``cells`` uniform cells and local
-    polynomial degree ``degree``; ``cfl_constant`` scales the explicit
-    stability bound used to pick the step count.
+    polynomial degree ``degree``; ``cfl_constant`` is the convective
+    Courant number that ties the time step to the mesh width.
     """
 
     option: OptionSpec = OptionSpec()

@@ -1,11 +1,11 @@
 """Implicit-explicit Runge-Kutta marching for the semidiscrete system.
 
 The LDG semidiscretization yields  M du/dtau = L u + E(u, tau)  with M the
-diagonal mass matrix, L the stiff composed diffusion operator and E the
-nonstiff remainder (convection plus collocated source).  Both schemes here
-treat L implicitly and E explicitly, and both place *every* implicit stage
-at the same coefficient delta*gamma, so a single banded LAPACK factorization
-of (M - delta*gamma*L) serves the entire march.
+diagonal mass matrix, L the whole stiff linear operator (diffusion,
+convection and the zeroth-order term) and E = -M F the collocated driver.
+Both schemes here treat L implicitly and E explicitly, and both place
+*every* implicit stage at the same coefficient delta*gamma, so a single
+banded LAPACK factorization of (M - delta*gamma*L) serves the entire march.
 
 Second order (two implicit stages, stage times tau, tau+gamma*delta):
 
@@ -43,11 +43,11 @@ solver batches the scenarios of a parameter sweep this way); ``mass`` is
 then the (N, 1) column of the diagonal, and every stage is one solve with
 B right-hand sides and one explicit evaluation over all columns.
 
-The step count comes from the explicit CFL bound of the convection part,
-delta* = cfl * h / ((2 degree + 1) |speed| s_max), and is bounded below by
-a mild resolution floor: steps = max(floor(horizon/delta*), max(4,
-cells // 10)).  The floor is all that remains when the convection speed
-vanishes, and it keeps the count from collapsing as the speed goes to 0.
+The step count is a resolution rule, as convection is implicit and no CFL
+condition applies: delta* = cfl * h / ((2 degree + 1) |speed| s_max) refines
+time with space, and steps = max(floor(horizon/delta*), max(4, cells // 10)).
+The floor is all that remains when the convection speed vanishes, and it
+keeps the count from collapsing as the speed goes to 0.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ def implicit_coefficient(order: int) -> float:
 class TimeGrid:
     steps: int
     delta: float
-    cfl: float    # of the chosen step: delta (2 degree + 1) |speed| s_max / h
+    cfl: float    # Courant number of the step: delta (2 degree + 1) |speed| s_max / h
 
 
 def select_time_grid(mesh: Mesh, degree: int, speed: float, horizon: float,
                      cfl: float = 0.5) -> TimeGrid:
-    """Uniform step count from the explicit convection stability bound,
-    never below the resolution floor max(4, cells // 10)."""
+    """Uniform steps at the Courant number ``cfl``, so delta is proportional
+    to the mesh width, never fewer than max(4, cells // 10)."""
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     scale = (2.0 * degree + 1.0) * abs(speed) * mesh.s_max

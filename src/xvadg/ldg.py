@@ -3,25 +3,25 @@
 After reversing time (tau = maturity - t) the pricing equation is marched in
 conservative form
 
-    du/dtau + d/dS [ c S u ] = d/dS [ a(S) du/dS ] + H(tau, S, u),
+    du/dtau + d/dS [ c S u ] = d/dS [ a(S) du/dS ] + c u - F(tau, S, u),
 
 with convection speed ``c = sigma^2 - drift``, diffusion ``a(S) =
-sigma^2 S^2 / 2`` and the zeroth-order/source remainder ``H = c u - F``
-formed by :mod:`xvadg.solver` from the driver F of :mod:`xvadg.drivers`.
-The domain [0, s_max] is split into ``cells`` uniform cells; on each cell
-the solution lives in the Lagrange basis on the Gauss-Legendre points of
-degree+1 nodes.  That choice makes the mass matrix exactly diagonal,
-(h/2) w_i, and because the diffusion coefficient is a quadratic polynomial
-every bilinear-form integrand below has degree at most 2*degree+1, so the
-basis's own quadrature integrates it exactly; the one deliberately inexact
-rule is the nodal collocation of H.
+sigma^2 S^2 / 2``, the zeroth-order term ``c u`` of the conservative form
+and the driver F of :mod:`xvadg.drivers`.  The domain [0, s_max] is split
+into ``cells`` uniform cells; on each cell the solution lives in the
+Lagrange basis on the Gauss-Legendre points of degree+1 nodes.  That choice
+makes the mass matrix exactly diagonal, (h/2) w_i, and because the
+diffusion coefficient is a quadratic polynomial every bilinear-form
+integrand below (and c u's) has degree at most 2*degree+1, so the basis's
+own quadrature integrates it exactly; the one deliberately inexact rule is
+the nodal collocation of F.
 
 The second-order term is split LDG-style with an auxiliary gradient field q:
 
     gradient_form   q-residual      <q, v> = -<u, v'> + utilde v | edges
     diffusion_form  u-residual from d/dS(a q), interface values qtilde
     convection_form Lax-Friedrichs fluxes for c S u
-    mass_diag       weights the collocated source H
+    mass_diag       weights the zeroth-order terms c u and F
 
 ``FluxVariant`` fixes the alternating interface pairing.  ``UPWIND_LEFT``
 takes utilde from the left cell and qtilde from the right, with u pinned to
@@ -31,12 +31,12 @@ Domain-boundary convection fluxes are variant-independent: f vanishes at
 S=0 identically and is taken one-sided from the interior at s_max (outflow
 for c > 0).
 
-The forms are the one definition of the operators: the composed diffusion
-u -> diffusion(gradient(u)) and the linear convection form both become sparse
-block-tridiagonal matrices by probing (``assemble_form_matrix``).  So the
-implicit matrix M - coef * L is banded with kl = ku = 2*degree+1:
-``assemble_implicit`` factors it once with LAPACK ``dgbtrf`` and every
-implicit stage back-substitutes with ``dgbtrs``.
+The forms are the one definition of the operators; a linear form coupling
+each cell to its neighbours becomes a sparse block-tridiagonal matrix by
+probing (``assemble_form_matrix``).  ``assemble_implicit`` probes the whole
+linear form L (the solver sums diffusion, convection and the weighted c u)
+and factors the banded M - coef * L, kl = ku = 2*degree+1, once with LAPACK
+``dgbtrf``; every implicit stage back-substitutes with ``dgbtrs``.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ class ImplicitOperator:
     """
 
     mass: np.ndarray              # flat diagonal of M
-    diffusion_matrix: sp.csr_matrix
+    matrix: sp.csr_matrix         # L
     bandwidth: int
     lu: np.ndarray
     pivots: np.ndarray
@@ -371,22 +371,23 @@ class ImplicitOperator:
         return x
 
     def apply_diffusion(self, u: np.ndarray) -> np.ndarray:
-        return self.diffusion_matrix @ u
+        """L u for the whole linear operator L, not its diffusion part alone."""
+        return self.matrix @ u
 
 
-def assemble_implicit(mesh: Mesh, basis: Basis, variant: FluxVariant, coef: float,
-                      diffusion: Callable[[np.ndarray], np.ndarray]) -> ImplicitOperator:
-    ldg_matrix = assemble_diffusion_matrix(mesh, basis, variant, diffusion)
+def assemble_implicit(mesh: Mesh, basis: Basis, coef: float,
+                      form: Callable[[DGField], np.ndarray]) -> ImplicitOperator:
+    """Probe the linear ``form`` into L and factor M - coef * L once."""
+    matrix = assemble_form_matrix(mesh, basis, form)
     mass = mass_diag(mesh, basis).ravel()
-    system = (sp.diags(mass) - coef * ldg_matrix).tocoo()
+    system = (sp.diags(mass) - coef * matrix).tocoo()
     bw = 2 * basis.degree + 1
     band = np.zeros((3 * bw + 1, mass.size))   # dgbtrf needs bw spare rows on top
     band[2 * bw + system.row - system.col, system.col] = system.data
     lu, pivots, info = dgbtrf(band, bw, bw, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgbtrf: M - coef*L is singular (info={info})")
-    return ImplicitOperator(mass=mass, diffusion_matrix=ldg_matrix, bandwidth=bw,
-                            lu=lu, pivots=pivots)
+    return ImplicitOperator(mass=mass, matrix=matrix, bandwidth=bw, lu=lu, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ Two families of unknowns occur, flagged by ``is_adjustment`` as
 marches the contract value from the payoff, and its adjustment is the
 value minus the closed-form default-free value; an adjustment kind
 marches the adjustment from zero terminal data, and its value is the
-closed-form mark plus the field.  The driver, its mark included, comes
-whole from :mod:`xvadg.drivers`; this module adds the rest of the explicit
-source, ``(sigma^2 - drift) v - F(maturity - tau, S, v)``, the zeroth-order
-remainder of rewriting the generator in conservative form, formed from a
-level by one private function that :func:`source_term` (one time to
-maturity) and the march share.  The march asks
+closed-form mark plus the field.  The march's linear operator L is one
+form, written once here: the LDG diffusion, the convection and the
+mass-weighted zeroth-order term ``(sigma^2 - drift) v`` that rewriting the
+generator in conservative form leaves.  It is implicit, and the explicit
+stage is the driver alone, ``-M F(maturity - tau, S, v)``; the driver, its
+mark included, comes whole from :mod:`xvadg.drivers`.  The march asks
 :func:`xvadg.drivers.driver_levels` once for every distinct stage time of
 the schedule :func:`xvadg.imex.stage_times` gives, so the space part of
 the driver's (t, S) work is built once per solve and its time table once
@@ -26,8 +26,8 @@ stage time is the next step's first, builds 3 steps + 1 levels for its
 4 steps evaluations.  ``meta`` reports both counts.
 
 The scheme order is tied to the local degree (degree 1 -> second-order
-stepping, degree 2 -> third order) and the step count to the explicit CFL
-bound, both fixed at construction from the configuration.
+stepping, degree 2 -> third order) and the step to the mesh width
+(:func:`xvadg.imex.select_time_grid`), both fixed from the configuration.
 
 ``solve_many`` prices several configurations at once.  Configurations that
 differ only in the market fields of ``BATCHED_FIELDS`` (the capital hurdle
@@ -35,13 +35,13 @@ and the collateral rate, which enter the driver as scalar coefficients)
 form one group; everything else -- option, mesh, degree, CFL constant,
 volatility, drift, every other rate and capital parameter, and the driver
 kind -- must match exactly.  A group shares one operator assembly, one
-banded factorisation, one convection matrix and one time grid, and marches
-its B scenarios as one (N, B) state, N = cells * (degree+1), column b
-holding scenario b's nodal values cell by cell.  The group's market carries
-the batched fields as (B,) arrays, so each driver formula broadcasts them
-over the last axis and evaluates its (t, S)-only part (closed-form mark,
-SA-CCR add-on) once per stage time for the whole group.  ``solve`` is
-``solve_many`` on one configuration, so one march loop serves both.
+banded factorisation and one time grid, and marches its B scenarios as
+one (N, B) state, N = cells * (degree+1), column b holding scenario b's
+nodal values cell by cell.  The group's market carries the batched fields
+as (B,) arrays, so each driver formula broadcasts them over the last axis
+and evaluates its (t, S)-only part (closed-form mark, SA-CCR add-on) once
+per stage time for the whole group.  ``solve`` is ``solve_many`` on one
+configuration, so one march loop serves both.
 
 ``xva_breakdown`` prices the adjustment a second, independent way: each
 cost component of the linear convention is integrated against the lognormal
@@ -66,10 +66,10 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import CapitalFn, DriverEval, driver_levels, is_adjustment_kind
-from .ldg import Basis, DGField, FluxVariant, ImplicitOperator, Mesh, \
-    assemble_form_matrix, assemble_implicit, convection_form, gradient_form, \
-    make_basis, project_payoff, variant_for_option
+from .drivers import CapitalFn, driver_levels, is_adjustment_kind
+from .ldg import Basis, DGField, FluxVariant, Mesh, assemble_implicit, \
+    convection_form, diffusion_form, gradient_form, make_basis, mass_diag, \
+    project_payoff, variant_for_option
 
 __all__ = [
     "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
@@ -227,17 +227,18 @@ def _march_group(group: list[RunConfig], kind: str | None,
     basis = make_basis(config.degree)
     variant = variant_for_option(option)
     speed = market.sigma ** 2 - market.drift
-
-    def diffusion(s):
-        return 0.5 * market.sigma ** 2 * np.asarray(s) ** 2
-
     grid = imex.select_time_grid(mesh, config.degree, speed, option.maturity,
                                  config.cfl_constant)
     order = config.degree + 1
-    coef = grid.delta * imex.implicit_coefficient(order)
-    op: ImplicitOperator = assemble_implicit(mesh, basis, variant, coef, diffusion)
-    convection = assemble_form_matrix(mesh, basis,
-                                      lambda u: convection_form(u, speed))
+
+    def linear_form(u: DGField) -> np.ndarray:
+        # L u: diffusion, convection and the zeroth-order (sigma^2 - drift) u
+        return (diffusion_form(gradient_form(u, variant), variant,
+                               lambda s: 0.5 * market.sigma ** 2 * s ** 2)
+                + convection_form(u, speed) + speed * mass_diag(mesh, basis) * u.coeffs)
+
+    op = assemble_implicit(mesh, basis, grid.delta * imex.implicit_coefficient(order),
+                           linear_form)
 
     shape = (mesh.cells, basis.n_nodes, width)
     if is_adjustment:
@@ -264,8 +265,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
             last[i] = level_at(i)
             counts["driver_levels"] += 1
         counts["driver_evaluations"] += 1
-        h_vals = _source_on(last[i], state.reshape(shape), market)
-        return convection @ state + mass * h_vals.reshape(state.shape)
+        return -mass * last[i](state.reshape(shape)).reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
         counts["implicit_solves"] += 1
@@ -298,18 +298,15 @@ def _march_group(group: list[RunConfig], kind: str | None,
 def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
                 option: OptionSpec, market: MarketParams, capital: CapitalParams,
                 capital_fn: CapitalFn | None = None) -> np.ndarray:
-    """Zeroth-order source of the time-reversed conservative-form equation.
+    """Zeroth-order source ``(sigma^2 - drift) v - F(maturity - tau, S, v)``
+    of the time-reversed conservative-form equation.
 
     ``tau`` is time to maturity; the driver is evaluated at calendar time
-    ``maturity - tau``.
+    ``maturity - tau``.  The march splits this source: its linear part is in
+    the implicit operator, and its explicit stage is ``-F`` alone.
     """
-    return _source_on(driver_levels(kind, (option.maturity - tau,), spot, option, market,
-                                    capital, capital_fn)(0), v, market)
-
-
-def _source_on(level: DriverEval, v: np.ndarray, market: MarketParams) -> np.ndarray:
-    """The source ``(sigma^2 - drift) v - F(v)`` of the driver level F."""
-    fwd = level(v)
+    fwd = driver_levels(kind, (option.maturity - tau,), spot, option, market, capital,
+                        capital_fn)(0)(v)
     return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd
 
 

@@ -21,6 +21,11 @@ def _diffusion(s):
     return 0.5 * SIGMA ** 2 * np.asarray(s, dtype=float) ** 2
 
 
+def _diffusion_form(variant):
+    """The composed LDG diffusion u -> diffusion(gradient(u)) as one form."""
+    return lambda u: diffusion_form(gradient_form(u, variant), variant, _diffusion)
+
+
 def _field_from(fn, mesh, basis):
     return DGField(mesh, basis, fn(mesh.quad_points(basis)))
 
@@ -290,11 +295,11 @@ def test_implicit_operator_solves_shifted_system():
             mesh = Mesh(s_max=60.0, cells=cells)
             rhs = np.random.default_rng(8).standard_normal(cells * basis.n_nodes)
             for variant in FluxVariant:
-                op = assemble_implicit(mesh, basis, variant, coef, _diffusion)
+                op = assemble_implicit(mesh, basis, coef, _diffusion_form(variant))
                 x = op.solve(rhs)
                 back = op.mass * x - coef * op.apply_diffusion(x)
                 scale = (op.mass * np.abs(x)
-                         + coef * (abs(op.diffusion_matrix) @ np.abs(x))
+                         + coef * (abs(op.matrix) @ np.abs(x))
                          + np.abs(rhs))
                 assert np.all(np.abs(back - rhs) <= 1e-14 * scale)
 
@@ -305,8 +310,7 @@ def test_implicit_operator_batches_right_hand_sides():
     mesh = Mesh(s_max=60.0, cells=1280)
     for deg in (1, 2):
         basis = make_basis(deg)
-        op = assemble_implicit(mesh, basis, FluxVariant.UPWIND_LEFT, 0.013,
-                               _diffusion)
+        op = assemble_implicit(mesh, basis, 0.013, _diffusion_form(FluxVariant.UPWIND_LEFT))
         rhs = np.random.default_rng(9).standard_normal((op.mass.size, 5))
         x, lx = op.solve(rhs), op.apply_diffusion(rhs)
         assert x.shape == lx.shape == rhs.shape
@@ -328,11 +332,11 @@ def test_implicit_band_storage_width():
     for deg in (1, 2):
         basis = make_basis(deg)
         for variant in FluxVariant:
-            op = assemble_implicit(mesh, basis, variant, 0.013, _diffusion)
+            op = assemble_implicit(mesh, basis, 0.013, _diffusion_form(variant))
             bw = 2 * deg + 1
             assert op.bandwidth == bw
             assert op.lu.shape == (3 * bw + 1, mesh.cells * basis.n_nodes)
-            ldg = op.diffusion_matrix.tocoo()
+            ldg = op.matrix.tocoo()
             assert np.max(np.abs(ldg.row - ldg.col)) == bw
 
 

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xvadg import imex
+from xvadg import imex, solver
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
-from xvadg.drivers import ALL_DRIVER_KINDS, is_adjustment_kind
-from xvadg.ldg import (Mesh, assemble_form_matrix, assemble_implicit, convection_form,
-                       make_basis, mass_diag, project_payoff, variant_for_option)
+from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
+from xvadg.ldg import (DGField, Mesh, assemble_implicit, convection_form, diffusion_form,
+                       gradient_form, make_basis, mass_diag, project_payoff,
+                       variant_for_option)
 from xvadg.solver import (BATCHED_FIELDS, GarciaScalingCheck, SolverDivergedError,
                           XVABreakdown, garcia_scaling_check, sample_grid,
-                          scenario_groups, solve, solve_many, source_term,
-                          xva_breakdown)
+                          scenario_groups, solve, solve_many, xva_breakdown)
 
 # adjustment values at the reporting spots, frozen from the N=1280 runs
 # that the acceptance suite reproduces (keys: option, driver, spot)
@@ -216,7 +216,7 @@ def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
 
 def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
     """The (N, B) state at time zero of one ``solve_many`` group, marched
-    with the driver built afresh by ``source_term`` at every stage.  A group
+    with the driver built afresh by ``driver_value`` at every stage.  A group
     of one keeps its scalars here: it is the batch-of-one reference that
     pins the solver's (1,) batched fields to the scalar march, bit for bit."""
     config = configs[0]
@@ -230,22 +230,24 @@ def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
     grid = imex.select_time_grid(mesh, config.degree, speed, option.maturity,
                                  config.cfl_constant)
     order = config.degree + 1
-    op = assemble_implicit(mesh, basis, variant_for_option(option),
-                           grid.delta * imex.implicit_coefficient(order),
-                           lambda s: 0.5 * market.sigma ** 2 * np.asarray(s) ** 2)
-    convection = assemble_form_matrix(mesh, basis, lambda u: convection_form(u, speed))
+    variant = variant_for_option(option)
+    # the driver and the zeroth-order term, weighted by the mass diagonal
+    weights = mass_diag(mesh, basis)
+    op = assemble_implicit(
+        mesh, basis, grid.delta * imex.implicit_coefficient(order),
+        lambda u: (diffusion_form(gradient_form(u, variant), variant,
+                                  lambda s: 0.5 * market.sigma ** 2 * s ** 2)
+                   + convection_form(u, speed) + speed * weights * u.coeffs))
     shape = (mesh.cells, basis.n_nodes, width)
     u = np.zeros(shape) if is_adjustment_kind(kind) else np.repeat(
         project_payoff(option, mesh, basis).coeffs[..., None], width, axis=2)
     u = u.reshape(-1, width)
     spots = mesh.quad_points(basis)[..., None]
-    # the collocated source weighted by the mass diagonal, alike in every column
-    weights = mass_diag(mesh, basis)[..., None]
 
     def explicit_fn(state, tau):
-        h_vals = source_term(kind, tau, spots, state.reshape(shape), option, market,
-                             capital, capital_fn)
-        return convection @ state + (weights * h_vals).reshape(state.shape)
+        fwd = driver_value(kind, option.maturity - tau, spots, state.reshape(shape),
+                           option, market, capital, capital_fn)
+        return (-weights[..., None] * fwd).reshape(state.shape)
 
     tau = 0.0
     for _ in range(grid.steps):
@@ -285,6 +287,53 @@ def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise():
         want = _march_afresh(configs, kind, capital_fn)
         got = solve(configs[0], kind, capital_fn).value_field.coeffs.ravel()
         assert np.array_equal(got.view(np.int64), want[:, 0].view(np.int64)), kind
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("option_kind", ["put", "call"])   # both flux variants
+@pytest.mark.parametrize("carry,speed", [({}, 0.03), ({"stock_repo_rate": 0.14}, -0.05),
+                                         ({"dividend_yield": 0.36}, 0.39)])
+def test_the_implicit_operator_is_the_whole_linear_part(monkeypatch, carry, speed,
+                                                        option_kind, degree):
+    # the march's L is diffusion(gradient(u)) + convection(u) + (sigma^2 - drift) M u,
+    # so its explicit stage holds the driver alone
+    built = []
+
+    def keep(*args):
+        built.append(assemble_implicit(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "assemble_implicit", keep)
+    base = replace(benchmark_config(option_kind=option_kind, cells=20), degree=degree)
+    config = replace(base, market=replace(base.market, **carry))
+    solve(config)
+    (op,) = built
+    market = config.market
+    c = market.sigma ** 2 - market.drift
+    assert c == pytest.approx(speed, abs=1e-15)
+    mesh, basis = Mesh(config.s_max, config.cells), make_basis(degree)
+    variant = variant_for_option(config.option)
+    rng = np.random.default_rng(5)
+    u = DGField(mesh, basis, rng.standard_normal((mesh.cells, basis.n_nodes)))
+    terms = (diffusion_form(gradient_form(u, variant), variant,
+                            lambda s: 0.5 * market.sigma ** 2 * np.asarray(s) ** 2),
+             convection_form(u, c), c * mass_diag(mesh, basis) * u.coeffs)
+    got = op.apply_diffusion(u.coeffs.ravel()).reshape(u.coeffs.shape)
+    # componentwise, against the magnitude of the terms that sum there
+    scale = sum(np.abs(term) for term in terms)
+    assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
+
+
+def test_large_steps_stay_accurate_when_convection_is_fast():
+    # a linear put at dividend yield 0.3 (convection speed 0.33): with every
+    # linear term implicit, 19 steps at a Courant number of 8 stay within 3e-4
+    # of 316 steps at 0.5
+    base = benchmark_config(option_kind="put", driver="linear", cells=160)
+    fast = replace(base, market=replace(base.market, dividend_yield=0.3))
+    coarse, fine = solve(replace(fast, cfl_constant=8.0)), solve(fast)
+    assert (coarse.meta["steps"], fine.meta["steps"]) == (19, 316)
+    spots = np.array([5.0, 10.0, 15.0, 20.0, 30.0])
+    assert np.max(np.abs(coarse.xva(spots) - fine.xva(spots))) < 3e-4
 
 
 def test_nonfinite_column_stops_the_batch():
