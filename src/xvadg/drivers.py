@@ -117,6 +117,13 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     function of v with the arithmetic of :func:`driver_value`; the caller
     keeps the levels it reuses.  A mark kind's level holds ``rest(t, S)``
     and evaluates ``rate * v + rest``.
+
+    v and the market's coefficients broadcast against ``spot``.  The
+    Monte Carlo passes (n,) spots and (n,) values.  The PDE passes spots
+    of shape (cells, degree+1) and values of shape (B, cells, degree+1),
+    with a batch's capital hurdle and collateral rate as (B, 1, 1) arrays,
+    so the (t, S) arrays of a level broadcast along the leading batch axis
+    and every elementwise loop runs over whole contiguous rows.
     """
     is_adjustment_kind(kind)
     times = np.asarray(times, dtype=float)

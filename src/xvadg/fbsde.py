@@ -319,6 +319,18 @@ def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
     return sums
 
 
+def _linear(n, cxx):
+    """Where a stratum's fit is a line, not a constant: at least 2 paths,
+    with spread."""
+    return (n >= 2.0) & (cxx > 1e-300)
+
+
+def _residual_dof(n, cxx):
+    """Residual degrees of freedom of each stratum's fit: n - 2 for a line,
+    n - 1 for a constant, below 1 where the fit leaves none."""
+    return np.where(_linear(n, cxx), n - 2.0, n - 1.0)
+
+
 def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
     """Ordinary least squares of y on {1, S} within each stratum.
 
@@ -333,7 +345,10 @@ def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
     a constant fit, and one with no paths the zero line.  The pass reads a
     fit only at the paths it was fitted on, so that zero line is never
     read inside the pass; at t = 0 the solution refuses a query in such a
-    stratum.
+    stratum.  The residual variance divides by the residual degrees of
+    freedom clamped to at least 1, so a fit that leaves none (a line
+    through 2 paths, a constant on 1) reads 0 there; the solution's
+    ``stderr`` refuses a query in such a stratum.
     """
     n, sx, sxx_raw = moments
     sy, sxy, *syy = sums
@@ -344,15 +359,14 @@ def _fit_strata(moments: tuple, sums: tuple) -> _StrataFit:
     cxx = sxx_raw - n * mean_x * mean_x
     cxy = sxy - n * mean_x * mean_y
 
-    linear = (n >= 2.0) & (cxx > 1e-300)
+    linear = _linear(n, cxx)
     slope = np.where(linear, cxy / np.where(linear, cxx, 1.0), 0.0)
     intercept = mean_y - slope * mean_x
     resid_var = None
     if syy:
         cyy = np.maximum(syy[0] - n * mean_y * mean_y, 0.0)
         ssr = np.maximum(np.where(linear, cyy - slope * cxy, cyy), 0.0)
-        dof = np.maximum(np.where(linear, n - 2.0, n - 1.0), 1.0)
-        resid_var = ssr / dof
+        resid_var = ssr / np.maximum(_residual_dof(n, cxx), 1.0)
     return _StrataFit(intercept=intercept, slope=slope, counts=n,
                       mean_dx=mean_x, sxx=cxx, resid_var=resid_var)
 
@@ -374,7 +388,10 @@ class BackwardSolution:
     stratum that holds no path at t = 0 raises ``ValueError``: the surface
     has no paths there to extrapolate from.  Every stratum launches its
     own paths, so the last case needs float32 rounding to carry all of a
-    stratum's launch spots across its edge.
+    stratum's launch spots across its edge.  ``stderr`` also raises at a
+    spot whose stratum's time-zero fit leaves no residual degree of
+    freedom (2 paths under a line, 1 under a constant): the fit passes
+    through every path there, and its error is unknown, not 0.
     """
 
     kind: str
@@ -411,6 +428,11 @@ class BackwardSolution:
         s * sqrt(1/n + (x - xbar)^2 / Sxx) from the time-zero stratum fit."""
         s, bins = self._locate(spot)
         f = self.fit
+        unknown = _residual_dof(f.counts[bins], f.sxx[bins]) < 1.0
+        if np.any(unknown):
+            raise ValueError(f"query spot {float(s[unknown][0])!r} lies in a Monte "
+                             f"Carlo stratum whose fit at t = 0 leaves no residual "
+                             f"degree of freedom, so its standard error is unknown")
         dx = s - self.grid.centers[bins] - f.mean_dx[bins]
         lever = 1.0 / np.maximum(f.counts[bins], 1.0)
         sxx = f.sxx[bins]

@@ -37,11 +37,11 @@ Numer. Math. 25, 1997): its last stage time is the next step's first, bit
 for bit, and a march of n steps meets 3n + 1 distinct stage times in 4n
 evaluations; second order meets 2n in 2n.
 
-A step takes the state as an (N,) vector or as an (N, B) array whose B
-columns are independent scenarios sharing M, L and the time grid (the
-solver batches the scenarios of a parameter sweep this way); ``mass`` is
-then the (N, 1) column of the diagonal, and every stage is one solve with
-B right-hand sides and one explicit evaluation over all columns.
+A step takes the state as an (N,) vector or as a (B, N) array whose B
+rows are independent scenarios sharing M, L and the time grid (the solver
+marches every PDE this way, B = 1 for a single solve); ``mass`` is the
+(N,) diagonal either way, broadcast along the rows, and every stage is one
+solve with B right-hand sides and one explicit evaluation over all rows.
 
 The step count is a resolution rule, as convection is implicit and no CFL
 condition applies: delta* = cfl * h / ((2 degree + 1) |speed| s_max) refines
@@ -154,8 +154,9 @@ def _weighted(weights, terms) -> np.ndarray:
 def step(order: int, u: np.ndarray, tau: float, delta: float, mass: np.ndarray,
          apply_l: ApplyFn, solve_shifted: ApplyFn,
          explicit_fn: ExplicitFn) -> np.ndarray:
-    """Advance one step of the pair of ``order`` on (N,) or (N, B) states;
-    ``solve_shifted`` must solve (M - delta*gamma*L) x = rhs."""
+    """Advance one step of the pair of ``order`` on (N,) or (B, N) states,
+    with ``mass`` the (N,) diagonal of M; ``solve_shifted`` must solve
+    (M - delta*gamma*L) x = rhs row by row."""
     pair = _scheme(order)
     times = [tau + c * delta for c in pair.c]
     base = mass * u

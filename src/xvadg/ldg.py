@@ -351,11 +351,19 @@ def assemble_form_matrix(mesh: Mesh, basis: Basis,
 
 @dataclass(eq=False)
 class ImplicitOperator:
-    """Prefactorized solve of (M - coef * L) x = rhs on (N,) vectors or on
-    (N, B) arrays of B right-hand sides.
+    """Prefactorized solve of (M - coef * L) x = rhs, and the product L u,
+    on (N,) vectors or on C-contiguous (B, N) arrays whose row b is the
+    b-th vector.
 
     ``lu`` and ``pivots`` are the ``dgbtrf`` factors in LAPACK band
-    storage, with kl = ku = ``bandwidth`` = 2*degree+1.
+    storage, with kl = ku = ``bandwidth`` = 2*degree+1.  A (B, N) array
+    is passed to ``dgbtrs`` and to the sparse product as its transpose,
+    the F-contiguous (N, B) view of the same memory, and their (N, B)
+    result comes back transposed.  ``dgbtrs`` works in Fortran order, so
+    ``solve`` returns a C-contiguous (B, N) array; scipy's product is
+    C-ordered, so ``apply_diffusion`` returns an F-ordered (B, N) view,
+    which numpy combines with C-ordered operands into C-ordered results.
+    Each row is bit for bit that row solved or multiplied alone.
     """
 
     mass: np.ndarray              # flat diagonal of M
@@ -365,14 +373,14 @@ class ImplicitOperator:
     pivots: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs, self.pivots)
+        x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs.T, self.pivots)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgbtrs failed with info={info}")
-        return x
+        return x.T
 
     def apply_diffusion(self, u: np.ndarray) -> np.ndarray:
         """L u for the whole linear operator L, not its diffusion part alone."""
-        return self.matrix @ u
+        return (self.matrix @ u.T).T
 
 
 def assemble_implicit(mesh: Mesh, basis: Basis, coef: float,

@@ -36,12 +36,15 @@ form one group; everything else -- option, mesh, degree, CFL constant,
 volatility, drift, every other rate and capital parameter, and the driver
 kind -- must match exactly.  A group shares one operator assembly, one
 banded factorisation and one time grid, and marches its B scenarios as
-one (N, B) state, N = cells * (degree+1), column b holding scenario b's
-nodal values cell by cell.  The group's market carries the batched fields
-as (B,) arrays, so each driver formula broadcasts them over the last axis
-and evaluates its (t, S)-only part (closed-form mark, SA-CCR add-on) once
-per stage time for the whole group.  ``solve`` is ``solve_many`` on one
-configuration, so one march loop serves both.
+one C-contiguous (B, N) state, N = cells * (degree+1), row b holding
+scenario b's nodal values cell by cell.  The driver sees that state as
+(B, cells, degree+1) on spots of shape (cells, degree+1), and the group's
+market carries the batched fields as (B, 1, 1) arrays, so each driver
+formula broadcasts its (t, S)-only part (closed-form mark, SA-CCR add-on),
+built once per stage time for the whole group, along the batch axis in
+front, and every elementwise loop runs over whole contiguous rows.
+``solve`` is ``solve_many`` on one configuration: one march loop, in one
+layout, serves both, B = 1 included.
 
 ``xva_breakdown`` prices the adjustment a second, independent way: each
 cost component of the linear convention is integrated against the lognormal
@@ -178,8 +181,9 @@ def solve(config: RunConfig, kind: str | None = None,
     validation kinds (``garcia_ref``, ``riskfree``) that ``RunConfig``
     does not expose.  ``capital_fn`` replaces the regulatory capital stack
     (``lambda t, s, m: 0.0 * m`` prices without capital costs); it is called
-    with spots of shape (cells, degree+1, 1) and marks that broadcast
-    against them, (cells, degree+1, B) for a batch of B scenarios.
+    with spots of shape (cells, degree+1) and marks that broadcast against
+    them: the closed-form mark of the mark kinds on the spots' shape, the
+    marched value of ``nonlinear`` as (B, cells, degree+1), B = 1 here.
     """
     return solve_many([config], kind, capital_fn)[0]
 
@@ -221,7 +225,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
     option, capital, market = config.option, config.capital, config.market
     width = len(group)
     market = dataclasses.replace(market, **{
-        name: np.array([getattr(c.market, name) for c in group])
+        name: np.array([getattr(c.market, name) for c in group]).reshape(width, 1, 1)
         for name in BATCHED_FIELDS})
     mesh = Mesh(config.s_max, config.cells)
     basis = make_basis(config.degree)
@@ -240,21 +244,19 @@ def _march_group(group: list[RunConfig], kind: str | None,
     op = assemble_implicit(mesh, basis, grid.delta * imex.implicit_coefficient(order),
                            linear_form)
 
-    shape = (mesh.cells, basis.n_nodes, width)
+    shape = (width, mesh.cells, basis.n_nodes)
     if is_adjustment:
-        u = np.zeros(shape)
+        u = np.zeros((width, op.mass.size))
     else:
-        u = np.repeat(project_payoff(option, mesh, basis).coeffs[..., None],
-                      width, axis=2)
-    u = u.reshape(-1, width)
+        u = np.repeat(project_payoff(option, mesh, basis).coeffs.reshape(1, -1),
+                      width, axis=0)
 
-    # (cells, nodes, 1): the driver's (t, S) part broadcasts over the batch
-    spots = mesh.quad_points(basis)[..., None]
+    # (cells, nodes): the driver's (t, S) part broadcasts along the batch axis
+    spots = mesh.quad_points(basis)
     stage_taus = imex.stage_times(order, grid)
     stage_index = {tau: i for i, tau in enumerate(stage_taus)}
     level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
                              spots, option, market, capital, capital_fn)
-    mass = op.mass[:, None]
     last = {}   # the level of the last stage time met, by its index
     counts = {"implicit_solves": 0, "driver_evaluations": 0, "driver_levels": 0}
 
@@ -265,7 +267,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
             last[i] = level_at(i)
             counts["driver_levels"] += 1
         counts["driver_evaluations"] += 1
-        return -mass * last[i](state.reshape(shape)).reshape(state.shape)
+        return -op.mass * last[i](state.reshape(shape)).reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
         counts["implicit_solves"] += 1
@@ -274,18 +276,17 @@ def _march_group(group: list[RunConfig], kind: str | None,
     started = time.perf_counter()
     tau = 0.0
     for n in range(grid.steps):
-        u = imex.step(order, u, tau, grid.delta, mass, op.apply_diffusion,
+        u = imex.step(order, u, tau, grid.delta, op.mass, op.apply_diffusion,
                       solve_shifted, explicit_fn)
         tau += grid.delta
         finite = np.isfinite(u)
         if not finite.all():
-            row = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise SolverDivergedError(n + 1, grid.steps, tau, row // basis.n_nodes)
+            node = int(np.flatnonzero(~finite.all(axis=0))[0])
+            raise SolverDivergedError(n + 1, grid.steps, tau, node // basis.n_nodes)
     elapsed = time.perf_counter() - started
 
     results = []
-    for b, member in enumerate(group):
-        coeffs = np.ascontiguousarray(u[:, b]).reshape(mesh.cells, basis.n_nodes)
+    for member, coeffs in zip(group, u.reshape(shape)):
         value_field = DGField(mesh, basis, coeffs)
         results.append(SolveResult(
             config=member, kind=kind, variant=variant, mesh=mesh, basis=basis,

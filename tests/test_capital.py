@@ -222,13 +222,18 @@ def _floats(draw, elements, shape):
 
 @st.composite
 def _capital_case(draw):
-    """Spots and marks of one layout: (n,), (cells, nodes, 1) or a batch
-    of marks (cells, nodes, B) on (cells, nodes, 1) spots; t scalar or
-    per point."""
+    """Spots and marks of one layout: (n,); the PDE's batch-major
+    (cells, nodes) spots with (cells, nodes) marks or a batch of marks
+    (B, cells, nodes); or batch-last, (cells, nodes, 1) spots with marks
+    of that shape or a batch of marks (cells, nodes, B); t scalar or per
+    point."""
     n, cells, nodes = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    width = draw(st.integers(2, 4))
     spot_shape, mark_shape = draw(st.sampled_from([
-        ((n,), (n,)), ((cells, nodes, 1), (cells, nodes, 1)),
-        ((cells, nodes, 1), (cells, nodes, draw(st.integers(2, 4))))]))
+        ((n,), (n,)), ((cells, nodes), (cells, nodes)),
+        ((cells, nodes), (width, cells, nodes)),
+        ((cells, nodes, 1), (cells, nodes, 1)),
+        ((cells, nodes, 1), (cells, nodes, width))]))
     t = draw(st.one_of(_TIME, st.just(None)))
     if t is None:
         t = _floats(draw, _TIME, spot_shape)
@@ -271,11 +276,14 @@ def _march_times(draw):
 
 @st.composite
 def _space_case(draw):
-    """Spots of one layout, (n,) or (cells, nodes, 1), with marks of the
-    same layout or widened by a batch, and their collateral."""
+    """Spots of one layout, (n,), (cells, nodes) or (cells, nodes, 1), with
+    marks of the same layout or widened by a batch, (B, cells, nodes) in
+    front or (cells, nodes, B) behind, and their collateral."""
     n, cells, nodes = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    width = draw(st.integers(1, 3))
     spot_shape, mark_shape = draw(st.sampled_from([
-        ((n,), (n,)), ((cells, nodes, 1), (cells, nodes, draw(st.integers(1, 3))))]))
+        ((n,), (n,)), ((cells, nodes), (width, cells, nodes)),
+        ((cells, nodes, 1), (cells, nodes, width))]))
     mark = _floats(draw, _MARK, mark_shape)
     return (draw(st.sampled_from([CALL, PUT])), _floats(draw, _SPOT, spot_shape), mark,
             draw(st.sampled_from([0.0, 0.9])) * mark)

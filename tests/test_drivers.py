@@ -161,25 +161,35 @@ def _floats(draw, elements, shape):
                     dtype=float).reshape(shape)
 
 
-_LAYOUTS = ("flat", "column", "batched", "widened")
+_LAYOUTS = ("flat", "rows", "rows_widened", "column", "batched", "widened")
 
 
 @st.composite
 def _driver_case(draw, kinds=ALL_DRIVER_KINDS, layouts=_LAYOUTS):
-    """One kind, option and t at a layout of the Monte Carlo (n,) or the
-    PDE (cells, nodes, 1), or a batch: (cells, nodes, B) values, or
-    (cells, nodes, 1) values widened by the batch, with (B,) arrays of the
-    capital hurdle and the collateral rate."""
+    """One kind, option and t at a layout of the Monte Carlo, (n,); of the
+    PDE's batch-major march, spots (cells, nodes) with (B, cells, nodes)
+    values ("rows", B = 1 a single solve) or with (cells, nodes) values
+    widened by the batch ("rows_widened"), and (B, 1, 1) arrays of the
+    capital hurdle and the collateral rate; or batch-last, spots
+    (cells, nodes, 1) with values of that shape ("column"), of shape
+    (cells, nodes, B) ("batched") or widened by the batch ("widened"), and
+    (B,) arrays of the two fields."""
     n, cells, nodes, width = (draw(st.integers(1, 7)), draw(st.integers(1, 4)),
                               draw(st.integers(2, 3)), draw(st.integers(2, 4)))
     layout = draw(st.sampled_from(layouts))
-    spot_shape = (n,) if layout == "flat" else (cells, nodes, 1)
-    v_shape = (cells, nodes, width) if layout == "batched" else spot_shape
+    if layout.startswith("rows"):
+        width = draw(st.integers(1, 4))
+        spot_shape, field_shape = (cells, nodes), (width, 1, 1)
+        v_shape = (width, cells, nodes) if layout == "rows" else spot_shape
+    else:
+        spot_shape = (n,) if layout == "flat" else (cells, nodes, 1)
+        v_shape = (cells, nodes, width) if layout == "batched" else spot_shape
+        field_shape = (width,) if layout in ("batched", "widened") else None
     market = MARKET
-    if layout in ("batched", "widened"):
+    if field_shape is not None:
         market = dataclasses.replace(
-            MARKET, capital_hurdle=_floats(draw, st.floats(0.0, 0.3), (width,)),
-            collateral_rate=_floats(draw, st.floats(0.0, 0.1), (width,)))
+            MARKET, capital_hurdle=_floats(draw, st.floats(0.0, 0.3), field_shape),
+            collateral_rate=_floats(draw, st.floats(0.0, 0.1), field_shape))
     t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     return (draw(st.sampled_from(kinds)), draw(st.sampled_from([PUT, CALL])),
             t, _floats(draw, _SPOT, spot_shape), _floats(draw, _VALUE, v_shape), market)

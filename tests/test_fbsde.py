@@ -260,14 +260,34 @@ def test_query_in_a_stratum_empty_at_time_zero_raises():
                        runtime=0.0, workers=1, tasks=1)
     sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
     hole = float(grid.centers[2])
-    for query in (sol.value, sol.stderr, sol.xva):
-        assert np.all(np.isfinite(query(np.array([2.0, 5.0, 40.0]))))
-        for spot in (hole, np.array([2.0, hole])):
+    # a line through the 2 paths of strata 0 and 1 leaves no residual
+    # degree of freedom, so only stratum 3 has an error bar
+    for query, spots in ((sol.value, [2.0, 5.0, 40.0]), (sol.stderr, [40.0]),
+                         (sol.xva, [2.0, 5.0, 40.0])):
+        assert np.all(np.isfinite(query(np.array(spots))))
+        for spot in (hole, np.array([40.0, hole])):
             with pytest.raises(ValueError, match=re.escape(
                     f"query spot {hole!r} lies in a Monte Carlo stratum that "
                     f"holds no path at t = 0")):
                 query(spot)
     assert np.array_equal(sol.fit.counts, [2.0, 2.0, 0.0, 4.0])
+
+
+def test_stderr_without_residual_freedom_raises():
+    # a line through 2 paths fits them exactly: its residual variance has
+    # no degree of freedom behind it, so the error bar there is unknown and
+    # the query is refused, where 3 paths give a finite, positive one
+    spots = np.array([5.0, 15.0])
+    sol = {paths: solve_backward(simulate_forward(
+        RegressionGrid(strata=40, paths_per_stratum=paths, steps=4), MARKET, 1.0,
+        seed=7), "linear", PUT) for paths in (2, 3)}
+    assert np.all(sol[3].stderr(spots) > 0.0)
+    assert np.all(np.isfinite(sol[2].value(spots)))
+    for spot in (15.0, spots[::-1]):
+        with pytest.raises(ValueError, match=re.escape(
+                "query spot 15.0 lies in a Monte Carlo stratum whose fit at "
+                "t = 0 leaves no residual degree of freedom")):
+            sol[2].stderr(spot)
 
 
 def test_queries_outside_the_strata_span_raise(ensemble):

@@ -218,11 +218,11 @@ def _recording_parts(n, delta, order):
 
     def apply_l(v):
         log.append(("L", v.shape, v.tobytes()))
-        return lmat @ v
+        return v @ lmat.T
 
     def solve_shifted(rhs):
         log.append(("S", rhs.shape, rhs.tobytes()))
-        return rhs / shift.reshape((n,) + (1,) * (rhs.ndim - 1))
+        return rhs / shift
 
     def explicit_fn(v, tau):
         log.append(("E", tau, v.tobytes()))
@@ -238,12 +238,13 @@ def test_table_step_equals_the_hand_written_steps_bitwise(order, n, width, seed,
                                                           delta):
     # one algorithm over the scheme table gives the hand-written steps' bits,
     # meets their stage times and calls L, the solve and E in their order on
-    # the same bits; states spanning eight decades keep M u from absorbing
+    # the same bits, on (n,) states and on (width, n) batches under the (n,)
+    # mass diagonal; states spanning eight decades keep M u from absorbing
     # the rounding of the delta terms
     rng = np.random.default_rng(seed)
-    shape = (n,) if width is None else (n, width)
+    shape = (n,) if width is None else (width, n)
     u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 0.0, shape)
-    mass = rng.uniform(0.5, 2.0, n).reshape((n,) + (1,) * (len(shape) - 1))
+    mass = rng.uniform(0.5, 2.0, n)
     direct = step_order2 if order == 2 else step_order3
     *got_parts, got_log = _recording_parts(n, delta, order)
     *want_parts, want_log = _recording_parts(n, delta, order)

@@ -305,22 +305,24 @@ def test_implicit_operator_solves_shifted_system():
 
 
 def test_implicit_operator_batches_right_hand_sides():
-    # B right-hand sides in one dgbtrs call, and L on B columns in one
-    # sparse product, give each column exactly its single-vector result
+    # B right-hand sides as the rows of a (B, N) array in one dgbtrs call,
+    # and L on B rows in one sparse product, give each row exactly its
+    # single-vector result; the solve comes back C-contiguous (B, N)
     mesh = Mesh(s_max=60.0, cells=1280)
     for deg in (1, 2):
         basis = make_basis(deg)
         op = assemble_implicit(mesh, basis, 0.013, _diffusion_form(FluxVariant.UPWIND_LEFT))
-        rhs = np.random.default_rng(9).standard_normal((op.mass.size, 5))
+        rhs = np.random.default_rng(9).standard_normal((5, op.mass.size))
         x, lx = op.solve(rhs), op.apply_diffusion(rhs)
         assert x.shape == lx.shape == rhs.shape
+        assert x.flags.c_contiguous
         for b in range(5):
-            assert np.array_equal(x[:, b], op.solve(rhs[:, b].copy()))
-            assert np.array_equal(lx[:, b], op.apply_diffusion(rhs[:, b].copy()))
+            assert np.array_equal(x[b], op.solve(rhs[b].copy()))
+            assert np.array_equal(lx[b], op.apply_diffusion(rhs[b].copy()))
         # a band width that does not match the factors is an illegal dgbtrs
-        # argument (nonzero info), reported for one column as for many
+        # argument (nonzero info), reported for one row as for many
         broken = dataclasses.replace(op, bandwidth=op.bandwidth + 1)
-        for bad in (rhs[:, 0], rhs):
+        for bad in (rhs[0], rhs):
             with pytest.raises(np.linalg.LinAlgError, match="dgbtrs"):
                 broken.solve(bad)
 

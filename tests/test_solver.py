@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xvadg import imex, solver
+from xvadg import imex, ldg, solver
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config
 from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
@@ -215,16 +215,18 @@ def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
 
 
 def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
-    """The (N, B) state at time zero of one ``solve_many`` group, marched
+    """The (B, N) state at time zero of one ``solve_many`` group, marched
     with the driver built afresh by ``driver_value`` at every stage.  A group
     of one keeps its scalars here: it is the batch-of-one reference that
-    pins the solver's (1,) batched fields to the scalar march, bit for bit."""
+    pins the solver's (1, 1, 1) batched fields to the scalar march, bit for
+    bit."""
     config = configs[0]
     option, capital, market = config.option, config.capital, config.market
     width = len(configs)
     if width > 1:
-        market = replace(market, **{name: np.array([getattr(c.market, name) for c in configs])
-                                    for name in BATCHED_FIELDS})
+        market = replace(market, **{
+            name: np.array([getattr(c.market, name) for c in configs]).reshape(width, 1, 1)
+            for name in BATCHED_FIELDS})
     mesh, basis = Mesh(config.s_max, config.cells), make_basis(config.degree)
     speed = market.sigma ** 2 - market.drift
     grid = imex.select_time_grid(mesh, config.degree, speed, option.maturity,
@@ -238,20 +240,20 @@ def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
         lambda u: (diffusion_form(gradient_form(u, variant), variant,
                                   lambda s: 0.5 * market.sigma ** 2 * s ** 2)
                    + convection_form(u, speed) + speed * weights * u.coeffs))
-    shape = (mesh.cells, basis.n_nodes, width)
+    shape = (width, mesh.cells, basis.n_nodes)
     u = np.zeros(shape) if is_adjustment_kind(kind) else np.repeat(
-        project_payoff(option, mesh, basis).coeffs[..., None], width, axis=2)
-    u = u.reshape(-1, width)
-    spots = mesh.quad_points(basis)[..., None]
+        project_payoff(option, mesh, basis).coeffs[None], width, axis=0)
+    u = u.reshape(width, -1)
+    spots = mesh.quad_points(basis)
 
     def explicit_fn(state, tau):
         fwd = driver_value(kind, option.maturity - tau, spots, state.reshape(shape),
                            option, market, capital, capital_fn)
-        return (-weights[..., None] * fwd).reshape(state.shape)
+        return (-weights * fwd).reshape(state.shape)
 
     tau = 0.0
     for _ in range(grid.steps):
-        u = imex.step(order, u, tau, grid.delta, op.mass[:, None], op.apply_diffusion,
+        u = imex.step(order, u, tau, grid.delta, op.mass, op.apply_diffusion,
                       op.solve, explicit_fn)
         tau += grid.delta
     return u
@@ -273,7 +275,7 @@ def test_levels_built_once_equal_a_march_built_afresh_bitwise(kind, option_kind,
     want = _march_afresh(configs, kind)
     for b, result in enumerate(solve_many(configs, kind)):
         got = result.value_field.coeffs.ravel()
-        assert np.array_equal(got.view(np.int64), want[:, b].view(np.int64)), b
+        assert np.array_equal(got.view(np.int64), want[b].view(np.int64)), b
 
 
 def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise():
@@ -286,7 +288,7 @@ def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise():
     for kind in ("nonlinear", "linear"):
         want = _march_afresh(configs, kind, capital_fn)
         got = solve(configs[0], kind, capital_fn).value_field.coeffs.ravel()
-        assert np.array_equal(got.view(np.int64), want[:, 0].view(np.int64)), kind
+        assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), kind
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -337,13 +339,85 @@ def test_large_steps_stay_accurate_when_convection_is_fast():
 
 
 def test_nonfinite_column_stops_the_batch():
-    base = benchmark_config(option_kind="put", driver="linear", cells=40)
-    # the config refuses an infinite hurdle; one this large overflows in the march
-    poisoned = replace(base, market=replace(base.market, capital_hurdle=1e308))
+    # a capital profile of 1e300 right of S = 30, at the last stage time of
+    # the first step alone: third order's last stage enters the new state
+    # through the explicit combination only, so the nonfinite nodes stay
+    # where the driver overflowed, and only in the column whose hurdle
+    # takes 1e300 past the largest float
+    base = replace(benchmark_config(option_kind="put", driver="linear", cells=40),
+                   degree=2)
+    delta = solve(base).time_grid.delta
+    maturity = base.option.maturity
+
+    def capital_fn(t, s, m):
+        return np.where((t <= maturity - 0.9 * delta) & (s > 30.0), 1e300, 0.0 * m)
+
+    poisoned = replace(base, market=replace(base.market, capital_hurdle=1e10))
     with np.errstate(all="ignore"):
         with pytest.raises(SolverDivergedError, match="finiteness") as exc:
-            solve_many([base, poisoned])
+            solve_many([base, poisoned], capital_fn=capital_fn)
     assert exc.value.step == 1
+    spots = Mesh(base.s_max, base.cells).quad_points(make_basis(base.degree))
+    first = int(np.flatnonzero((spots > 30.0).any(axis=1))[0])
+    assert first == 20
+    assert exc.value.cell == first
+
+
+def test_batched_march_layout(monkeypatch):
+    # the (B, N) state reaches dgbtrs as its F-contiguous (N, B) transpose
+    # and the driver as a C-contiguous (B, cells, degree+1) array, so
+    # neither side copies it into another order
+    rhs_seen, states_seen = [], []
+    dgbtrs = ldg.dgbtrs
+
+    def record_dgbtrs(lu, kl, ku, b, *args, **kwargs):
+        rhs_seen.append((b.shape, b.flags.f_contiguous))
+        return dgbtrs(lu, kl, ku, b, *args, **kwargs)
+
+    levels = solver.driver_levels
+
+    def record_levels(*args, **kwargs):
+        build = levels(*args, **kwargs)
+
+        def level_at(i):
+            level = build(i)
+
+            def recorded(v):
+                states_seen.append((v.shape, v.flags.c_contiguous))
+                return level(v)
+            return recorded
+        return level_at
+
+    monkeypatch.setattr(ldg, "dgbtrs", record_dgbtrs)
+    monkeypatch.setattr(solver, "driver_levels", record_levels)
+    base = replace(benchmark_config(option_kind="put", driver="nonlinear", cells=20),
+                   degree=2)
+    results = solve_many([replace(base, market=replace(base.market, capital_hurdle=h))
+                          for h in (0.06, 0.15, 0.25)])
+    meta = results[0].meta
+    assert len(rhs_seen) == meta["implicit_solves"] > 0
+    assert len(states_seen) == meta["driver_evaluations"] > 0
+    assert set(rhs_seen) == {((20 * 3, 3), True)}
+    assert set(states_seen) == {((3, 20, 3), True)}
+
+
+@pytest.mark.parametrize("kind, mark_shape", [("nonlinear", (2, 20, 3)),
+                                              ("linear", (20, 3))])
+def test_capital_fn_sees_spots_and_batch_major_marks(kind, mark_shape):
+    # a capital profile is called with spots (cells, degree+1) and marks
+    # that broadcast against them: the marched values of a batch of B
+    # scenarios as (B, cells, degree+1), or a mark kind's closed-form mark
+    # on the spots' shape
+    seen = set()
+
+    def capital_fn(t, s, m):
+        seen.add((s.shape, m.shape))
+        return 0.01 * np.abs(m) + 0.0 * s
+
+    base = replace(benchmark_config(option_kind="call", driver=kind, cells=20), degree=2)
+    solve_many([replace(base, market=replace(base.market, capital_hurdle=h))
+                for h in (0.06, 0.15)], capital_fn=capital_fn)
+    assert seen == {((20, 3), mark_shape)}
 
 
 def test_put_query_outside_domain_raises():
