@@ -260,23 +260,28 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lognormal_expectation(fn: Callable[[np.ndarray], np.ndarray],
-                          kernel: LognormalKernel, order: int = 64) -> float:
+                          kernel: LognormalKernel, order: int = 64) -> float | np.ndarray:
     """E[fn(S_h)] under ``kernel`` by Gauss-Hermite quadrature.
 
-    ``fn`` must accept a vector of stock levels.  A zero horizon is the
-    point mass at ``spot``.  The rule integrates polynomials in the normal
-    increment exactly up to degree ``2*order - 1``; 64 nodes leave the
-    moment identities E[S_h] = spot*exp(drift*h) and E[S_h^2] accurate to
-    relative 1e-13 for the vol/horizon ranges used here.
+    ``fn`` must accept a vector of stock levels and return one value per
+    level (a float expectation) or a stack of k rows of them (k expectations
+    on one node set).  Each row is a dot product of its own, bit for bit a
+    one-row call; a matrix product would sum in another order.  A zero
+    horizon is the point mass at ``spot``.  The rule integrates polynomials
+    in the normal increment exactly up to degree ``2*order - 1``; 64 nodes
+    leave the moment identities E[S_h] = spot*exp(drift*h) and E[S_h^2]
+    accurate to relative 1e-13 for the vol/horizon ranges used here.
     """
     if order < 1:
         raise ValueError("quadrature order must be at least 1")
     if kernel.horizon == 0.0 or kernel.sigma == 0.0:
         drift_move = kernel.spot * np.exp(kernel.drift * kernel.horizon)
-        return float(np.asarray(fn(np.asarray([drift_move])), dtype=float)[0])
+        vals = np.asarray(fn(np.asarray([drift_move])), dtype=float)[..., 0]
+        return float(vals) if vals.ndim == 0 else vals
     x, w = _hermite_rule(order)
     m = (kernel.drift - 0.5 * kernel.sigma ** 2) * kernel.horizon
     scale = kernel.sigma * np.sqrt(kernel.horizon) * _SQRT2
     levels = kernel.spot * np.exp(m + scale * x)
-    vals = np.asarray(fn(levels), dtype=float)
-    return float(np.dot(w, vals) * _INV_SQRTPI)
+    vals = np.ascontiguousarray(fn(levels), dtype=float)
+    sums = np.array([np.dot(w, row) for row in np.atleast_2d(vals)]) * _INV_SQRTPI
+    return float(sums[0]) if vals.ndim == 1 else sums

@@ -310,14 +310,14 @@ def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
 
 
 def capital_requirement(t, spot, mark, option: OptionSpec, market: MarketParams,
-                        capital: CapitalParams, collateral=None) -> CapitalBreakdown:
+                        capital: CapitalParams) -> CapitalBreakdown:
     """Capital stack at time ``t``, stock ``spot``, mark-to-market ``mark``.
 
-    ``collateral`` defaults to the contractual fraction of the mark.  The
-    binding requirement is ``k_total = max(k_ccr + k_cva, k_lr)``; with the
-    exposure floored at zero the first branch is nonnegative, so ``k_total``
-    is too.
+    The collateral is the contractual fraction of the mark
+    (``capital_requirement_parts`` takes any other).  The binding
+    requirement is ``k_total = max(k_ccr + k_cva, k_lr)``; with the
+    exposure floored at zero the first branch is nonnegative, so
+    ``k_total`` is too.
     """
-    if collateral is None:
-        collateral = market.collateral_fraction * np.asarray(mark, dtype=float)
+    collateral = market.collateral_fraction * np.asarray(mark, dtype=float)
     return capital_requirement_parts(mark, collateral, spot, t, option, capital)

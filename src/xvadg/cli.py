@@ -309,6 +309,8 @@ def run_table3(config: RunConfig, spots=TABLE_SPOTS, pde_cells: int = 1280,
 
 
 def _regression_grid(args) -> RegressionGrid:
+    if args.paths < 3:  # a line through 2 paths leaves no residual for the stderr
+        raise ValueError(f"--paths must be at least 3, got {args.paths}")
     return RegressionGrid(strata=args.strata, paths_per_stratum=args.paths,
                           steps=args.steps)
 

@@ -345,10 +345,10 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
     """Decompose the linear-convention adjustment at ``spot``, time zero.
 
     Each component is E of a running cost discounted by the issuer-funding
-    plus counterparty-intensity kernel.  Expectations over the stock at
-    horizon u use Gauss-Hermite quadrature of the lognormal law; the time
-    integral is composite Simpson on ``_SIMPSON_INTERVALS`` intervals with
-    ``_HERMITE_ORDER`` Hermite nodes.
+    plus counterparty-intensity kernel.  At each time node u of composite
+    Simpson on ``_SIMPSON_INTERVALS`` intervals, one closed-form mark on the
+    ``_HERMITE_ORDER`` Gauss-Hermite nodes of the lognormal law gives all
+    four cost integrands, and one quadrature call integrates them.
     """
     n = _SIMPSON_INTERVALS
     maturity = option.maturity
@@ -357,20 +357,14 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
     frac = market.collateral_fraction
 
     def component_values(u: float) -> np.ndarray:
-        kernel = LognormalKernel(spot=spot, drift=market.drift,
-                                 sigma=market.sigma, horizon=u)
+        def integrands(z: np.ndarray) -> np.ndarray:  # the four costs on one mark
+            mark = bs_value(option, z, u, market)
+            return np.array([np.maximum((1.0 - frac) * mark, 0.0),
+                             np.maximum(-(1.0 - frac) * mark, 0.0), frac * mark,
+                             capital_requirement(u, z, mark, option, market, capital).k_total])
 
-        def for_each(fn):
-            return lognormal_expectation(fn, kernel, _HERMITE_ORDER)
-
-        def mark(z):
-            return bs_value(option, z, u, market)
-
-        exposure = for_each(lambda z: np.maximum((1.0 - frac) * mark(z), 0.0))
-        shortfall = for_each(lambda z: np.maximum(-(1.0 - frac) * mark(z), 0.0))
-        coll = for_each(lambda z: frac * mark(z))
-        cap = for_each(lambda z: capital_requirement(
-            u, z, mark(z), option, market, capital).k_total)
+        kernel = LognormalKernel(spot, market.drift, market.sigma, horizon=u)
+        exposure, shortfall, coll, cap = lognormal_expectation(integrands, kernel, _HERMITE_ORDER)
         disc = np.exp(-decay * u)
         return disc * np.array([
             market.cpty_spread * exposure,            # counterparty loss
@@ -387,9 +381,7 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     integrals = (h / 3.0) * w @ vals
-    return XVABreakdown(cva=float(integrals[0]), fbva=float(integrals[1]),
-                        fcva=float(integrals[2]), cra=float(integrals[3]),
-                        kva=float(integrals[4]))
+    return XVABreakdown(*(float(v) for v in integrals))  # cva, fbva, fcva, cra, kva
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,28 @@ def test_kernel_zero_horizon_is_point_mass():
     assert lognormal_expectation(lambda s: s ** 3, kernel) == pytest.approx(12.0 ** 3)
 
 
+@pytest.mark.parametrize("spot, sigma, horizon", [
+    (15.0, 0.3, 0.5), (15.0, 0.3, 0.0), (15.0, 0.0, 0.5)],
+    ids=["positive-horizon", "zero-horizon", "zero-sigma"])
+def test_a_stack_of_integrands_keeps_the_bits_of_one_call_per_row(spot, sigma, horizon):
+    # row i of a (k, n) integrand integrates as an integrand returning that
+    # row alone would: one dot per row, never one matrix product, whose
+    # summation order differs
+    kernel = LognormalKernel(spot=spot, drift=0.06, sigma=sigma, horizon=horizon)
+    scales = np.random.default_rng(5).uniform(-3.0, 3.0, size=(8, 1))
+
+    def stack(s):
+        m = bs_value(PUT, s, 0.3, MARKET)
+        return np.concatenate([np.exp(scales) * m, [s, np.maximum(m - 2.0, 0.0)]])
+
+    got = lognormal_expectation(stack, kernel)
+    assert got.shape == (10,)
+    rows = [lognormal_expectation(lambda s, i=i: stack(s)[i], kernel)
+            for i in range(10)]
+    assert all(isinstance(r, float) for r in rows)
+    assert np.array_equal(bits(got), bits(rows))
+
+
 @pytest.mark.parametrize("option", [CALL, PUT], ids=["call", "put"])
 def test_kernel_tower_property(option):
     """Discounted kernel expectation of the mid-horizon value reproduces the

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from xvadg import imex, ldg, solver
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
-from xvadg.config import MarketParams, benchmark_config
+from xvadg.config import MarketParams, benchmark_config, config_from_dict
 from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
 from xvadg.ldg import (DGField, Mesh, assemble_implicit, convection_form, diffusion_form,
                        gradient_form, make_basis, mass_diag, project_payoff,
@@ -420,6 +420,19 @@ def test_capital_fn_sees_spots_and_batch_major_marks(kind, mark_shape):
     assert seen == {((20, 3), mark_shape)}
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: the driver's decay rate stays explicit, so a "
+                          "high counterparty intensity makes the linear put blow up")
+def test_high_counterparty_intensity_gives_a_bounded_put():
+    # (intensity, cells) = (20, 40) prints 73.54 at spot 5 and (200, 160)
+    # 2.4e35, each with exit status 0 and no RuntimeWarning
+    spots = np.arange(5.0, 31.0)
+    values = np.concatenate([
+        solve(config_from_dict({"cpty_intensity": lam, "cells": cells})).value(spots)
+        for lam, cells in ((20.0, 40), (200.0, 160))])
+    assert np.all(np.isfinite(values)) and np.all(values < 15.0)
+
+
 def test_put_query_outside_domain_raises():
     result = solve(benchmark_config(option_kind="put", cells=40))
     for accessor in (result.value, result.delta, result.gamma, result.xva):
@@ -484,6 +497,41 @@ def test_quadrature_decomposition_matches_pde():
     # a put's mark is nonnegative, so there is no funding benefit leg
     assert bd.cva > 0.0 and bd.fcva > 0.0 and bd.cra > 0.0 and bd.kva > 0.0
     assert bd.fbva == pytest.approx(0.0, abs=1e-15)
+
+
+# xva_breakdown(15.0, ·) at the benchmark configuration as hex floats: how
+# the quadrature shares its nodes and marks must not move a bit
+BREAKDOWN_AT_15 = {
+    "put": dict(cva="0x1.3b4d77c146c65p-12", fbva="-0x1.aac5e849f86e1p-79",
+                fcva="0x1.bc26a102b3ab3p-15", cra="0x1.875869897a797p-7",
+                kva="0x1.92d74bf817555p-10"),
+    "call": dict(cva="0x1.04e07d621431dp-11", fbva="-0x1.2a326cb47e0fdp-80",
+                 fcva="0x1.6f7bf1eb8aecfp-14", cra="0x1.43cb29f8521efp-6",
+                 kva="0x1.e976c6d41c948p-3"),
+}
+
+
+@pytest.mark.parametrize("option_kind", ["put", "call"])
+def test_decomposition_keeps_its_bits(option_kind):
+    cfg = benchmark_config(option_kind=option_kind)
+    bd = xva_breakdown(15.0, cfg.option, cfg.market, cfg.capital)
+    assert {name: getattr(bd, name).hex() for name in BREAKDOWN_AT_15[option_kind]} \
+        == BREAKDOWN_AT_15[option_kind]
+
+
+def test_decomposition_evaluates_each_simpson_node_once(monkeypatch):
+    # one closed-form mark, one capital stack and one expectation of the
+    # four cost integrands per node, on 200 Simpson intervals
+    counts = dict.fromkeys(("bs_value", "lognormal_expectation",
+                            "capital_requirement"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    cfg = benchmark_config()
+    xva_breakdown(15.0, cfg.option, cfg.market, cfg.capital)
+    assert counts == dict.fromkeys(counts, 201)
 
 
 def test_decomposition_degenerate_markets():
