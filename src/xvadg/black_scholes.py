@@ -153,34 +153,24 @@ def mark_times(option: OptionSpec, t: np.ndarray | float,
 
 
 def _d1(space: MarkSpace, row: MarkTimes) -> np.ndarray:
-    """``d1 = (log-moneyness + carry) / vol`` at one time, in a new array."""
-    d1 = np.add(space.log_moneyness, row.carry, out=np.empty(np.shape(space.log_moneyness)))
-    d1 /= row.vol
-    return d1
+    """``d1 = (log-moneyness + carry) / vol`` at one time."""
+    return (space.log_moneyness + row.carry) / row.vol
 
 
 def mark_at(option: OptionSpec, space: MarkSpace, row: MarkTimes) -> np.ndarray:
     """The default-free value on the spots of ``space`` at the one time of
-    ``row``, in a new array of the spots' shape; see :func:`bs_value`."""
+    ``row``; see :func:`bs_value`."""
     s = space.spot
     if row.tau <= 0.0:
         return payoff(option, s)
     d1 = _d1(space, row)
-    d2 = np.subtract(d1, row.vol, out=np.empty(d1.shape))
-    # s * growth * N(+-d1) and disc_k * N(+-d2), each product in place
-    held = np.multiply(s, row.growth, out=np.empty(d1.shape))
+    d2 = d1 - row.vol
     if option.kind == "call":
-        held *= norm_cdf(d1)
-        owed = norm_cdf(d2)
-        owed *= row.disc_k
-        held -= owed
-        out, boundary = held, 0.0
+        out = s * row.growth * norm_cdf(d1) - row.disc_k * norm_cdf(d2)
+        boundary = 0.0
     else:
-        owed = norm_cdf(np.negative(d2, out=d2))
-        owed *= row.disc_k
-        held *= norm_cdf(np.negative(d1, out=d1))
-        owed -= held
-        out, boundary = owed, row.disc_k
+        out = row.disc_k * norm_cdf(-d2) - s * row.growth * norm_cdf(-d1)
+        boundary = row.disc_k
     if space.nonpositive is not None:
         out = np.where(space.nonpositive, boundary, out)
     return out

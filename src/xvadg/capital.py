@@ -71,21 +71,14 @@ def _delta_coefficients(maturity: float, t, sigma_r: float) -> tuple:
 
 
 def _log_moneyness(option: OptionSpec, spot) -> np.ndarray:
-    """The supervisory ``log((S + 0.01)/(K + 0.01))``, in a new array."""
-    s = np.asarray(spot, dtype=float)
-    arg = np.add(s, 0.01, out=_new(s))
-    arg /= option.strike + 0.01
-    return np.log(arg, out=arg)
+    """The supervisory ``log((S + 0.01)/(K + 0.01))``."""
+    return np.log((np.asarray(spot, dtype=float) + 0.01) / (option.strike + 0.01))
 
 
 def _delta(option: OptionSpec, log_moneyness, half, root) -> np.ndarray | float:
     """The signed supervisory delta ``N(+-(log_moneyness + half)/root)``."""
-    arg = np.add(log_moneyness, half, out=_new(log_moneyness, half, root))
-    arg /= root
-    if option.kind == "call":
-        return norm_cdf(arg)
-    out = norm_cdf(np.negative(arg, out=arg))
-    return np.negative(out, out=out) if np.ndim(out) else -out
+    arg = (log_moneyness + half) / root
+    return norm_cdf(arg) if option.kind == "call" else -norm_cdf(-arg)
 
 
 def supervisory_delta(option: OptionSpec, spot: np.ndarray | float, t: np.ndarray | float,
@@ -124,7 +117,7 @@ def capital_space(spot, option: OptionSpec, capital: CapitalParams) -> CapitalSp
     """The :class:`CapitalSpace` of ``spot``."""
     s = np.asarray(spot, dtype=float)
     return CapitalSpace(log_moneyness=_log_moneyness(option, s),
-                        scaled_spot=np.multiply(s, capital.supervisory_factor, out=_new(s)))
+                        scaled_spot=s * capital.supervisory_factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,9 +257,7 @@ def capital_level_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes,
     ``(S * supervisory_factor) * maturity_factor * delta`` and what is
     built on it."""
     delta = _delta(option, space.log_moneyness, row.half, row.root)
-    addon = np.multiply(space.scaled_spot, row.mat_factor,
-                        out=_new(space.scaled_spot, row.mat_factor, delta))
-    addon *= delta
+    addon = space.scaled_spot * row.mat_factor * delta
     zero = addon == 0.0
     if zero.any():
         safe = np.where(zero, 1.0, addon)

@@ -229,7 +229,7 @@ def run_convergence(config: RunConfig,
 
 
 def _converge(config: RunConfig, args) -> Output:
-    ladder = _parse_values(args.ladder, int) if args.ladder else CONVERGENCE_LADDER
+    ladder = _parse_values(args.ladder, int) if args.ladder is not None else CONVERGENCE_LADDER
     report = run_convergence(config, ladder, args.ref_cells)
     return Output(config, [f.name for f in dataclasses.fields(ConvergenceRow)],
                   [dataclasses.astuple(r) for r in report.rows],
@@ -386,7 +386,7 @@ def run_sweep(config: RunConfig, param: str,
 
 def _sweep(config: RunConfig, args) -> Output:
     sweep = run_sweep(config, args.param,
-                      _parse_values(args.values) if args.values else None)
+                      _parse_values(args.values) if args.values is not None else None)
     rows = sweep.pop("rows")
     text = (f"sweep over {args.param}: values {sweep['values']}\n"
             f"xva pointwise nonincreasing across values: {sweep['xva_nonincreasing']}")
@@ -401,7 +401,7 @@ def _sweep(config: RunConfig, args) -> Output:
 
 def _fbsde(config: RunConfig, args) -> Output:
     grid = _regression_grid(args)
-    s = grid.locate(_parse_values(args.spots) if args.spots else TABLE_SPOTS)[0]
+    s = grid.locate(_parse_values(args.spots) if args.spots is not None else TABLE_SPOTS)[0]
     ensemble = simulate_forward(grid, config.market,
                                 maturity=config.option.maturity, seed=args.seed)
     sol = solve_backward(ensemble, config.driver, config.option, capital=config.capital)

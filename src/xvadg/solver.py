@@ -195,24 +195,24 @@ def solve_many(configs: Sequence[RunConfig], kind: str | None = None,
     to every configuration.  Each result equals its ``solve`` bit for bit.
     """
     results: list = [None] * len(configs)
-    for members in scenario_groups(configs, kind):
+    for members in scenario_groups(configs):
         group = [configs[i] for i in members]
         for i, result in zip(members, _march_group(group, kind, capital_fn)):
             results[i] = result
     return results
 
 
-def scenario_groups(configs: Sequence[RunConfig],
-                    kind: str | None = None) -> list[list[int]]:
+def scenario_groups(configs: Sequence[RunConfig]) -> list[list[int]]:
     """Indices of the configurations that march together, in order of first
-    appearance: equal in every field but ``BATCHED_FIELDS``, and in kind."""
+    appearance: equal in every field, the driver included, but
+    ``BATCHED_FIELDS``.  A ``solve_many`` kind override is the same for
+    every configuration, so it never changes the groups."""
     groups: dict = {}
     for i, config in enumerate(configs):
         fields = config_to_dict(config)
         for name in BATCHED_FIELDS:
             del fields[name]
-        key = (config.driver if kind is None else kind, tuple(sorted(fields.items())))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(tuple(sorted(fields.items())), []).append(i)
     return list(groups.values())
 
 

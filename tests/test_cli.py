@@ -296,6 +296,24 @@ def test_fewer_than_three_paths_are_refused_before_any_work(flags, tmp_path, cap
                       "message": "--paths must be at least 3, got 2"}
 
 
+@pytest.mark.parametrize("flags", [
+    ["fbsde", "--spots", ""], ["sweep", "--param", "sigma", "--values", ""],
+    ["converge", "--ladder", ""]], ids=["fbsde-spots", "sweep-values", "converge-ladder"])
+def test_an_explicitly_empty_list_is_refused_not_defaulted(flags, tmp_path, capsys,
+                                                           monkeypatch):
+    # an empty list is refused as ',' is, before any work, and never
+    # replaced by the command's default list
+    def never(*args, **kwargs):
+        raise AssertionError("work ran on an empty list flag")
+    for name in ("simulate_forward", "solve", "solve_many"):
+        monkeypatch.setattr(cli, name, never)
+    rc = main([*flags, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": "empty value list: ''"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_table3_refuses_spots_outside_the_domain_before_any_work(tmp_path, capsys,
                                                                 monkeypatch):
     # strike 5 puts s_max at 20: spot 30 has no PDE value, and once it was

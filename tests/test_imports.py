@@ -11,6 +11,7 @@ from pathlib import Path
 import xvadg
 
 PACKAGE = Path(xvadg.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 #: the names kept only as lookup points for bench/tracing.py's patches
 TRACER_ONLY = {("drivers", "capital_requirement"), ("fbsde", "driver_value")}
@@ -63,6 +64,23 @@ def test_every_module_level_import_is_read():
     assert unused == {}
     # a new tracer-only import is a deliberate edit of this set
     assert noqa == TRACER_ONLY
+
+
+def tracer_patches(source: str) -> set:
+    """The (owner, attribute) pairs of the ``PATCHES`` table in the tracer's
+    ``source``, read with ``ast``: the tracer is neither imported nor run."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["PATCHES"]:
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError("no PATCHES table in the tracer")
+
+
+def test_every_tracer_only_import_is_patched_by_the_tracer():
+    # a tracer-only import outlives its patch only by failing here
+    patched = tracer_patches(TRACING.read_text())
+    assert len(patched) > 10
+    assert {(f"xvadg.{module}", name) for module, name in TRACER_ONLY} <= patched
 
 
 def test_the_check_sees_a_planted_unused_import():

@@ -159,13 +159,34 @@ def test_scenario_groups_follow_the_operator():
     assert scenario_groups(hurdles + rates) == [[0, 1, 2, 3, 4]]
     assert scenario_groups(sigmas) == [[0], [1], [2]]
     assert scenario_groups([hurdles[0], sigmas[0], hurdles[1]]) == [[0, 2], [1]]
-    assert scenario_groups(hurdles, kind="garcia") == [[0, 1, 2]]
+    assert scenario_groups([replace(c, driver="garcia") for c in hurdles]) == [[0, 1, 2]]
     # every other field separates: driver, degree, a capital parameter
     assert scenario_groups([base, replace(base, driver="linear"),
                             replace(base, degree=2),
                             replace(base, capital=replace(base.capital,
                                                           leverage_ratio=0.04))]
                            ) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("kind", [None, "garcia", "riskfree"])
+def test_a_kind_override_keeps_the_groups(kind):
+    # the grouping key holds each configuration's driver, and an override is
+    # the same kind for every configuration: it neither joins nor splits
+    base = benchmark_config(option_kind="put", driver="nonlinear", cells=20)
+    hurdles = [replace(base, market=replace(base.market, capital_hurdle=h))
+               for h in (0.06, 0.1, 0.15, 0.2, 0.25)]
+    linear = replace(base, driver="linear")
+    configs = hurdles + [linear]
+    assert scenario_groups(configs) == [[0, 1, 2, 3, 4], [5]]
+    results = solve_many(configs, kind=kind)
+    assert [r.meta["batch_width"] for r in results] == [5, 5, 5, 5, 5, 1]
+    # two configurations that differ only in the driver march apart, each
+    # as the one kind it is given
+    pair = solve_many([base, linear], kind=kind)
+    assert [r.meta["batch_width"] for r in pair] == [1, 1]
+    if kind is not None:
+        assert np.array_equal(pair[0].value_field.coeffs, pair[1].value_field.coeffs)
+        assert np.array_equal(results[5].value_field.coeffs, pair[1].value_field.coeffs)
 
 
 @pytest.mark.parametrize("degree,solves,evaluations", [(1, 2, 2), (2, 3, 4)])
