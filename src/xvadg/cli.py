@@ -354,6 +354,10 @@ def run_sweep(config: RunConfig, param: str,
     field, defaults, baseline = _SWEEPS[param]
     if values is None:
         values = defaults
+    floats = [float(v) for v in values]
+    repeated = sorted({v for v in floats if floats.count(v) > 1})
+    if repeated:   # delta_bounds is keyed by value: a repeat would lose an entry
+        raise ValueError(f"repeated {param} sweep value(s): {repeated}")
     spots = check_domain(spots, config.s_max)
     configs = [dataclasses.replace(config, market=dataclasses.replace(
         config.market, **{field: float(v)})) for v in values]

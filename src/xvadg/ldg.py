@@ -36,7 +36,11 @@ each cell to its neighbours becomes a sparse block-tridiagonal matrix by
 probing (``assemble_form_matrix``).  ``assemble_implicit`` probes the whole
 linear form L (the solver sums diffusion, convection and the weighted c u)
 and factors the banded M - coef * L, kl = ku = 2*degree+1, once with LAPACK
-``dgbtrf``; every implicit stage back-substitutes with ``dgbtrs``.
+``dgbtrf``.  The row interchanges of the factorization are folded once into
+one permutation and a unit-lower band, so an implicit stage on one
+right-hand side is a gather and two BLAS ``dtbsv`` triangular sweeps; a
+batch of right-hand sides back-substitutes with ``dgbtrs``.  Both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import OptionSpec, payoff
@@ -356,14 +361,21 @@ class ImplicitOperator:
     b-th vector.
 
     ``lu`` and ``pivots`` are the ``dgbtrf`` factors in LAPACK band
-    storage, with kl = ku = ``bandwidth`` = 2*degree+1.  A (B, N) array
-    is passed to ``dgbtrs`` and to the sparse product as its transpose,
-    the F-contiguous (N, B) view of the same memory, and their (N, B)
-    result comes back transposed.  ``dgbtrs`` works in Fortran order, so
-    ``solve`` returns a C-contiguous (B, N) array; scipy's product is
-    C-ordered, so ``apply_diffusion`` returns an F-ordered (B, N) view,
-    which numpy combines with C-ordered operands into C-ordered results.
-    Each row is bit for bit that row solved or multiplied alone.
+    storage, with kl = ku = ``bandwidth`` = 2*degree+1; ``perm`` and
+    ``lower`` are its unit-lower factor with the row interchanges folded
+    out (``_fold_interchanges``).  One row, (N,) or (1, N), is solved as
+    ``rhs[perm]`` and two ``dtbsv`` sweeps, with ``lower`` and with U as
+    ``dgbtrs`` reads it from ``lu``: ``dgbtrs``'s products in its order,
+    without its BLAS call per column, in the shape given.  B > 1 rows go
+    to ``dgbtrs``, whose per-column update serves all B at once.  A
+    (B, N) array is passed to ``dgbtrs`` and to the sparse product as its
+    transpose, the F-contiguous (N, B) view of the same memory, and their
+    (N, B) result comes back transposed.  ``dgbtrs`` works in Fortran
+    order, so ``solve`` returns a C-contiguous (B, N) array; scipy's
+    product is C-ordered, so ``apply_diffusion`` returns an F-ordered
+    (B, N) view, which numpy combines with C-ordered operands into
+    C-ordered results.  Each row is bit for bit that row solved or
+    multiplied alone.
     """
 
     mass: np.ndarray              # flat diagonal of M
@@ -371,16 +383,60 @@ class ImplicitOperator:
     bandwidth: int
     lu: np.ndarray
     pivots: np.ndarray
+    perm: np.ndarray              # x[i] of P x = rhs is rhs[perm[i]]
+    lower: np.ndarray             # folded unit-lower factor, dtbsv band storage
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs.T, self.pivots)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgbtrs failed with info={info}")
-        return x.T
+        if rhs.ndim == 2 and rhs.shape[0] > 1:
+            x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs.T, self.pivots)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dgbtrs failed with info={info}")
+            return x.T
+        bw = self.bandwidth
+        if self.lu.shape[0] != 3 * bw + 1:
+            raise np.linalg.LinAlgError(
+                f"factors of {self.lu.shape[0]} rows do not match bandwidth {bw}: "
+                f"dgbtrs band storage has 3*bandwidth+1 = {3 * bw + 1}")
+        x = rhs.reshape(-1)[self.perm]
+        x = dtbsv(self.lower.shape[0] - 1, self.lower, x, lower=1, diag=1, overwrite_x=1)
+        x = dtbsv(2 * bw, self.lu, x, overwrite_x=1)
+        return x.reshape(rhs.shape)
 
     def apply_diffusion(self, u: np.ndarray) -> np.ndarray:
         """L u for the whole linear operator L, not its diffusion part alone."""
         return (self.matrix @ u.T).T
+
+
+def _fold_interchanges(lu: np.ndarray, pivots: np.ndarray,
+                       bw: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``dgbtrf`` unit-lower factor as one permutation and one band.
+
+    ``dgbtrs`` applies the factor column by column: at step j it swaps
+    rows j and pivots[j], then subtracts multiplier * x[j] from rows
+    j+1..j+bw.  Row j is final after step j, and the later interchanges
+    only move the rows below it, so the multiplier that step j subtracts
+    from row r lands in the row pi_j(r) that the interchanges of steps
+    j+1, j+2, ... carry r to.  Placed there, the multipliers form a
+    unit-lower band, and rhs gathered by ``perm`` (the composition of all
+    the interchanges) and swept with it gets the same updates in the same
+    order.  One backward pass over the pivots builds each pi_j from
+    pi_{j+1}.  The band is wider than bw by the distance the interchanges
+    carry a multiplier; the multipliers of rows past n are never read.
+    """
+    n = lu.shape[1]
+    pos = np.arange(n + bw)             # pi_j; the bw rows past n are never swapped
+    dest = np.empty((bw, n), dtype=np.intp)
+    for j in range(n - 1, -1, -1):
+        dest[:, j] = pos[j + 1:j + 1 + bw]
+        q = pivots[j]
+        pos[j], pos[q] = pos[q], pos[j]
+    perm = np.empty(n, dtype=np.intp)
+    perm[pos[:n]] = np.arange(n)
+    col = np.arange(n)
+    dest -= col                         # row offsets below the diagonal
+    lower = np.zeros((int(dest.max()) + 1, n), order="F")
+    lower[dest, col] = lu[2 * bw + 1:]
+    return perm, lower
 
 
 def assemble_implicit(mesh: Mesh, basis: Basis, coef: float,
@@ -395,7 +451,9 @@ def assemble_implicit(mesh: Mesh, basis: Basis, coef: float,
     lu, pivots, info = dgbtrf(band, bw, bw, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgbtrf: M - coef*L is singular (info={info})")
-    return ImplicitOperator(mass=mass, matrix=matrix, bandwidth=bw, lu=lu, pivots=pivots)
+    perm, lower = _fold_interchanges(lu, pivots, bw)
+    return ImplicitOperator(mass=mass, matrix=matrix, bandwidth=bw, lu=lu, pivots=pivots,
+                            perm=perm, lower=lower)
 
 
 # ---------------------------------------------------------------------------

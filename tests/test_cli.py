@@ -314,6 +314,21 @@ def test_an_explicitly_empty_list_is_refused_not_defaulted(flags, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_refuses_a_repeated_value_before_any_work(tmp_path, capsys, monkeypatch):
+    # the sidecar's delta_bounds is keyed by value, so a repeated value
+    # once wrote its CSV rows twice while one of its bounds went missing
+    def never(*args, **kwargs):
+        raise AssertionError("work ran on a repeated sweep value")
+    monkeypatch.setattr(cli, "solve_many", never)
+    rc = main(["sweep", "--param", "capital-hurdle", "--values", "0.1,0.1,0.2",
+               "--cells", "40", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": "repeated capital-hurdle sweep value(s): [0.1]"}
+    assert not (tmp_path / "s").exists()
+
+
 def test_table3_refuses_spots_outside_the_domain_before_any_work(tmp_path, capsys,
                                                                 monkeypatch):
     # strike 5 puts s_max at 20: spot 30 has no PDE value, and once it was

@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrs
 
 from xvadg.config import OptionSpec
 from xvadg.ldg import (DGField, FluxVariant, Mesh, assemble_diffusion_matrix,
@@ -325,6 +326,34 @@ def test_implicit_operator_batches_right_hand_sides():
         for bad in (rhs[0], rhs):
             with pytest.raises(np.linalg.LinAlgError, match="dgbtrs"):
                 broken.solve(bad)
+
+
+@pytest.mark.parametrize("deg", (1, 2))
+@pytest.mark.parametrize("variant", list(FluxVariant))
+def test_one_row_sweeps_are_dgbtrs_bit_for_bit(deg, variant):
+    # one row is solved by two dtbsv sweeps over the folded factors; they
+    # add dgbtrs's products in dgbtrs's order, so every bit matches, sign
+    # of zero included, across magnitudes spanning many decades
+    rng = np.random.default_rng(10 + deg)
+    bw = 2 * deg + 1
+    basis = make_basis(deg)
+    for cells in (2, 3, 17, 160, 1280):
+        op = assemble_implicit(Mesh(s_max=60.0, cells=cells), basis, 0.013,
+                               _diffusion_form(variant))
+        n = op.mass.size
+        if cells >= 160:   # the factorization interchanges rows
+            assert np.any(op.pivots != np.arange(n))
+        for _ in range(20):
+            rhs = rng.standard_normal(n) * np.exp(3.0 * rng.standard_normal(n))
+            rhs[rng.random(n) < 0.1] = 0.0
+            ref, info = dgbtrs(op.lu, bw, bw, rhs, op.pivots)
+            assert info == 0
+            x = op.solve(rhs)
+            assert x.shape == (n,)
+            assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+            row = op.solve(rhs.reshape(1, n))
+            assert row.shape == (1, n) and row.flags.c_contiguous
+            assert np.array_equal(row[0].view(np.int64), ref.view(np.int64))
 
 
 def test_implicit_band_storage_width():
