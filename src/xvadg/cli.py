@@ -206,13 +206,16 @@ def run_convergence(config: RunConfig,
     log2 error ratios normalized by the mesh ratio.
     """
     ladder = tuple(int(n) for n in ladder)
+    # every rung's config is built, and so checked, before any solve
+    rungs = [dataclasses.replace(config, cells=n) for n in ladder]
+    ref_config = dataclasses.replace(config, cells=int(ref_cells))
     _check_nested(ladder, int(ref_cells))
-    reference = solve(dataclasses.replace(config, cells=int(ref_cells)))
+    reference = solve(ref_config)
     rows = []
     metas = []
     prev = None
-    for n in ladder:
-        sol = solve(dataclasses.replace(config, cells=n))
+    for n, rung in zip(ladder, rungs):
+        sol = solve(rung)
         metas.append(sol.meta)
         l2, linf = field_error_norms(sol.value_field, reference.value_field)
         if prev is None:

@@ -37,10 +37,10 @@ probing (``assemble_form_matrix``).  ``assemble_implicit`` probes the whole
 linear form L (the solver sums diffusion, convection and the weighted c u)
 and factors the banded M - coef * L, kl = ku = 2*degree+1, once with LAPACK
 ``dgbtrf``.  The row interchanges of the factorization are folded once into
-one permutation and a unit-lower band, so an implicit stage on one
-right-hand side is a gather and two BLAS ``dtbsv`` triangular sweeps; a
-batch of right-hand sides back-substitutes with ``dgbtrs``.  Both give the
-same bits.
+one permutation and a unit-lower band, so an implicit stage is a gather and
+two triangular sweeps over those factors: BLAS ``dtbsv`` on one right-hand
+side, LAPACK ``dtbtrs`` on a batch.  Both add ``dgbtrs``'s products in its
+order, so every row gets ``dgbtrs``'s bits.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dtbtrs
 
 from .config import OptionSpec, payoff
 
@@ -360,46 +360,39 @@ class ImplicitOperator:
     on (N,) vectors or on C-contiguous (B, N) arrays whose row b is the
     b-th vector.
 
-    ``lu`` and ``pivots`` are the ``dgbtrf`` factors in LAPACK band
-    storage, with kl = ku = ``bandwidth`` = 2*degree+1; ``perm`` and
-    ``lower`` are its unit-lower factor with the row interchanges folded
-    out (``_fold_interchanges``).  One row, (N,) or (1, N), is solved as
-    ``rhs[perm]`` and two ``dtbsv`` sweeps, with ``lower`` and with U as
-    ``dgbtrs`` reads it from ``lu``: ``dgbtrs``'s products in its order,
-    without its BLAS call per column, in the shape given.  B > 1 rows go
-    to ``dgbtrs``, whose per-column update serves all B at once.  A
-    (B, N) array is passed to ``dgbtrs`` and to the sparse product as its
-    transpose, the F-contiguous (N, B) view of the same memory, and their
-    (N, B) result comes back transposed.  ``dgbtrs`` works in Fortran
-    order, so ``solve`` returns a C-contiguous (B, N) array; scipy's
-    product is C-ordered, so ``apply_diffusion`` returns an F-ordered
-    (B, N) view, which numpy combines with C-ordered operands into
-    C-ordered results.  Each row is bit for bit that row solved or
-    multiplied alone.
+    The factors are the ``dgbtrf`` factorization of the band M - coef * L
+    with its row interchanges folded out (``_fold_interchanges``): ``perm``
+    and the unit-lower band ``lower``, and U as ``dgbtrs`` reads it, the
+    top 2*bw+1 rows of the ``dgbtrf`` band (bw = 2*degree+1).  A solve
+    gathers ``rhs`` by ``perm`` and sweeps it with ``lower`` and then
+    ``upper``: one row, (N,) or (1, N), by two ``dtbsv`` calls in the shape
+    given; B > 1 rows by two ``dtbtrs`` calls on the F-contiguous (N, B)
+    transpose of the gathered C-contiguous (B, N) array, so ``solve``
+    returns a C-contiguous (B, N) array.  ``dtbtrs`` sweeps each column
+    with ``dtbsv``, so each row is bit for bit that row solved alone, and
+    both are ``dgbtrs``'s products in its order.  The sparse product also
+    takes the (N, B) transpose; scipy's result is C-ordered, so
+    ``apply_diffusion`` returns an F-ordered (B, N) view, which numpy
+    combines with C-ordered operands into C-ordered results.
     """
 
     mass: np.ndarray              # flat diagonal of M
     matrix: sp.csr_matrix         # L
-    bandwidth: int
-    lu: np.ndarray
-    pivots: np.ndarray
     perm: np.ndarray              # x[i] of P x = rhs is rhs[perm[i]]
-    lower: np.ndarray             # folded unit-lower factor, dtbsv band storage
+    lower: np.ndarray             # folded unit-lower factor, band storage
+    upper: np.ndarray             # U, band storage, kd = 2*bw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.ndim == 2 and rhs.shape[0] > 1:
-            x, info = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs.T, self.pivots)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dgbtrs failed with info={info}")
+            x = np.take(rhs, self.perm, axis=1).T
+            for band, uplo, diag in ((self.lower, "L", "U"), (self.upper, "U", "N")):
+                x, info = dtbtrs(band, x, uplo=uplo, diag=diag, overwrite_b=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
             return x.T
-        bw = self.bandwidth
-        if self.lu.shape[0] != 3 * bw + 1:
-            raise np.linalg.LinAlgError(
-                f"factors of {self.lu.shape[0]} rows do not match bandwidth {bw}: "
-                f"dgbtrs band storage has 3*bandwidth+1 = {3 * bw + 1}")
         x = rhs.reshape(-1)[self.perm]
         x = dtbsv(self.lower.shape[0] - 1, self.lower, x, lower=1, diag=1, overwrite_x=1)
-        x = dtbsv(2 * bw, self.lu, x, overwrite_x=1)
+        x = dtbsv(self.upper.shape[0] - 1, self.upper, x, overwrite_x=1)
         return x.reshape(rhs.shape)
 
     def apply_diffusion(self, u: np.ndarray) -> np.ndarray:
@@ -446,14 +439,15 @@ def assemble_implicit(mesh: Mesh, basis: Basis, coef: float,
     mass = mass_diag(mesh, basis).ravel()
     system = (sp.diags(mass) - coef * matrix).tocoo()
     bw = 2 * basis.degree + 1
-    band = np.zeros((3 * bw + 1, mass.size))   # dgbtrf needs bw spare rows on top
+    # Fortran order, so dgbtrf factors the band in place; bw spare rows on top
+    band = np.zeros((3 * bw + 1, mass.size), order="F")
     band[2 * bw + system.row - system.col, system.col] = system.data
     lu, pivots, info = dgbtrf(band, bw, bw, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgbtrf: M - coef*L is singular (info={info})")
     perm, lower = _fold_interchanges(lu, pivots, bw)
-    return ImplicitOperator(mass=mass, matrix=matrix, bandwidth=bw, lu=lu, pivots=pivots,
-                            perm=perm, lower=lower)
+    return ImplicitOperator(mass=mass, matrix=matrix, perm=perm, lower=lower,
+                            upper=np.asfortranarray(lu[:2 * bw + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,24 @@ def test_an_explicitly_empty_list_is_refused_not_defaulted(flags, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags, coarsest", [
+    (["--ladder", "0,10"], 0),
+    (["--ladder", "1,2", "--ref-cells", "4"], 1)], ids=["zero", "one"])
+def test_converge_refuses_a_rung_below_two_cells_before_any_work(flags, coarsest, tmp_path,
+                                                                 capsys, monkeypatch):
+    # a 0-cell rung once failed as a ZeroDivisionError in the nesting check,
+    # and a 1-cell rung only after the reference was solved
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran on a rung below 2 cells")
+    monkeypatch.setattr(cli, "solve", never)
+    rc = main(["converge", *flags, "--out", str(tmp_path / "c")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": f"cells must be an integer >= 2, got {coarsest}"}
+    assert not (tmp_path / "c").exists()
+
+
 def test_sweep_refuses_a_repeated_value_before_any_work(tmp_path, capsys, monkeypatch):
     # the sidecar's delta_bounds is keyed by value, so a repeated value
     # once wrote its CSV rows twice while one of its bounds went missing

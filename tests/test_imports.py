@@ -1,7 +1,9 @@
 """Every module-level import of the package is read by its module, or is
 one of the names kept only for tools that wrap a function where each module
 looks it up (``# noqa: F401``).  A name listed in ``__all__`` is not read by
-that, so no module re-exports an import, and each name has one home."""
+that, so no module re-exports an import, and each name has one home.  Every
+module-level definition of the package is read somewhere in the package,
+its tests or its benchmark."""
 
 import ast
 import subprocess
@@ -11,7 +13,8 @@ from pathlib import Path
 import xvadg
 
 PACKAGE = Path(xvadg.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 #: the names kept only as lookup points for bench/tracing.py's patches
 TRACER_ONLY = {("drivers", "capital_requirement"), ("fbsde", "driver_value")}
@@ -92,6 +95,91 @@ def test_the_check_sees_a_planted_unused_import():
     assert unused_imports("from x import (a,\n    b)  # noqa: F401\nb\n") == ([], ["a"])
     assert unused_imports("from __future__ import annotations\nimport os\n"
                           "__all__ = ['os']\n") == (["os"], [])
+
+
+def _module_definitions(tree: ast.Module):
+    """The names that ``tree`` binds at module level by ``def``, ``class``
+    or assignment, including under a top-level ``if`` or ``try``; ``__all__``
+    aside."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield name.id
+
+
+def names_read(source: str) -> set:
+    """Every name ``source`` could read a definition by: a loaded name, an
+    attribute, an imported name, or a string that is an identifier (the
+    tracer's ``PATCHES`` name what it wraps in strings).  Listing a name in
+    ``__all__`` does not read it."""
+    tree = ast.parse(source)
+    tree.body = [node for node in tree.body
+                 if not any(getattr(target, "id", None) == "__all__"
+                            for target in getattr(node, "targets", ()))]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            read.add(node.value)
+    return read
+
+
+def unread_definitions(modules: dict, readers) -> dict:
+    """The module-level definitions of each ``modules`` source (keyed by
+    module) that neither the modules nor the ``readers`` sources read."""
+    read = set().union(*map(names_read, [*modules.values(), *readers]))
+    unread = {}
+    for module, source in modules.items():
+        names = sorted(set(_module_definitions(ast.parse(source))) - read)
+        if names:
+            unread[module] = names
+    return unread
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reader_sources() -> list:
+    return [path.read_text() for folder in ("tests", "bench")
+            for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+def test_every_module_level_definition_is_read():
+    modules = _package_sources()
+    assert sum(len(set(_module_definitions(ast.parse(source))))
+               for source in modules.values()) > 150
+    assert unread_definitions(modules, _reader_sources()) == {}
+
+
+def test_the_check_sees_a_planted_unused_definition():
+    # the planted names appear here only inside the planted source, which
+    # is not an identifier string, so this file does not read them
+    plant = "\n\ndef _planted_helper():\n    return 0\n\n_PLANTED = 1\n"
+    planted = sorted(_module_definitions(ast.parse(plant)))
+    assert len(planted) == 2
+    modules = _package_sources()
+    modules["drivers"] += plant
+    assert unread_definitions(modules, _reader_sources()) == {"drivers": planted}
+    assert unread_definitions({"m": "def f():\n    pass\n"}, ["import m\nm.f()\n"]) == {}
+    assert unread_definitions({"m": "f = 1\n"}, ["PATCHES = (('m', 'f'),)\n"]) == {}
+    assert unread_definitions({"m": "__all__ = ['g']\nif True:\n    g = 1\n"}, []) == {
+        "m": ["g"]}
 
 
 def test_the_config_module_loads_no_other_module_of_the_package():

@@ -7,7 +7,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbtrs
+import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from xvadg.config import OptionSpec
 from xvadg.ldg import (DGField, FluxVariant, Mesh, assemble_diffusion_matrix,
@@ -306,7 +307,7 @@ def test_implicit_operator_solves_shifted_system():
 
 
 def test_implicit_operator_batches_right_hand_sides():
-    # B right-hand sides as the rows of a (B, N) array in one dgbtrs call,
+    # B right-hand sides as the rows of a (B, N) array in two dtbtrs calls,
     # and L on B rows in one sparse product, give each row exactly its
     # single-vector result; the solve comes back C-contiguous (B, N)
     mesh = Mesh(s_max=60.0, cells=1280)
@@ -320,33 +321,46 @@ def test_implicit_operator_batches_right_hand_sides():
         for b in range(5):
             assert np.array_equal(x[b], op.solve(rhs[b].copy()))
             assert np.array_equal(lx[b], op.apply_diffusion(rhs[b].copy()))
-        # a band width that does not match the factors is an illegal dgbtrs
-        # argument (nonzero info), reported for one row as for many
-        broken = dataclasses.replace(op, bandwidth=op.bandwidth + 1)
-        for bad in (rhs[0], rhs):
-            with pytest.raises(np.linalg.LinAlgError, match="dgbtrs"):
-                broken.solve(bad)
+        # a zero on U's diagonal is a singular factor: dtbtrs reports it
+        upper = op.upper.copy(order="F")
+        upper[-1, 7] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="dtbtrs"):
+            dataclasses.replace(op, upper=upper).solve(rhs)
+
+
+def _dgbtrf_of(op, coef, bw):
+    """An independent dgbtrf factorization of M - coef*L, from M and L alone."""
+    system = (sp.diags(op.mass) - coef * op.matrix).tocoo()
+    band = np.zeros((3 * bw + 1, op.mass.size))
+    band[2 * bw + system.row - system.col, system.col] = system.data
+    lu, pivots, info = dgbtrf(band, bw, bw)
+    assert info == 0
+    return lu, pivots
 
 
 @pytest.mark.parametrize("deg", (1, 2))
 @pytest.mark.parametrize("variant", list(FluxVariant))
 def test_one_row_sweeps_are_dgbtrs_bit_for_bit(deg, variant):
-    # one row is solved by two dtbsv sweeps over the folded factors; they
-    # add dgbtrs's products in dgbtrs's order, so every bit matches, sign
-    # of zero included, across magnitudes spanning many decades
+    # a solve sweeps the folded factors, with dtbsv on one row and dtbtrs
+    # on a batch; both add dgbtrs's products in dgbtrs's order, so every
+    # row matches dgbtrs on its own factorization bit for bit, sign of zero
+    # included, across magnitudes spanning many decades and in either order
     rng = np.random.default_rng(10 + deg)
     bw = 2 * deg + 1
+    coef = 0.013
     basis = make_basis(deg)
     for cells in (2, 3, 17, 160, 1280):
-        op = assemble_implicit(Mesh(s_max=60.0, cells=cells), basis, 0.013,
+        op = assemble_implicit(Mesh(s_max=60.0, cells=cells), basis, coef,
                                _diffusion_form(variant))
         n = op.mass.size
+        lu, pivots = _dgbtrf_of(op, coef, bw)
         if cells >= 160:   # the factorization interchanges rows
-            assert np.any(op.pivots != np.arange(n))
-        for _ in range(20):
+            assert np.any(pivots != np.arange(n))
+        for _ in range(20):   # one row, as (N,) and as (1, N)
             rhs = rng.standard_normal(n) * np.exp(3.0 * rng.standard_normal(n))
             rhs[rng.random(n) < 0.1] = 0.0
-            ref, info = dgbtrs(op.lu, bw, bw, rhs, op.pivots)
+            rhs[rng.random(n) < 0.05] = -0.0
+            ref, info = dgbtrs(lu, bw, bw, rhs, pivots)
             assert info == 0
             x = op.solve(rhs)
             assert x.shape == (n,)
@@ -354,19 +368,33 @@ def test_one_row_sweeps_are_dgbtrs_bit_for_bit(deg, variant):
             row = op.solve(rhs.reshape(1, n))
             assert row.shape == (1, n) and row.flags.c_contiguous
             assert np.array_equal(row[0].view(np.int64), ref.view(np.int64))
+        for rows in (2, 3, 5):   # a batch, given C- and F-ordered
+            rhs = rng.standard_normal((rows, n)) * np.exp(3.0 * rng.standard_normal((rows, n)))
+            rhs[rng.random((rows, n)) < 0.1] = 0.0
+            rhs[rng.random((rows, n)) < 0.05] = -0.0
+            ref, info = dgbtrs(lu, bw, bw, rhs.T, pivots)
+            assert info == 0
+            ref = ref.T.view(np.int64)
+            for given in (np.ascontiguousarray(rhs), np.asfortranarray(rhs)):
+                x = op.solve(given)
+                assert x.shape == (rows, n) and x.flags.c_contiguous
+                assert np.array_equal(x.view(np.int64), ref)
+                assert np.array_equal(given, rhs)
 
 
 def test_implicit_band_storage_width():
     # M - coef*L couples each cell to its neighbours: kl = ku = 2*degree+1,
-    # and the outermost diagonals are occupied, so no narrower band fits
+    # and the outermost diagonals are occupied, so no narrower band fits; U
+    # has dgbtrs's 2*bw superdiagonals, and both bands are Fortran-ordered
+    # for the sweeps
     mesh = Mesh(s_max=60.0, cells=10)
     for deg in (1, 2):
         basis = make_basis(deg)
         for variant in FluxVariant:
             op = assemble_implicit(mesh, basis, 0.013, _diffusion_form(variant))
             bw = 2 * deg + 1
-            assert op.bandwidth == bw
-            assert op.lu.shape == (3 * bw + 1, mesh.cells * basis.n_nodes)
+            assert op.upper.shape == (2 * bw + 1, mesh.cells * basis.n_nodes)
+            assert op.upper.flags.f_contiguous and op.lower.flags.f_contiguous
             ldg = op.matrix.tocoo()
             assert np.max(np.abs(ldg.row - ldg.col)) == bw
 

@@ -385,15 +385,16 @@ def test_nonfinite_column_stops_the_batch():
 
 
 def test_batched_march_layout(monkeypatch):
-    # the (B, N) state reaches dgbtrs as its F-contiguous (N, B) transpose
-    # and the driver as a C-contiguous (B, cells, degree+1) array, so
-    # neither side copies it into another order
+    # the gathered (B, N) state reaches both dtbtrs sweeps as its
+    # F-contiguous (N, B) transpose, beside F-contiguous bands, and the
+    # driver as a C-contiguous (B, cells, degree+1) array, so neither side
+    # copies it into another order
     rhs_seen, states_seen = [], []
-    dgbtrs = ldg.dgbtrs
+    dtbtrs = ldg.dtbtrs
 
-    def record_dgbtrs(lu, kl, ku, b, *args, **kwargs):
-        rhs_seen.append((b.shape, b.flags.f_contiguous))
-        return dgbtrs(lu, kl, ku, b, *args, **kwargs)
+    def record_dtbtrs(ab, b, *args, **kwargs):
+        rhs_seen.append((b.shape, b.flags.f_contiguous, ab.flags.f_contiguous))
+        return dtbtrs(ab, b, *args, **kwargs)
 
     levels = solver.driver_levels
 
@@ -409,16 +410,16 @@ def test_batched_march_layout(monkeypatch):
             return recorded
         return level_at
 
-    monkeypatch.setattr(ldg, "dgbtrs", record_dgbtrs)
+    monkeypatch.setattr(ldg, "dtbtrs", record_dtbtrs)
     monkeypatch.setattr(solver, "driver_levels", record_levels)
     base = replace(benchmark_config(option_kind="put", driver="nonlinear", cells=20),
                    degree=2)
     results = solve_many([replace(base, market=replace(base.market, capital_hurdle=h))
                           for h in (0.06, 0.15, 0.25)])
     meta = results[0].meta
-    assert len(rhs_seen) == meta["implicit_solves"] > 0
+    assert len(rhs_seen) == 2 * meta["implicit_solves"] > 0
     assert len(states_seen) == meta["driver_evaluations"] > 0
-    assert set(rhs_seen) == {((20 * 3, 3), True)}
+    assert set(rhs_seen) == {((20 * 3, 3), True, True)}
     assert set(states_seen) == {((3, 20, 3), True)}
 
 
