@@ -11,16 +11,16 @@ rate ``r``; its solution is the usual lognormal formula with forward
   expectations E[h(S_u) | S_t] are integrated against the lognormal
   transition density with Gauss-Hermite nodes.
 
-The mark is built in three parts.  :func:`mark_space` holds what depends on
-S alone: the spots, the log-moneyness ``log(S/K)`` and the mask of the
-spots ``S <= 0``.  :func:`mark_times` holds what depends on t alone, one
-entry per time of any array of times: tau, ``vol = sigma sqrt(tau)``, the
-carry ``(beta + sigma^2/2) tau``, the growth ``exp((beta - r) tau)`` and the
-discounted strike.  :func:`mark_at` does the joint (t, S) work at one row of
-that table.  ``bs_value`` is the three on one time, so a caller that
-prices the same spots at many times (the PDE, at every stage of its march)
-builds the space part once and the time table once, and each operation
-keeps the operands and grouping of the one-line formula.
+The mark of one spot array at many times is :func:`mark_levels`, a
+function of the time's index.  It builds what depends on S alone (the
+log-moneyness ``log(S/K)`` and the mask of the spots ``S <= 0``) and what
+depends on t alone (tau, ``vol = sigma sqrt(tau)``, the carry
+``(beta + sigma^2/2) tau``, the growth ``exp((beta - r) tau)`` and the
+discounted strike) once, and does the joint (t, S) work when a time is
+asked for, with the operands and grouping of the one-line formula.  So a
+caller that prices the same spots at many times (the PDE, at every stage
+of its march) pays for the spot and time terms once; ``bs_value`` is the
+builder at one time.
 
 The normal CDF is evaluated through ``scipy.special.erf`` (machine
 accurate, error below 1e-15), which also serves the supervisory delta in
@@ -93,87 +93,59 @@ def _shape_like(out: np.ndarray, spot) -> np.ndarray | float:
     return float(out) if np.ndim(spot) == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class TimeTable:
-    """Coefficients that depend on the time alone, each field an array with
-    one entry per time (or a scalar for one time).  ``table[i]`` is the
-    table of the one time ``i``, each field indexed."""
-
-    def __getitem__(self, i) -> "TimeTable":
-        return type(self)(*(getattr(self, name)[i] for name in self.__dataclass_fields__))
-
-
-@dataclass(frozen=True, eq=False)
-class MarkSpace:
-    """The S-only part of the closed-form mark: the spots, their
-    log-moneyness ``log(S/K)`` (``log(1/K)`` where S <= 0) and the mask of
-    the spots S <= 0 (``None`` when there is none)."""
-
-    spot: np.ndarray
-    log_moneyness: np.ndarray
-    nonpositive: np.ndarray | None
-
-
-def mark_space(option: OptionSpec, spot: np.ndarray | float) -> MarkSpace:
-    """The :class:`MarkSpace` of ``spot``."""
-    s = np.asarray(spot, dtype=float)
+def _spot_terms(option: OptionSpec, s: np.ndarray) -> tuple:
+    """What the mark needs of the spots alone: the log-moneyness
+    ``log(S/K)`` (``log(1/K)`` where S <= 0) and the mask of the spots
+    S <= 0 (``None`` when there is none)."""
     positive = s > 0.0
     with np.errstate(divide="ignore"):
         logm = np.log(np.where(positive, s, 1.0) / option.strike)
-    return MarkSpace(spot=s, log_moneyness=logm,
-                     nonpositive=None if positive.all() else ~positive)
+    return logm, None if positive.all() else ~positive
 
 
-@dataclass(frozen=True, eq=False)
-class MarkTimes(TimeTable):
-    """The t-only part of the closed-form mark at each time: ``tau = T - t``,
-    ``vol = sigma sqrt(tau)``, ``carry = (beta + sigma^2/2) tau``,
-    ``growth = exp((beta - r) tau)`` and ``disc_k = K exp(-r tau)``.  At a
-    time with tau <= 0 the mark is the payoff, and every field but tau holds
-    a placeholder."""
-
-    tau: np.ndarray | float
-    vol: np.ndarray | float
-    carry: np.ndarray | float
-    growth: np.ndarray | float
-    disc_k: np.ndarray | float
-
-
-def mark_times(option: OptionSpec, t: np.ndarray | float,
-               market: MarketParams) -> MarkTimes:
-    """The :class:`MarkTimes` of every time in ``t`` (any shape)."""
+def _time_terms(option: OptionSpec, t, market: MarketParams) -> tuple:
+    """What the mark needs of the times alone, one entry per time of ``t``
+    (any shape): ``tau = T - t``, ``vol = sigma sqrt(tau)``, the carry
+    ``(beta + sigma^2/2) tau``, the growth ``exp((beta - r) tau)`` and the
+    discounted strike ``K exp(-r tau)``.  At a time with tau <= 0 the mark
+    is the payoff, and every entry but tau holds a placeholder."""
     tau = option.maturity - np.asarray(t, dtype=float)
     # the payoff's times compute nothing of their own: no sqrt of tau < 0
     live = np.where(tau <= 0.0, 1.0, tau)
-    return MarkTimes(
-        tau=tau, vol=market.sigma * np.sqrt(live),
-        carry=(market.drift + 0.5 * market.sigma ** 2) * live,
-        growth=np.exp((market.drift - market.risk_free_rate) * live),
-        disc_k=option.strike * np.exp(-market.risk_free_rate * live))
+    return (tau, market.sigma * np.sqrt(live),
+            (market.drift + 0.5 * market.sigma ** 2) * live,
+            np.exp((market.drift - market.risk_free_rate) * live),
+            option.strike * np.exp(-market.risk_free_rate * live))
 
 
-def _d1(space: MarkSpace, row: MarkTimes) -> np.ndarray:
-    """``d1 = (log-moneyness + carry) / vol`` at one time."""
-    return (space.log_moneyness + row.carry) / row.vol
+def mark_levels(option: OptionSpec, spot: np.ndarray | float, times,
+                market: MarketParams) -> Callable[[int], np.ndarray]:
+    """The default-free value on ``spot`` at each time of ``times``, as a
+    function of the index ``i`` that prices at ``times[i]``; see
+    :func:`bs_value`.
 
+    The terms of the spots alone and of the times alone are built here,
+    once; each call does the joint (t, S) work of one time afresh.
+    """
+    s = np.asarray(spot, dtype=float)
+    logm, nonpositive = _spot_terms(option, s)
+    tau, vol, carry, growth, disc_k = _time_terms(option, times, market)
 
-def mark_at(option: OptionSpec, space: MarkSpace, row: MarkTimes) -> np.ndarray:
-    """The default-free value on the spots of ``space`` at the one time of
-    ``row``; see :func:`bs_value`."""
-    s = space.spot
-    if row.tau <= 0.0:
-        return payoff(option, s)
-    d1 = _d1(space, row)
-    d2 = d1 - row.vol
-    if option.kind == "call":
-        out = s * row.growth * norm_cdf(d1) - row.disc_k * norm_cdf(d2)
-        boundary = 0.0
-    else:
-        out = row.disc_k * norm_cdf(-d2) - s * row.growth * norm_cdf(-d1)
-        boundary = row.disc_k
-    if space.nonpositive is not None:
-        out = np.where(space.nonpositive, boundary, out)
-    return out
+    def at(i: int) -> np.ndarray:
+        if tau[i] <= 0.0:
+            return payoff(option, s)
+        d1 = (logm + carry[i]) / vol[i]
+        d2 = d1 - vol[i]
+        if option.kind == "call":
+            out = s * growth[i] * norm_cdf(d1) - disc_k[i] * norm_cdf(d2)
+            boundary = 0.0
+        else:
+            out = disc_k[i] * norm_cdf(-d2) - s * growth[i] * norm_cdf(-d1)
+            boundary = disc_k[i]
+        if nonpositive is not None:
+            out = np.where(nonpositive, boundary, out)
+        return out
+    return at
 
 
 def bs_value(option: OptionSpec, spot: np.ndarray | float, t: float,
@@ -183,23 +155,21 @@ def bs_value(option: OptionSpec, spot: np.ndarray | float, t: float,
     At ``t >= maturity`` this is the payoff; at ``spot == 0`` the absorbing
     boundary value (0 for a call, discounted strike for a put).
     """
-    return _shape_like(mark_at(option, mark_space(option, spot),
-                               mark_times(option, t, market)), spot)
+    return _shape_like(mark_levels(option, spot, (t,), market)(0), spot)
 
 
 def bs_delta(option: OptionSpec, spot: np.ndarray | float, t: float,
              market: MarketParams) -> np.ndarray | float:
     """Derivative of ``bs_value`` in the stock level."""
     s = np.asarray(spot, dtype=float)
-    row = mark_times(option, t, market)
-    if row.tau <= 0.0:
+    tau, vol, carry, growth, _ = _time_terms(option, t, market)
+    if tau <= 0.0:
         if option.kind == "call":
             out = np.where(s > option.strike, 1.0, 0.0)
         else:
             out = np.where(s < option.strike, -1.0, 0.0)
         return _shape_like(out, spot)
-    d1 = _d1(mark_space(option, s), row)
-    growth = row.growth
+    d1 = (_spot_terms(option, s)[0] + carry) / vol
     if option.kind == "call":
         out = growth * norm_cdf(d1)
         out = np.where(s > 0.0, out, 0.0)
@@ -213,12 +183,12 @@ def bs_gamma(option: OptionSpec, spot: np.ndarray | float, t: float,
              market: MarketParams) -> np.ndarray | float:
     """Second derivative of ``bs_value`` in the stock level (same for both kinds)."""
     s = np.asarray(spot, dtype=float)
-    row = mark_times(option, t, market)
-    if row.tau <= 0.0:
+    tau, vol, carry, growth, _ = _time_terms(option, t, market)
+    if tau <= 0.0:
         return _shape_like(np.zeros_like(s), spot)
-    d1 = _d1(mark_space(option, s), row)
+    d1 = (_spot_terms(option, s)[0] + carry) / vol
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s > 0.0, row.growth * norm_pdf(d1) / (s * row.vol), 0.0)
+        out = np.where(s > 0.0, growth * norm_pdf(d1) / (s * vol), 0.0)
     return _shape_like(out, spot)
 
 

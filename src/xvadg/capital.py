@@ -17,37 +17,36 @@ leverage term ``LR * (max(M, 0) + addon)`` is kept raw (it can be negative
 for puts and then never binds, since the CCR+CVA branch is >= 0).
 
 Everything is vectorized over ``t``, ``spot`` and ``mark`` with numpy
-broadcasting.  The stack splits at the mark, and its mark-free part splits
-again into three.  :func:`capital_space` holds what depends on S alone: the
-supervisory log-moneyness ``log((S + 0.01)/(K + 0.01))`` and
-``S * supervisory_factor``.  :func:`capital_times` holds what depends on t
-alone, one entry per time of any array of times (or per point): the
+broadcasting.  The stack splits at the mark: :func:`capital_levels` builds
+the mark-free part of one spot array at many times as a function of the
+time's index, each level a :class:`CapitalLevel`.  It builds what depends
+on S alone (the supervisory log-moneyness ``log((S + 0.01)/(K + 0.01))``
+and ``S * supervisory_factor``) and what depends on t alone (the
 supervisory delta's ``sigma_r^2 h / 2`` and ``sigma_r sqrt(h)`` at the
 floored horizon h, the maturity factor, and the CVA term's ratio
-``(1 - exp(-x))/x`` and scalar head, both of the CVA maturity ``m_eff``.
-:func:`capital_level_at` does the joint (t, S) work at one row of that
-table and is the one builder of a :class:`CapitalLevel`: the supervisory
-delta, the signed add-on, the PFE denominator ``2 (1 - floor) addon``
-(with the mask of the add-ons that are exactly zero, only where there are
-any), the ratio and the head.  ``CapitalLevel.total`` applies the rest to
-a mark in place and returns the binding requirement alone;
-``capital_requirement_parts`` builds its level the same way, applies the
-same formula helpers to fresh arrays and returns every intermediate as a
-``CapitalBreakdown`` for audit.  The public functions of (t, S) are the
-three parts at their own times, so there is one code path: a caller that
-prices many marks at one (t, S), as the drivers do, builds the level once,
-and one that prices the same spots at many times (the PDE) builds the
-space part and the time table once each.
+``(1 - exp(-x))/x`` and scalar head, both of the CVA maturity ``m_eff``)
+once, and at each level the joint (t, S) work: the supervisory delta, the
+signed add-on, the PFE denominator ``2 (1 - floor) addon`` (with the mask
+of the add-ons that are exactly zero, only where there are any), the
+ratio and the head.  ``CapitalLevel.total`` applies the rest to a mark in
+place and returns the binding requirement alone;
+``capital_requirement_parts`` takes its level from the builder at its one
+time (or one row of per-point times), applies the same formula helpers to
+fresh arrays and returns every intermediate as a ``CapitalBreakdown`` for
+audit.  So there is one code path: a caller that prices many marks at one
+(t, S), as the drivers do, builds the level once, and one that prices the
+same spots at many times (the PDE) builds the spot and time terms once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import CapitalParams, MarketParams, OptionSpec
-from .black_scholes import TimeTable, norm_cdf
+from .black_scholes import norm_cdf
 
 # cap on the PFE-multiplier exponent: exp(50) already saturates min(1, .)
 # for every admissible slope, and larger arguments would only overflow
@@ -102,51 +101,6 @@ def maturity_factor(t: np.ndarray | float, maturity: float,
     window = np.clip(rem + capital.addon_days / capital.days_per_year, 0.0, 1.0)
     out = np.sqrt(window)
     return out if np.ndim(out) else float(out)
-
-
-@dataclass(frozen=True, eq=False)
-class CapitalSpace:
-    """The S-only part of the capital stack: the supervisory log-moneyness
-    ``log((S + 0.01)/(K + 0.01))`` and ``S * supervisory_factor``."""
-
-    log_moneyness: np.ndarray
-    scaled_spot: np.ndarray
-
-
-def capital_space(spot, option: OptionSpec, capital: CapitalParams) -> CapitalSpace:
-    """The :class:`CapitalSpace` of ``spot``."""
-    s = np.asarray(spot, dtype=float)
-    return CapitalSpace(log_moneyness=_log_moneyness(option, s),
-                        scaled_spot=s * capital.supervisory_factor)
-
-
-@dataclass(frozen=True, eq=False)
-class CapitalTimes(TimeTable):
-    """The t-only part of the capital stack at each time: the supervisory
-    delta's ``half = sigma_r^2 h / 2`` and ``root = sigma_r sqrt(h)``, the
-    maturity factor, and, with the CVA maturity ``m_eff = clip(T - t, 0,
-    1)``, the CVA term's ratio ``(1 - exp(-x))/x`` at ``x = 0.05 m_eff`` and
-    its head ``(12.5 * 0.65 / alpha) * cva_rw * m_eff``."""
-
-    half: np.ndarray | float
-    root: np.ndarray | float
-    mat_factor: np.ndarray | float
-    ratio: np.ndarray | float
-    cva_head: np.ndarray | float
-
-
-def capital_times(t, option: OptionSpec, capital: CapitalParams) -> CapitalTimes:
-    """The :class:`CapitalTimes` of every time in ``t`` (any shape)."""
-    half, root = _delta_coefficients(option.maturity, t, capital.supervisory_vol)
-    m_eff = np.clip(option.maturity - np.asarray(t, dtype=float), 0.0, 1.0)
-    x = 0.05 * m_eff
-    # (1 - exp(-x))/x, switching to its series below 5e-8 to dodge 0/0
-    small = x < 5e-8
-    xs = np.where(small, 1.0, x)
-    return CapitalTimes(
-        half=half, root=root, mat_factor=maturity_factor(t, option.maturity, capital),
-        ratio=np.where(small, 1.0 - 0.5 * x, (1.0 - np.exp(-xs)) / xs),
-        cva_head=(12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,34 +204,53 @@ class CapitalLevel:
         return np.maximum(k, self.k_lr(mark, ead), out=k)
 
 
-def capital_level_at(option: OptionSpec, space: CapitalSpace, row: CapitalTimes,
-                     capital: CapitalParams) -> CapitalLevel:
-    """The :class:`CapitalLevel` on the spots of ``space`` at the times of
-    ``row`` (one time, or one per point): the signed SA-CCR add-on
-    ``(S * supervisory_factor) * maturity_factor * delta`` and what is
-    built on it."""
-    delta = _delta(option, space.log_moneyness, row.half, row.root)
-    addon = space.scaled_spot * row.mat_factor * delta
-    zero = addon == 0.0
-    if zero.any():
-        safe = np.where(zero, 1.0, addon)
-    else:
-        zero, safe = None, addon
-    return CapitalLevel(
-        capital=capital, addon=addon,
-        denominator=2.0 * (1.0 - capital.multiplier_floor) * safe, zero=zero,
-        ratio=row.ratio, cva_head=row.cva_head)
+def capital_levels(option: OptionSpec, spot, times,
+                   capital: CapitalParams) -> Callable[[int], CapitalLevel]:
+    """The :class:`CapitalLevel` on ``spot`` at each time of ``times``, as a
+    function of the index ``i`` that builds the level at ``times[i]``.
+
+    ``times[i]`` is one time, or one per point (an array that broadcasts
+    against ``spot``).  The terms of the spots alone and of the times alone
+    are built here, once; each call forms the signed SA-CCR add-on
+    ``(S * supervisory_factor) * maturity_factor * delta`` of one time
+    afresh, and what is built on it.
+    """
+    s = np.asarray(spot, dtype=float)
+    logm = _log_moneyness(option, s)
+    scaled_spot = s * capital.supervisory_factor
+    times = np.asarray(times, dtype=float)
+    half, root = _delta_coefficients(option.maturity, times, capital.supervisory_vol)
+    mat_factor = maturity_factor(times, option.maturity, capital)
+    m_eff = np.clip(option.maturity - times, 0.0, 1.0)
+    x = 0.05 * m_eff
+    # (1 - exp(-x))/x, switching to its series below 5e-8 to dodge 0/0
+    small = x < 5e-8
+    xs = np.where(small, 1.0, x)
+    ratio = np.where(small, 1.0 - 0.5 * x, (1.0 - np.exp(-xs)) / xs)
+    cva_head = (12.5 * 0.65 / capital.saccr_alpha) * capital.cva_risk_weight * m_eff
+
+    def at(i: int) -> CapitalLevel:
+        addon = scaled_spot * mat_factor[i] * _delta(option, logm, half[i], root[i])
+        zero = addon == 0.0
+        if zero.any():
+            safe = np.where(zero, 1.0, addon)
+        else:
+            zero, safe = None, addon
+        return CapitalLevel(
+            capital=capital, addon=addon,
+            denominator=2.0 * (1.0 - capital.multiplier_floor) * safe, zero=zero,
+            ratio=ratio[i], cva_head=cva_head[i])
+    return at
 
 
 def capital_requirement_parts(mark, collateral, spot, t, option: OptionSpec,
                               capital: CapitalParams) -> CapitalBreakdown:
     """Full capital stack for explicit collateral, with every intermediate
     in a fresh array; see ``capital_requirement``."""
-    space = capital_space(spot, option, capital)
-    times = capital_times(t, option, capital)
-    delta = _delta(option, space.log_moneyness, times.half, times.root)
-    mf = times.mat_factor
-    level = capital_level_at(option, space, times, capital)
+    # one row of times: the one time, or the (1, ...) row of one per point
+    level = capital_levels(option, spot, np.asarray(t, dtype=float)[np.newaxis], capital)(0)
+    delta = supervisory_delta(option, spot, t, capital.supervisory_vol)
+    mf = maturity_factor(t, option.maturity, capital)
     addon = level.addon
     m_ = np.asarray(mark, dtype=float)
     gap = m_ - np.asarray(collateral, dtype=float)

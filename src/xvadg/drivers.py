@@ -51,17 +51,15 @@ forms the collateral, the gap ``v - X`` and the replacement cost
 capital total without building its audit breakdown, and sums its terms in
 place in the order of its formula.
 
-:func:`driver_levels` builds the levels of one spot array at many times,
-and its (t, S) work splits again into three parts: the space part of the
-mark and of the capital stack (:func:`xvadg.black_scholes.mark_space`,
-:func:`xvadg.capital.capital_space`), built once per call; their time
-tables over every time at once (:func:`xvadg.black_scholes.mark_times`,
-:func:`xvadg.capital.capital_times`); and the joint (t, S) arrays, built
-when a level is asked for by its index.  It is the one builder of a
-level: :func:`driver_value` is a level at one time applied once, so the
-PDE, which builds one level per distinct stage time of its march, and the
-regression Monte Carlo, which builds one per chunk of paths at one time
-and reuses it for two steps, share one definition of each formula.
+:func:`driver_levels` builds the levels of one spot array at many times
+from one level builder per kernel, :func:`xvadg.black_scholes.mark_levels`
+and :func:`xvadg.capital.capital_levels`, each made once per call; each
+builder keeps to itself how it splits its (t, S) work.  It is the one
+builder of a level: :func:`driver_value` is a level at one time applied
+once, so the PDE, which builds one level per distinct stage time of its
+march, and the regression Monte Carlo, which builds one per chunk of paths
+at one time and reuses it for two steps, share one definition of each
+formula.
 Evaluations allocate their buffers per call, since the Monte Carlo runs
 them in pool threads.  The PDE's conservative-form source, which reads F
 from a level, is defined in :mod:`xvadg.solver`.
@@ -73,8 +71,8 @@ from typing import Callable
 
 import numpy as np
 
-from .black_scholes import mark_at, mark_space, mark_times
-from .capital import capital_level_at, capital_space, capital_times
+from .black_scholes import mark_levels
+from .capital import capital_levels
 # not called here; it stays a name of this module for tools that wrap the
 # capital stack where each module looks it up (bench/tracing.py)
 from .capital import capital_requirement  # noqa: F401
@@ -109,11 +107,11 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     """The driver F(t, S, .) on ``spot`` at each time of ``times``, as a
     function of the index ``i`` that builds the level at ``times[i]``.
 
-    The space part and the time tables of the closed-form mark and of the
-    capital stack are built here, once, for what the kind reads: the mark
-    for the mark kinds, the capital stack unless ``capital_fn`` replaces
-    it, nothing for ``riskfree``.  Each call of the returned function does
-    the joint (t, S) work of one time afresh and returns the level, a
+    The level builders of the closed-form mark and of the capital stack
+    are made here, once, for what the kind reads: the mark for the mark
+    kinds, the capital stack unless ``capital_fn`` replaces it, nothing for
+    ``riskfree``.  Each call of the returned function builds the kernels'
+    levels at one time afresh and returns the driver's level, a
     function of v with the arithmetic of :func:`driver_value`; the caller
     keeps the levels it reuses.  A mark kind's level holds ``rest(t, S)``
     and evaluates ``rate * v + rest``.
@@ -141,11 +139,10 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
 
     # the capital callable K(mark, gap, rc) at times[i]; gap is scratch
     if capital_fn is None:
-        cap_space = capital_space(spot, option, capital)
-        cap_times = capital_times(times, option, capital)
+        capital_level = capital_levels(option, spot, times, capital)
 
         def capital_at(i: int) -> Callable:
-            return capital_level_at(option, cap_space, cap_times[i], capital).total
+            return capital_level(i).total
     else:
         def capital_at(i: int) -> Callable:
             t_i = float(times[i])
@@ -171,13 +168,12 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
             return nonlinear
         return nonlinear_level
 
-    m_space = mark_space(option, spot)
-    m_times = mark_times(option, times, market)
+    mark_of = mark_levels(option, spot, times, market)
     # every mark kind is affine: F = rate v + rest(t, S)
     rate, k_coef = (hurdle + lam_c, hurdle - rb) if kind == "garcia" else (rb + lam_c, k_coef)
 
     def mark_level(i: int) -> DriverEval:
-        mark = np.asarray(mark_at(option, m_space, m_times[i]), dtype=float)
+        mark = np.asarray(mark_of(i), dtype=float)
         coll, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
         rest = k_coef * capital_at(i)(mark, gap, rc)
         if kind == "linear":

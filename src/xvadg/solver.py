@@ -17,13 +17,13 @@ generator in conservative form leaves.  It is implicit, and the explicit
 stage is the driver alone, ``-M F(maturity - tau, S, v)``; the driver, its
 mark included, comes whole from :mod:`xvadg.drivers`.  The march asks
 :func:`xvadg.drivers.driver_levels` once for every distinct stage time of
-the schedule :func:`xvadg.imex.stage_times` gives, so the space part of
-the driver's (t, S) work is built once per solve and its time table once
-per march.  Each stage looks its level up by its exact stage time (a stage
-time off the schedule is a ``KeyError``) and builds the joint (t, S) part
-when the time is new; the last level is kept, so third order, whose last
-stage time is the next step's first, builds 3 steps + 1 levels for its
-4 steps evaluations.  ``meta`` reports both counts.
+the schedule :func:`xvadg.imex.stage_times` gives, so the kernels' level
+builders make their spot and time terms once per march.  Each stage looks
+its level up by its exact stage time (a stage time off the schedule is a
+``KeyError``) and builds the joint (t, S) part when the time is new; the
+last level is kept, so third order, whose last stage time is the next
+step's first, builds 3 steps + 1 levels for its 4 steps evaluations.
+``meta`` reports both counts.
 
 The scheme order is tied to the local degree (degree 1 -> second-order
 stepping, degree 2 -> third order) and the step to the mesh width

@@ -24,8 +24,10 @@ def bs_value(option, spot, t, market):
     if tau <= 0.0:
         return payoff(option, s)
     vol = market.sigma * np.sqrt(tau)
-    d1 = (np.log(np.where(s > 0.0, s, 1.0) / option.strike)
-          + (market.drift + 0.5 * market.sigma ** 2) * tau) / vol
+    # S/K underflows to 0 below S ~ 7e-323: log gives -inf, as in the engine
+    with np.errstate(divide="ignore"):
+        logm = np.log(np.where(s > 0.0, s, 1.0) / option.strike)
+    d1 = (logm + (market.drift + 0.5 * market.sigma ** 2) * tau) / vol
     d2 = d1 - vol
     growth = np.exp((market.drift - market.risk_free_rate) * tau)
     disc_k = option.strike * np.exp(-market.risk_free_rate * tau)

@@ -11,9 +11,9 @@ from scipy.special import erf
 import kernels_reference as ref
 from kernels_reference import bits
 from xvadg.black_scholes import norm_cdf
-from xvadg.capital import (capital_level_at, capital_requirement,
-                           capital_requirement_parts, capital_space, capital_times,
-                           maturity_factor, supervisory_delta)
+from xvadg.capital import (capital_levels, capital_requirement,
+                           capital_requirement_parts, maturity_factor,
+                           supervisory_delta)
 from xvadg.config import CapitalParams, MarketParams, OptionSpec
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -202,8 +202,7 @@ _TIME = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def _addon(spot, t, option):
-    return capital_level_at(option, capital_space(spot, option, CAP),
-                            capital_times(t, option, CAP), CAP).addon
+    return capital_levels(option, spot, (t,), CAP)(0).addon
 
 
 def test_edge_spots_give_exactly_zero_addons():
@@ -253,8 +252,7 @@ def test_capital_kernels_equal_the_formulas_bitwise(case):
     with np.errstate(all="ignore"):
         want = ref.capital_parts(mark, coll, spot, t, option, CAP)
         parts = capital_requirement_parts(mark, coll, spot, t, option, CAP)
-        level = capital_level_at(option, capital_space(spot, option, CAP),
-                                 capital_times(t, option, CAP), CAP)
+        level = capital_levels(option, spot, np.asarray(t)[np.newaxis], CAP)(0)
         gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
             mark.shape, level.addon.shape)))
         total = level.total(mark, gap, np.maximum(gap, 0.0))
@@ -292,20 +290,19 @@ def _space_case(draw):
 @settings(max_examples=60)
 @given(case=_space_case(), times=_march_times())
 def test_time_table_rows_equal_the_formulas_bitwise(case, times):
-    # the space part built once, the time table over every time at once and
-    # the joint work at one row give the one-line formulas at that scalar
-    # time bit for bit: the level's add-on and total, at t = 0, at and
-    # beyond maturity and at adjacent floats; the audit breakdown at that
-    # time gives the supervisory delta and the add-on
+    # the level builder over every time at once gives the one-line
+    # formulas at each scalar time bit for bit: the level's add-on and
+    # total, at t = 0, at and beyond maturity and at adjacent floats; the
+    # audit breakdown at that time gives the supervisory delta and the
+    # add-on
     option, spot, mark, coll = case
-    space = capital_space(spot, option, CAP)
-    table = capital_times(times, option, CAP)
+    level_at = capital_levels(option, spot, times, CAP)
     for i, t in enumerate(times):
         with np.errstate(all="ignore"):
             want = ref.capital_parts(mark, coll, spot, float(t), option, CAP)
             parts = capital_requirement_parts(mark, coll, spot, float(t), option, CAP)
             delta, addon = parts.delta, parts.addon
-            level = capital_level_at(option, space, table[i], CAP)
+            level = level_at(i)
             gap = np.subtract(mark, coll, out=np.empty(np.broadcast_shapes(
                 mark.shape, level.addon.shape)))
             total = level.total(mark, gap, np.maximum(gap, 0.0))

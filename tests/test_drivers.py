@@ -279,6 +279,26 @@ def test_level_does_not_keep_the_spots(kind):
     assert level(np.ones(64)).shape == (64,)
 
 
+@pytest.mark.parametrize("kind, logs, roots", [("linear", 2, 3), ("nonlinear", 1, 2)])
+def test_the_spot_and_time_terms_are_built_once_per_call(kind, logs, roots, monkeypatch):
+    # np.log runs only in the kernels' spot terms (the mark's log(S/K), the
+    # supervisory log-moneyness) and np.sqrt only in their time terms (the
+    # mark's vol, the supervisory root, the maturity factor): 50 levels of
+    # one driver_levels call build each once, as one level does
+    counts = dict.fromkeys(("log", "sqrt"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    spot = np.linspace(0.0, 40.0, 64)
+    level_at = driver_levels(kind, np.linspace(0.0, 1.0, 50), spot, PUT, MARKET, CAP)
+    levels = [level_at(i) for i in range(50)]
+    monkeypatch.undo()
+    assert counts == {"log": logs, "sqrt": roots}
+    assert all(np.isfinite(level(np.ones(64))).all() for level in levels)
+
+
 @pytest.mark.parametrize("kind, most", [
     ("linear", 1.2), ("garcia", 1.2), ("garcia_ref", 1.2),
     ("nonlinear", 2.2), ("riskfree", 0.2)])

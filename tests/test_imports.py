@@ -3,9 +3,12 @@ one of the names kept only for tools that wrap a function where each module
 looks it up (``# noqa: F401``).  A name listed in ``__all__`` is not read by
 that, so no module re-exports an import, and each name has one home.  Every
 module-level definition of the package is read somewhere in the package,
-its tests or its benchmark."""
+its tests or its benchmark.  Every Sphinx role reference in the package's
+docstrings and comments names an object of the package."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +183,65 @@ def test_the_check_sees_a_planted_unused_definition():
     assert unread_definitions({"m": "f = 1\n"}, ["PATCHES = (('m', 'f'),)\n"]) == {}
     assert unread_definitions({"m": "__all__ = ['g']\nif True:\n    g = 1\n"}, []) == {
         "m": ["g"]}
+
+
+#: a Sphinx cross-reference: its role and its target, ``~`` aside
+_REFERENCE = re.compile(r":(func|class|meth|mod):`~?([\w.]+)`")
+
+
+def _has_path(obj, names) -> bool:
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def _resolves(target: str, module) -> bool:
+    """Whether ``target`` names an object of the package: read relative to
+    ``module``, or ``xvadg.``-qualified from its longest importable prefix."""
+    parts = target.split(".")
+    if _has_path(module, parts):
+        return True
+    if parts[0] != xvadg.__name__:
+        return False
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        return _has_path(owner, parts[cut:])
+    return False
+
+
+def unresolved_references(source: str, module: str) -> list:
+    """The targets of the Sphinx role references in ``source`` (the text of
+    package module ``module``) that name no object of the package."""
+    owner = importlib.import_module(f"{xvadg.__name__}.{module}")
+    return [target for _, target in _REFERENCE.findall(source)
+            if not _resolves(target, owner)]
+
+
+def test_every_docstring_reference_resolves():
+    sources = _package_sources()
+    assert sum(len(_REFERENCE.findall(source)) for source in sources.values()) > 25
+    unresolved = {module: names for module, source in sources.items()
+                  if (names := unresolved_references(source, module))}
+    assert unresolved == {}
+
+
+def test_the_check_sees_a_planted_unresolved_reference():
+    source = (PACKAGE / "drivers.py").read_text()
+    planted = source + '\n"""See :func:`no_such_level` and :meth:`CapitalLevel.nothing`."""\n'
+    assert unresolved_references(source, "drivers") == []
+    assert unresolved_references(planted, "drivers") == ["no_such_level",
+                                                          "CapitalLevel.nothing"]
+    # module-relative (an import of the module counts), qualified, and ~
+    assert unresolved_references(
+        ":class:`CapitalLevel` :meth:`~xvadg.capital.CapitalLevel.total` "
+        ":mod:`xvadg.solver` :mod:`xvadg.nothing` :func:`numpy.log` "
+        ":func:`xvadg.capital.capital_level_at`", "capital") == [
+            "xvadg.nothing", "numpy.log", "xvadg.capital.capital_level_at"]
 
 
 def test_the_config_module_loads_no_other_module_of_the_package():

@@ -286,9 +286,9 @@ def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
 @pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
 def test_levels_built_once_equal_a_march_built_afresh_bitwise(kind, option_kind, degree,
                                                               width):
-    # the solver's levels, built once per distinct stage time from a space
-    # part and a time table, march exactly as the driver built afresh at
-    # every stage does, in every column of a batch
+    # the solver's levels, built once per distinct stage time from one
+    # driver_levels call, march exactly as the driver built afresh at every
+    # stage does, in every column of a batch
     base = replace(benchmark_config(option_kind=option_kind, cells=20), degree=degree)
     configs = [replace(base, market=replace(base.market, capital_hurdle=h,
                                             collateral_rate=r))
@@ -519,6 +519,21 @@ def test_quadrature_decomposition_matches_pde():
     # a put's mark is nonnegative, so there is no funding benefit leg
     assert bd.cva > 0.0 and bd.fcva > 0.0 and bd.cra > 0.0 and bd.kva > 0.0
     assert bd.fbva == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("option_kind", ["put", "call"])
+def test_pde_and_quadrature_agree_on_the_adjustments_delta(option_kind):
+    # the adjustment's delta by two routes: the LDG gradient field minus the
+    # closed-form delta, and a central difference of the quadrature total at
+    # S (1 +- 1e-3), whose fixed Gauss-Hermite nodes carry no sampling noise
+    cfg = benchmark_config(option_kind=option_kind, driver="linear", cells=1280, degree=1)
+    sol = solve(cfg)
+    for s in (5.0, 10.0, 15.0, 20.0, 30.0):
+        pde = float(sol.delta(s) - bs_delta(cfg.option, s, 0.0, cfg.market))
+        up, down = (xva_breakdown(x, cfg.option, cfg.market, cfg.capital).total
+                    for x in (s * (1.0 + 1e-3), s * (1.0 - 1e-3)))
+        quad = (up - down) / (2e-3 * s)
+        assert abs(pde - quad) <= max(1e-4, 0.02 * abs(quad)), s
 
 
 # xva_breakdown(15.0, ·) at the benchmark configuration as hex floats: how
