@@ -224,10 +224,10 @@ def run_convergence(config: RunConfig,
             scale = np.log2(n / prev[0])
             eoc2 = float(np.log2(prev[1] / l2) / scale)
             eoci = float(np.log2(prev[2] / linf) / scale)
-        rows.append(ConvergenceRow(n, sol.time_grid.steps, l2, eoc2, linf, eoci))
+        rows.append(ConvergenceRow(n, sol.meta["steps"], l2, eoc2, linf, eoci))
         prev = (n, l2, linf)
-    return ConvergenceReport(tuple(rows), reference.mesh.cells,
-                             reference.time_grid.steps,
+    return ConvergenceReport(tuple(rows), reference.meta["cells"],
+                             reference.meta["steps"],
                              {"reference": reference.meta, "ladder": metas})
 
 

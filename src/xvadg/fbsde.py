@@ -195,8 +195,9 @@ class PathEnsemble:
     full benchmark budget is 21 x 5e6 samples); slices are upcast where
     they are consumed.  The same ensemble backs any number of backward
     passes, which prices different drivers on identical noise.
-    ``runtime``, ``workers`` and ``tasks`` describe the simulation: its
-    wall time, its pool threads and its blocks of strata.
+    ``meta`` is the simulation's record: its wall time
+    (``runtime_seconds``, to the millisecond), its pool threads
+    (``workers``) and its blocks of strata (``tasks``).
     """
 
     grid: RegressionGrid
@@ -205,14 +206,7 @@ class PathEnsemble:
     seed: int
     times: np.ndarray
     spots: np.ndarray
-    runtime: float
-    workers: int
-    tasks: int
-
-    @property
-    def meta(self) -> dict:
-        return {"runtime_seconds": round(self.runtime, 3),
-                "workers": self.workers, "tasks": self.tasks}
+    meta: dict
 
 
 def simulate_forward(grid: RegressionGrid, market: MarketParams,
@@ -267,9 +261,9 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(simulate, blocks))
     return PathEnsemble(grid=grid, market=market, maturity=maturity,
-                        seed=seed, times=times, spots=spots,
-                        runtime=time.perf_counter() - started,
-                        workers=workers, tasks=len(blocks))
+                        seed=seed, times=times, spots=spots, meta={
+                            "runtime_seconds": round(time.perf_counter() - started, 3),
+                            "workers": workers, "tasks": len(blocks)})
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +386,21 @@ class BackwardSolution:
     spot whose stratum's time-zero fit leaves no residual degree of
     freedom (2 paths under a line, 1 under a constant): the fit passes
     through every path there, and its error is unknown, not 0.
+
+    ``meta`` is the pass's record, filled as it runs: the driver kind,
+    option, regression grid and ensemble seed, the driver levels built
+    (``levels_filled``), the phases and path points the driver was
+    evaluated on (``driver_evaluations``, ``driver_points``), the pool's
+    ``workers`` and ``chunks``, and its wall time (``runtime_seconds``, to
+    the millisecond).
     """
 
-    kind: str
     option: OptionSpec
     market: MarketParams
     grid: RegressionGrid
     is_adjustment: bool
     fit: _StrataFit
-    seed: int
-    runtime: float
-    levels_filled: int
-    driver_evaluations: int
-    driver_points: int
-    workers: int
-    chunks: int
+    meta: dict
 
     def _locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
         """The query spots as floats and their strata; a spot outside the
@@ -446,23 +440,6 @@ class BackwardSolution:
             return value
         return value - bs_value(self.option, spot, 0.0, self.market)
 
-    @property
-    def meta(self) -> dict:
-        return {
-            "kind": self.kind,
-            "option": self.option.kind,
-            "strata": self.grid.strata,
-            "paths_per_stratum": self.grid.paths_per_stratum,
-            "steps": self.grid.steps,
-            "seed": self.seed,
-            "levels_filled": self.levels_filled,
-            "driver_evaluations": self.driver_evaluations,
-            "driver_points": self.driver_points,
-            "workers": self.workers,
-            "chunks": self.chunks,
-            "runtime_seconds": round(self.runtime, 3),
-        }
-
 
 def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
                    capital: CapitalParams | None = None,
@@ -494,7 +471,10 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     chunks = [slice(lo, min(lo + _CHUNK, n_paths))
               for lo in range(0, n_paths, _CHUNK)]
     workers = min(len(os.sched_getaffinity(0)), len(chunks))
-    counts = {"levels": 0, "evaluations": 0, "points": 0}
+    meta = {"kind": kind, "option": option.kind, "strata": grid.strata,
+            "paths_per_stratum": grid.paths_per_stratum, "steps": grid.steps,
+            "seed": ensemble.seed, "levels_filled": 0, "driver_evaluations": 0,
+            "driver_points": 0, "workers": workers, "chunks": len(chunks)}
 
     def driver_for(i: int, sl: slice) -> tuple[np.ndarray, DriverEval]:
         """The float64 spots of one chunk at t_i and the driver on them."""
@@ -540,9 +520,9 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         return b, (g, d * g) if i else (g, d * g, g * g)
 
     def evaluate(phase, levels: int, rows: int) -> np.ndarray:
-        counts["levels"] += levels
-        counts["evaluations"] += 1
-        counts["points"] += n_paths
+        meta["levels_filled"] += levels
+        meta["driver_evaluations"] += 1
+        meta["driver_points"] += n_paths
         return _phase_sums(pool, chunks, phase, grid.strata, rows)
 
     with ThreadPoolExecutor(workers) as pool:
@@ -553,10 +533,6 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
             fit_pred = _fit_strata(moments, response)
             fit = _fit_strata(moments, evaluate(left, 0, 2 if i else 3))
 
-    return BackwardSolution(kind=kind, option=option, market=market, grid=grid,
-                            is_adjustment=is_adjustment, fit=fit, seed=ensemble.seed,
-                            runtime=time.perf_counter() - started,
-                            levels_filled=counts["levels"],
-                            driver_evaluations=counts["evaluations"],
-                            driver_points=counts["points"],
-                            workers=workers, chunks=len(chunks))
+    meta["runtime_seconds"] = round(time.perf_counter() - started, 3)
+    return BackwardSolution(option=option, market=market, grid=grid,
+                            is_adjustment=is_adjustment, fit=fit, meta=meta)

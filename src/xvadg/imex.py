@@ -47,7 +47,8 @@ The step count is a resolution rule, as convection is implicit and no CFL
 condition applies: delta* = cfl * h / ((2 degree + 1) |speed| s_max) refines
 time with space, and steps = max(floor(horizon/delta*), max(4, cells // 10)).
 The floor is all that remains when the convection speed vanishes, and it
-keeps the count from collapsing as the speed goes to 0.
+keeps the count from collapsing as the speed goes to 0.  A count above
+``MAX_STEPS`` is refused.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ ALPHA2 = (1.0 / 3.0 - 2.0 * GAMMA3 ** 2 - 2.0 * BETA2 * ALPHA1 * GAMMA3) \
     / (GAMMA3 * (1.0 - GAMMA3))
 
 _C3 = 0.5 * (1.0 + GAMMA3)   # third order's middle stage abscissa
+
+#: most steps a time grid may have: a march builds its stage schedule and
+#: the drivers' per-time arrays over every stage time before its first
+#: step, so its memory grows with the count, and a count far above any
+#: tested one is refused before any work
+MAX_STEPS = 1_000_000
 
 
 class Scheme(NamedTuple):
@@ -116,7 +123,8 @@ class TimeGrid:
 def select_time_grid(mesh: Mesh, degree: int, speed: float, horizon: float,
                      cfl: float = 0.5) -> TimeGrid:
     """Uniform steps at the Courant number ``cfl``, so delta is proportional
-    to the mesh width, never fewer than max(4, cells // 10)."""
+    to the mesh width, never fewer than max(4, cells // 10).  More than
+    ``MAX_STEPS`` steps raise ``ValueError``."""
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     scale = (2.0 * degree + 1.0) * abs(speed) * mesh.s_max
@@ -124,6 +132,11 @@ def select_time_grid(mesh: Mesh, degree: int, speed: float, horizon: float,
     if scale > 0.0:
         limit = cfl * mesh.width / scale
         steps = max(steps, math.floor(horizon / limit))
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"the time grid needs {steps} steps, more than MAX_STEPS = {MAX_STEPS}; "
+            f"lower the convection speed |sigma^2 - drift| ({abs(speed):g}), the "
+            f"cells, the degree or the maturity")
     delta = horizon / steps
     return TimeGrid(steps=steps, delta=delta, cfl=delta * scale / mesh.width)
 

@@ -70,9 +70,9 @@ from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
 from .drivers import CapitalFn, driver_levels, is_adjustment_kind
-from .ldg import Basis, DGField, FluxVariant, Mesh, assemble_implicit, \
-    convection_form, diffusion_form, gradient_form, make_basis, mass_diag, \
-    project_payoff, variant_for_option
+from .ldg import DGField, Mesh, assemble_implicit, convection_form, \
+    diffusion_form, gradient_form, make_basis, mass_diag, project_payoff, \
+    variant_for_option
 
 __all__ = [
     "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
@@ -106,24 +106,20 @@ class SolverDivergedError(RuntimeError):
 class SolveResult:
     """Solution of one pricing run at valuation time zero.
 
-    ``runtime`` and the counters describe the march of the whole group the
-    run was batched in (``batch_width`` scenarios, see ``solve_many``).
+    ``meta`` is the run's record, filled by the march: the driver kind,
+    option, cells, degree, flux variant, step count, step and Courant
+    number, and the ``runtime_seconds``, ``implicit_solves``,
+    ``driver_evaluations`` and ``driver_levels`` of the march of the whole
+    group the run was batched in (``batch_width`` scenarios, see
+    ``solve_many``).  Each member of a group holds its own copy.
     """
 
     config: RunConfig
-    kind: str
-    variant: FluxVariant
-    mesh: Mesh
-    basis: Basis
     value_field: DGField
     q_field: DGField
     time_grid: imex.TimeGrid
     is_adjustment: bool
-    runtime: float
-    batch_width: int
-    implicit_solves: int
-    driver_evaluations: int
-    driver_levels: int
+    meta: dict
 
     def _mark(self, s, fn):
         return fn(self.config.option, s, 0.0, self.config.market)
@@ -153,24 +149,6 @@ class SolveResult:
         if self.is_adjustment:
             return self.value_field.evaluate(s)
         return self.value_field.evaluate(s) - self._mark(s, bs_value)
-
-    @property
-    def meta(self) -> dict:
-        return {
-            "kind": self.kind,
-            "option": self.config.option.kind,
-            "cells": self.mesh.cells,
-            "degree": self.basis.degree,
-            "variant": self.variant.value,
-            "steps": self.time_grid.steps,
-            "delta_tau": self.time_grid.delta,
-            "cfl_number": self.time_grid.cfl,
-            "batch_width": self.batch_width,
-            "implicit_solves": self.implicit_solves,
-            "driver_evaluations": self.driver_evaluations,
-            "driver_levels": self.driver_levels,
-            "runtime_seconds": self.runtime,
-        }
 
 
 def solve(config: RunConfig, kind: str | None = None,
@@ -258,19 +236,22 @@ def _march_group(group: list[RunConfig], kind: str | None,
     level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
                              spots, option, market, capital, capital_fn)
     last = {}   # the level of the last stage time met, by its index
-    counts = {"implicit_solves": 0, "driver_evaluations": 0, "driver_levels": 0}
+    meta = {"kind": kind, "option": option.kind, "cells": mesh.cells,
+            "degree": basis.degree, "variant": variant.value, "steps": grid.steps,
+            "delta_tau": grid.delta, "cfl_number": grid.cfl, "batch_width": width,
+            "implicit_solves": 0, "driver_evaluations": 0, "driver_levels": 0}
 
     def explicit_fn(state: np.ndarray, tau: float) -> np.ndarray:
         i = stage_index[tau]
         if i not in last:
             last.clear()
             last[i] = level_at(i)
-            counts["driver_levels"] += 1
-        counts["driver_evaluations"] += 1
+            meta["driver_levels"] += 1
+        meta["driver_evaluations"] += 1
         return -op.mass * last[i](state.reshape(shape)).reshape(state.shape)
 
     def solve_shifted(rhs: np.ndarray) -> np.ndarray:
-        counts["implicit_solves"] += 1
+        meta["implicit_solves"] += 1
         return op.solve(rhs)
 
     started = time.perf_counter()
@@ -283,16 +264,15 @@ def _march_group(group: list[RunConfig], kind: str | None,
         if not finite.all():
             node = int(np.flatnonzero(~finite.all(axis=0))[0])
             raise SolverDivergedError(n + 1, grid.steps, tau, node // basis.n_nodes)
-    elapsed = time.perf_counter() - started
+    meta["runtime_seconds"] = time.perf_counter() - started
 
     results = []
     for member, coeffs in zip(group, u.reshape(shape)):
         value_field = DGField(mesh, basis, coeffs)
         results.append(SolveResult(
-            config=member, kind=kind, variant=variant, mesh=mesh, basis=basis,
-            value_field=value_field, q_field=gradient_form(value_field, variant),
-            time_grid=grid, is_adjustment=is_adjustment,
-            runtime=elapsed, batch_width=width, **counts))
+            config=member, value_field=value_field,
+            q_field=gradient_form(value_field, variant), time_grid=grid,
+            is_adjustment=is_adjustment, meta=dict(meta)))
     return results
 
 
@@ -313,7 +293,8 @@ def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
 
 def sample_grid(result: SolveResult) -> np.ndarray:
     """Default reporting grid: the solution's own quadrature nodes, flattened."""
-    return result.mesh.quad_points(result.basis).ravel()
+    field = result.value_field
+    return field.mesh.quad_points(field.basis).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xvadg import cli
+from xvadg import cli, imex
 from xvadg.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _cell,
                        _check_nested, main, run_convergence, run_sweep, run_table3,
                        write_csv)
@@ -388,6 +388,25 @@ def test_price_refuses_a_bool_or_a_string_in_a_numeric_field(tmp_path, capsys, e
     assert rc == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "p" / "price.csv").exists()
+
+
+def test_price_refuses_a_march_beyond_max_steps_before_any_work(tmp_path, capsys,
+                                                               monkeypatch):
+    # sigma 100 at 160 cells once asked for 9,599,942 steps, and the stage
+    # schedule over all of them was built before the first step
+    calls = []
+    monkeypatch.setattr(imex, "stage_times", lambda *a, **k: calls.append(a))
+    path = tmp_path / "cfg.json"
+    path.write_text('{"sigma": 100}')
+    rc = main(["price", "--config", str(path), "--cells", "160",
+               "--out", str(tmp_path / "p")])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(
+        f"the time grid needs 9599942 steps, more than MAX_STEPS = {imex.MAX_STEPS}")
+    assert calls == []
     assert not (tmp_path / "p" / "price.csv").exists()
 
 

@@ -136,10 +136,8 @@ def test_pooled_forward_equals_serial_loop(workers, chunk):
         ens = simulate_forward(grid, MARKET, 1.0, seed=99)
     assert np.array_equal(ens.spots, _serial_forward_spots(grid, MARKET, 1.0, 99))
     tasks = -(-grid.strata // max(1, chunk // grid.paths_per_stratum))
-    assert ens.tasks == tasks
-    assert ens.workers == min(workers, tasks)
-    assert ens.meta == {"runtime_seconds": round(ens.runtime, 3),
-                        "workers": ens.workers, "tasks": tasks}
+    assert ens.meta == {"runtime_seconds": round(ens.meta["runtime_seconds"], 3),
+                        "workers": min(workers, tasks), "tasks": tasks}
 
 
 def test_tiny_volatility_paths_are_nearly_deterministic():
@@ -205,6 +203,9 @@ def test_backward_solution_accessors(ensemble):
     assert sol.xva(15.0) == pytest.approx(
         sol.value(15.0) - bs_value(PUT, 15.0, 0.0, MARKET), abs=1e-12)
     meta = sol.meta
+    assert set(meta) == {"kind", "option", "strata", "paths_per_stratum", "steps",
+                         "seed", "levels_filled", "driver_evaluations",
+                         "driver_points", "workers", "chunks", "runtime_seconds"}
     assert meta["kind"] == "linear" and meta["option"] == "put"
     assert meta["strata"] == 150 and meta["paths_per_stratum"] == 600
     assert meta["steps"] == 10 and meta["seed"] == 7
@@ -257,7 +258,7 @@ def test_query_in_a_stratum_empty_at_time_zero_raises():
     ens = PathEnsemble(grid=grid, market=MARKET, maturity=1.0, seed=0,
                        times=np.array([0.0, 1.0]),
                        spots=np.array([start, 1.1 * start], dtype=np.float32),
-                       runtime=0.0, workers=1, tasks=1)
+                       meta={})
     sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
     hole = float(grid.centers[2])
     # a line through the 2 paths of strata 0 and 1 leaves no residual

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from kernels_reference import step_order2, step_order3
 from xvadg.imex import (ALPHA1, ALPHA2, BETA1, BETA2, GAMMA2, GAMMA3, KAPPA2,
-                        SCHEMES, TimeGrid, implicit_coefficient,
+                        MAX_STEPS, SCHEMES, TimeGrid, implicit_coefficient,
                         select_time_grid, stage_times, step)
 from xvadg.ldg import Mesh
 
@@ -81,6 +81,19 @@ def test_select_time_grid_edge_cases():
     with pytest.raises(ValueError, match="horizon"):
         select_time_grid(mesh, 1, 0.03, 0.0)
     assert isinstance(select_time_grid(mesh, 2, 0.03, 1.0), TimeGrid)
+
+
+def test_select_time_grid_refuses_more_than_max_steps():
+    # at zero speed the count is the floor cells // 10, so the boundary is exact
+    assert MAX_STEPS == 1_000_000
+    mesh = Mesh(s_max=60.0, cells=10 * MAX_STEPS)
+    assert select_time_grid(mesh, 1, 0.0, 1.0).steps == MAX_STEPS
+    with pytest.raises(ValueError, match=f"needs {MAX_STEPS + 1} steps, more than "
+                                         f"MAX_STEPS = {MAX_STEPS}"):
+        select_time_grid(Mesh(s_max=60.0, cells=10 * MAX_STEPS + 10), 1, 0.0, 1.0)
+    # sigma 100 at 160 cells once asked for 9,599,942 steps
+    with pytest.raises(ValueError, match="needs 9599942 steps"):
+        select_time_grid(Mesh(s_max=60.0, cells=160), 1, 100.0 ** 2 - 0.06, 1.0)
 
 
 def _scalar_march(order, steps, lam, mu, forced):
