@@ -6,7 +6,7 @@ rate ``r``; its solution is the usual lognormal formula with forward
 ``S * exp(beta * tau)``.  These functions back three independent uses:
 
 * the mark-to-market entering the linear driver and the capital profile,
-* the analytic oracle for the PDE engine's risk-free test hook,
+* the analytic oracle of the ``riskfree`` kind, on the PDE and the Monte Carlo,
 * the kernel quadrature behind the adjustment term decomposition, where
   expectations E[h(S_u) | S_t] are integrated against the lognormal
   transition density with Gauss-Hermite nodes.

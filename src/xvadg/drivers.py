@@ -39,13 +39,16 @@ the closed-form default-free mark, which the driver computes itself.
 
 Each driver is built in two parts: a level does the work that depends on
 (t, S) only and returns the evaluation in v, which applies the rest.  A
-level reaches its capital through one callable K(mark, gap, rc) at its
-time, :meth:`xvadg.capital.CapitalLevel.total` by default; ``capital_fn``
-only chooses the callable, the override at that time.  The three mark
+level reaches its capital through :meth:`xvadg.capital.CapitalLevel.total`
+at its time, K(mark, gap, rc).  Capital costs switch off in the model
+itself: at a hurdle equal to the funded rate, ``capital_hurdle =
+capital_funding_fraction * issuer_funding_rate``, the coefficient
+(gK - phi rB) of ``linear``, ``nonlinear`` and ``garcia_ref`` is exactly
+zero, and so is the (gK - rB) of ``garcia`` at phi = 1.  The three mark
 kinds are affine in v, F = rate v + rest(t, S): their level holds, beyond
 scalars, the one array ``rest``, the terms free of v summed left to right
 in the order of the formulas above, and an evaluation is ``rate * v +
-rest``.  A ``nonlinear`` level holds the capital callable; its evaluation
+rest``.  A ``nonlinear`` level holds its capital level; its evaluation
 forms the collateral, the gap ``v - X`` and the replacement cost
 ``(v - X)^+`` once, for both the loss term and the capital, takes the
 capital total without building its audit breakdown, and sums its terms in
@@ -80,14 +83,13 @@ from .config import CapitalParams, MarketParams, OptionSpec
 
 #: driver kind -> whether it marches the adjustment itself from zero
 #: terminal data (True) or the full price (False); a superset of the public
-#: RunConfig drivers, the last two kinds being validation hooks
+#: RunConfig drivers, the last two kinds being for validation
 _MARCHES_ADJUSTMENT = {"linear": False, "nonlinear": False, "garcia": True,
                        "garcia_ref": True, "riskfree": False}
 
 #: kinds accepted by driver_levels / driver_value
 ALL_DRIVER_KINDS = tuple(_MARCHES_ADJUSTMENT)
 
-CapitalFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 DriverEval = Callable[[np.ndarray], np.ndarray]
 
 
@@ -102,15 +104,15 @@ def is_adjustment_kind(kind: str) -> bool:
 
 
 def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
-                  market: MarketParams, capital: CapitalParams,
-                  capital_fn: CapitalFn | None = None) -> Callable[[int], DriverEval]:
+                  market: MarketParams,
+                  capital: CapitalParams) -> Callable[[int], DriverEval]:
     """The driver F(t, S, .) on ``spot`` at each time of ``times``, as a
     function of the index ``i`` that builds the level at ``times[i]``.
 
     The level builders of the closed-form mark and of the capital stack
     are made here, once, for what the kind reads: the mark for the mark
-    kinds, the capital stack unless ``capital_fn`` replaces it, nothing for
-    ``riskfree``.  Each call of the returned function builds the kernels'
+    kinds, the capital stack for every kind but ``riskfree``, which reads
+    neither.  Each call of the returned function builds the kernels'
     levels at one time afresh and returns the driver's level, a
     function of v with the arithmetic of :func:`driver_value`; the caller
     keeps the levels it reuses.  A mark kind's level holds ``rest(t, S)``
@@ -137,22 +139,14 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     rx_rb = market.collateral_rate - rb
     k_coef = hurdle - market.capital_funding_fraction * rb
 
-    # the capital callable K(mark, gap, rc) at times[i]; gap is scratch
-    if capital_fn is None:
-        capital_level = capital_levels(option, spot, times, capital)
-
-        def capital_at(i: int) -> Callable:
-            return capital_level(i).total
-    else:
-        def capital_at(i: int) -> Callable:
-            t_i = float(times[i])
-            return lambda mark, gap, rc: capital_fn(t_i, spot, mark)
+    # K(mark, gap, rc) at times[i] is capital_at(i).total; gap is scratch
+    capital_at = capital_levels(option, spot, times, capital)
     # the spots' shape at zero stride: a level must not keep the spots
     like_spot = np.broadcast_to(0.0, np.shape(spot))
 
     if kind == "nonlinear":
         def nonlinear_level(i: int) -> DriverEval:
-            capital_on = capital_at(i)
+            capital_on = capital_at(i).total
 
             def nonlinear(v):
                 v = np.asarray(v, dtype=float)
@@ -175,7 +169,7 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     def mark_level(i: int) -> DriverEval:
         mark = np.asarray(mark_of(i), dtype=float)
         coll, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
-        rest = k_coef * capital_at(i)(mark, gap, rc)
+        rest = k_coef * capital_at(i).total(mark, gap, rc)
         if kind == "linear":
             # -lamC M + lamC (1-RC) (M-X)^+ + (rX-rB) X + (gK - phi rB) K
             rest = -lam_c * mark + loss_c * rc + rx_rb * coll + rest
@@ -193,13 +187,8 @@ def _exposure(v: np.ndarray, frac, shape: tuple) -> tuple:
 
 
 def driver_value(kind: str, t: float, spot: np.ndarray, v: np.ndarray,
-                 option: OptionSpec, market: MarketParams, capital: CapitalParams,
-                 capital_fn: CapitalFn | None = None) -> np.ndarray:
-    """Evaluate the driver F(t, S, v) for the given mark convention.
-
-    ``capital_fn`` chooses the capital callable of the level: the override
-    at ``t`` in place of the full SA-CCR/CVA/leverage stack.  Passing
-    ``capital_fn=lambda t, s, m: 0.0 * m`` switches capital costs off,
-    which several validation cases use.
-    """
-    return driver_levels(kind, (t,), spot, option, market, capital, capital_fn)(0)(v)
+                 option: OptionSpec, market: MarketParams,
+                 capital: CapitalParams) -> np.ndarray:
+    """Evaluate the driver F(t, S, v) for the given mark convention: the
+    level of :func:`driver_levels` at ``t``, applied once."""
+    return driver_levels(kind, (t,), spot, option, market, capital)(0)(v)

@@ -80,18 +80,16 @@ different, which is what makes the cross-check meaningful.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .black_scholes import bs_value
 from .config import CapitalParams, MarketParams, OptionSpec, payoff
-from .drivers import CapitalFn, DriverEval, driver_levels, is_adjustment_kind
+from .drivers import DriverEval, driver_levels, is_adjustment_kind
 # not called here; it stays a name of this module for tools that wrap the
 # driver where each module looks it up (bench/tracing.py)
 from .drivers import driver_value  # noqa: F401
@@ -112,8 +110,6 @@ _CHUNK = 1 << 15
 #: targets and their products are chunk-local, as is the driver's
 #: scratch
 _BACKWARD_ARRAYS = 10
-
-DriverFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -442,16 +438,15 @@ class BackwardSolution:
 
 
 def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
-                   capital: CapitalParams | None = None,
-                   driver_override: DriverFn | None = None,
-                   capital_fn: CapitalFn | None = None) -> BackwardSolution:
+                   capital: CapitalParams | None = None) -> BackwardSolution:
     """Run one backward regression pass over a forward ensemble.
 
-    ``driver_override(t, S, y)``, when given, replaces the driver entirely
-    (the analytic test oracles use F = 0 and F = r*y); ``capital_fn``
-    passes through to :func:`xvadg.drivers.driver_levels`.  Both are called
-    once per chunk of paths, from the pass's pool threads, possibly side by
-    side: they must be pure, elementwise functions of their arguments.
+    The driver is ``kind`` on the ensemble's market, built by
+    :func:`xvadg.drivers.driver_levels` once per chunk of paths and level,
+    in the pass's pool threads.  The analytic oracles are a kind too: on
+    paths that drift at the risk-free rate r, ``riskfree`` (F = r y)
+    reproduces the closed-form value, and on a market with r = 0 it is
+    F = 0, whose pass is the plain conditional expectation of the payoff.
     """
     started = time.perf_counter()
     is_adjustment = is_adjustment_kind(kind)
@@ -480,10 +475,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         """The float64 spots of one chunk at t_i and the driver on them."""
         t = float(times[i])
         spot = ensemble.spots[i, sl].astype(np.float64)
-        if driver_override is not None:
-            return spot, functools.partial(driver_override, t, spot)
-        return spot, driver_levels(kind, (t,), spot, option, market, capital,
-                                   capital_fn)(0)
+        return spot, driver_levels(kind, (t,), spot, option, market, capital)(0)
 
     # the path-length state of the pass: the values y at t_{i+1}, the driver
     # on them, and the level at t_i (strata, offsets, driver parts per chunk),

@@ -69,7 +69,7 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import CapitalFn, driver_levels, is_adjustment_kind
+from .drivers import driver_levels, is_adjustment_kind
 from .ldg import DGField, Mesh, assemble_implicit, convection_form, \
     diffusion_form, gradient_form, make_basis, mass_diag, project_payoff, \
     variant_for_option
@@ -107,17 +107,17 @@ class SolveResult:
     """Solution of one pricing run at valuation time zero.
 
     ``meta`` is the run's record, filled by the march: the driver kind,
-    option, cells, degree, flux variant, step count, step and Courant
-    number, and the ``runtime_seconds``, ``implicit_solves``,
-    ``driver_evaluations`` and ``driver_levels`` of the march of the whole
-    group the run was batched in (``batch_width`` scenarios, see
-    ``solve_many``).  Each member of a group holds its own copy.
+    option, cells, degree, flux variant, the time grid's ``steps``, step
+    ``delta_tau`` and Courant number ``cfl_number``, and the
+    ``runtime_seconds``, ``implicit_solves``, ``driver_evaluations`` and
+    ``driver_levels`` of the march of the whole group the run was batched
+    in (``batch_width`` scenarios, see ``solve_many``).  Each member of a
+    group holds its own copy.
     """
 
     config: RunConfig
     value_field: DGField
     q_field: DGField
-    time_grid: imex.TimeGrid
     is_adjustment: bool
     meta: dict
 
@@ -151,31 +151,26 @@ class SolveResult:
         return self.value_field.evaluate(s) - self._mark(s, bs_value)
 
 
-def solve(config: RunConfig, kind: str | None = None,
-          capital_fn: CapitalFn | None = None) -> SolveResult:
+def solve(config: RunConfig, kind: str | None = None) -> SolveResult:
     """March the configured problem to valuation time zero.
 
     ``kind`` overrides the configured driver; it also admits the two
     validation kinds (``garcia_ref``, ``riskfree``) that ``RunConfig``
-    does not expose.  ``capital_fn`` replaces the regulatory capital stack
-    (``lambda t, s, m: 0.0 * m`` prices without capital costs); it is called
-    with spots of shape (cells, degree+1) and marks that broadcast against
-    them: the closed-form mark of the mark kinds on the spots' shape, the
-    marched value of ``nonlinear`` as (B, cells, degree+1), B = 1 here.
+    does not expose.  A run without capital costs is a market whose hurdle
+    is the funded rate (see :mod:`xvadg.drivers`), not another driver.
     """
-    return solve_many([config], kind, capital_fn)[0]
+    return solve_many([config], kind)[0]
 
 
-def solve_many(configs: Sequence[RunConfig], kind: str | None = None,
-               capital_fn: CapitalFn | None = None) -> list[SolveResult]:
+def solve_many(configs: Sequence[RunConfig], kind: str | None = None) -> list[SolveResult]:
     """``solve`` for each configuration, in input order, marching each group
-    of ``scenario_groups`` as one batch; ``kind`` and ``capital_fn`` apply
-    to every configuration.  Each result equals its ``solve`` bit for bit.
+    of ``scenario_groups`` as one batch; ``kind`` applies to every
+    configuration.  Each result equals its ``solve`` bit for bit.
     """
     results: list = [None] * len(configs)
     for members in scenario_groups(configs):
         group = [configs[i] for i in members]
-        for i, result in zip(members, _march_group(group, kind, capital_fn)):
+        for i, result in zip(members, _march_group(group, kind)):
             results[i] = result
     return results
 
@@ -194,8 +189,7 @@ def scenario_groups(configs: Sequence[RunConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _march_group(group: list[RunConfig], kind: str | None,
-                 capital_fn: CapitalFn | None) -> list[SolveResult]:
+def _march_group(group: list[RunConfig], kind: str | None) -> list[SolveResult]:
     """One march of a ``scenario_groups`` group; one result per member."""
     config = group[0]
     kind = config.driver if kind is None else kind
@@ -234,7 +228,7 @@ def _march_group(group: list[RunConfig], kind: str | None,
     stage_taus = imex.stage_times(order, grid)
     stage_index = {tau: i for i, tau in enumerate(stage_taus)}
     level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
-                             spots, option, market, capital, capital_fn)
+                             spots, option, market, capital)
     last = {}   # the level of the last stage time met, by its index
     meta = {"kind": kind, "option": option.kind, "cells": mesh.cells,
             "degree": basis.degree, "variant": variant.value, "steps": grid.steps,
@@ -271,14 +265,14 @@ def _march_group(group: list[RunConfig], kind: str | None,
         value_field = DGField(mesh, basis, coeffs)
         results.append(SolveResult(
             config=member, value_field=value_field,
-            q_field=gradient_form(value_field, variant), time_grid=grid,
+            q_field=gradient_form(value_field, variant),
             is_adjustment=is_adjustment, meta=dict(meta)))
     return results
 
 
 def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
-                option: OptionSpec, market: MarketParams, capital: CapitalParams,
-                capital_fn: CapitalFn | None = None) -> np.ndarray:
+                option: OptionSpec, market: MarketParams,
+                capital: CapitalParams) -> np.ndarray:
     """Zeroth-order source ``(sigma^2 - drift) v - F(maturity - tau, S, v)``
     of the time-reversed conservative-form equation.
 
@@ -286,8 +280,7 @@ def source_term(kind: str, tau: float, spot: np.ndarray, v: np.ndarray,
     ``maturity - tau``.  The march splits this source: its linear part is in
     the implicit operator, and its explicit stage is ``-F`` alone.
     """
-    fwd = driver_levels(kind, (option.maturity - tau,), spot, option, market, capital,
-                        capital_fn)(0)(v)
+    fwd = driver_levels(kind, (option.maturity - tau,), spot, option, market, capital)(0)(v)
     return (market.sigma ** 2 - market.drift) * np.asarray(v, dtype=float) - fwd
 
 

@@ -3,11 +3,20 @@ as one-line numpy expressions at one time, each operation on fresh arrays
 in the order the formulas are written, and the two IMEX steps written out
 by hand.  The split, level-hoisted, in-place and table-driven kernels of
 ``xvadg`` must give these values bit for bit; the tests compare them with
-``.view(np.int64)`` or ``np.array_equal``."""
+``.view(np.int64)`` or ``np.array_equal``.
+
+Two test seams into the drivers sit here too: ``capital_off`` is the market
+whose hurdle is the funded rate, where the model prices no capital cost,
+and ``use_capital_profile`` puts a capital profile of a test's own where
+every driver level reads its capital."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf
 
+from xvadg import drivers
 from xvadg.config import payoff
 from xvadg.imex import ALPHA1, ALPHA2, BETA1, BETA2, GAMMA2, GAMMA3, KAPPA2
 
@@ -149,3 +158,27 @@ def step_order3(u, tau, delta, mass, apply_l, solve_shifted, explicit_fn):
 def bits(x) -> np.ndarray:
     """The float64 bit patterns of ``x``, for bitwise comparison."""
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def capital_off(market):
+    """``market`` at hurdle = capital_funding_fraction * issuer_funding_rate:
+    the capital coefficient (gK - phi rB) of ``linear``, ``nonlinear`` and
+    ``garcia_ref`` is exactly 0 there, and at phi = 1 so is the (gK - rB) of
+    ``garcia``."""
+    return dataclasses.replace(market, capital_hurdle=market.capital_funding_fraction
+                               * market.issuer_funding_rate)
+
+
+def use_capital_profile(monkeypatch, profile):
+    """Price every driver level with ``profile(t, spot, mark)`` in place of the
+    capital stack: ``xvadg.drivers.capital_levels`` is patched so that the
+    ``total(mark, gap, rc)`` of level i returns ``profile(times[i], spot,
+    mark)``, ``times[i]`` as a float and ``spot`` as the driver got it.
+    Inside a hypothesis test, pass the patcher of a
+    ``pytest.MonkeyPatch.context()`` block."""
+    def capital_levels(option, spot, times, capital):
+        def level(i):
+            t = float(times[i])
+            return SimpleNamespace(total=lambda mark, gap, rc: profile(t, spot, mark))
+        return level
+    monkeypatch.setattr(drivers, "capital_levels", capital_levels)

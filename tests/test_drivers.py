@@ -1,7 +1,8 @@
 """Driver right-hand sides: the kind table, affine structure of the
 default-free-mark convention, monotonicity of the semilinear one, the
-closed-form mark computed inside the driver, the capital kill switch, the
-capital stack as an override, and the source-term sign convention."""
+closed-form mark computed inside the driver, capital switched off by the
+market, the capital stack as a test's capital profile, and the source-term
+sign convention."""
 
 import dataclasses
 import gc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernels_reference as ref
-from kernels_reference import bits
+from kernels_reference import bits, capital_off, use_capital_profile
 from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
@@ -27,8 +28,6 @@ CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)
 MARKET = MarketParams()
 CAP = CapitalParams()
-
-NO_CAPITAL = lambda t, s, m: 0.0 * m
 
 
 def test_spread_and_intensity_forms_agree():
@@ -238,7 +237,7 @@ def test_linear_level_moves_only_at_rounding_level(case):
 
 
 def _stack(option, market, capital):
-    """The default capital stack as a ``capital_fn``."""
+    """The default capital stack as a capital profile."""
     return lambda t, s, m: capital_requirement(t, s, m, option, market, capital).k_total
 
 
@@ -247,23 +246,25 @@ def _stack(option, market, capital):
 @settings(max_examples=12)
 @given(data=st.data())
 def test_the_capital_stack_as_an_override_is_the_default_bitwise(kind, layout, data):
-    # a level reaches its capital through one callable, which capital_fn
-    # only chooses: the stack passed as the override gives the default's bits
+    # a level reaches its capital through the total of its capital level
+    # alone: the stack put in its place as a test's profile gives the
+    # default's bits, so a profile stands exactly where the stack stands
     _, _, drawn, spot, v, market = data.draw(_driver_case((kind,), (layout,)))
     for option, t in itertools.product((PUT, CALL), (0.0, PUT.maturity, drawn)):
         with np.errstate(all="ignore"):
             want = driver_value(kind, t, spot, v, option, market, CAP)
-            got = driver_value(kind, t, spot, v, option, market, CAP,
-                               capital_fn=_stack(option, market, CAP))
+            with pytest.MonkeyPatch.context() as patch:
+                use_capital_profile(patch, _stack(option, market, CAP))
+                got = driver_value(kind, t, spot, v, option, market, CAP)
         assert np.array_equal(bits(got), bits(want)), (option.kind, t)
 
 
 @pytest.mark.parametrize("kind", ["linear", "nonlinear", "garcia"])
-def test_a_solve_under_the_stack_as_an_override_is_the_default_bitwise(kind):
+def test_a_solve_under_the_stack_as_an_override_is_the_default_bitwise(kind, monkeypatch):
     config = benchmark_config(option_kind="call", driver="nonlinear", cells=20, degree=2)
     want = solve(config, kind).value_field.coeffs
-    got = solve(config, kind, _stack(config.option, config.market,
-                                     config.capital)).value_field.coeffs
+    use_capital_profile(monkeypatch, _stack(config.option, config.market, config.capital))
+    got = solve(config, kind).value_field.coeffs
     assert np.array_equal(bits(got), bits(want))
 
 
@@ -327,12 +328,11 @@ def test_riskfree_driver():
 
 
 def test_capital_kill_switch():
-    # with capital off and full collateralization at the adjusted value,
-    # the nonlinear driver collapses to rB v + (rX - rB) X
+    # at a hurdle equal to the funded rate capital costs nothing, and the
+    # nonlinear driver collapses to rB v + lamC (1-RC) (v-X)^+ + (rX - rB) X
     spot = np.linspace(1.0, 30.0, 5)
     v = np.linspace(0.0, 4.0, 5)
-    got = driver_value("nonlinear", 0.1, spot, v, CALL, MARKET, CAP,
-                       capital_fn=NO_CAPITAL)
+    got = driver_value("nonlinear", 0.1, spot, v, CALL, capital_off(MARKET), CAP)
     coll = MARKET.collateral_fraction * v
     rb = MARKET.issuer_funding_rate
     expect = rb * v + MARKET.cpty_spread * np.maximum(v - coll, 0.0) \

@@ -1,14 +1,15 @@
 """Regression Monte Carlo cross-checker: stratified forward simulation
-(pooled against the serial loop), analytic backward oracles, error-bar
-scaling, strata without paths (never read inside a pass, refused at
-t = 0), the per-chunk stratum sums of a phase, the
-per-level cache against the per-step reference loop at any chunking and
+(pooled against the serial loop), the analytic backward oracles of the
+`riskfree` kind, error-bar scaling, strata without paths (never read
+inside a pass, refused at t = 0), the per-chunk stratum sums of a phase,
+the per-level cache against the per-step reference loop at any chunking and
 worker count, the sums of y^2 formed only where they are read, errors
 raised in pool threads, the memory guard, queries
 outside the strata's span, and input validation.  All randomness is
 seeded; every assertion is deterministic."""
 
 import dataclasses
+import functools
 import os
 import re
 import threading
@@ -20,9 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kernels_reference import use_capital_profile
 from xvadg import fbsde
 from xvadg.black_scholes import bs_value
-from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, payoff
+from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, \
+    config_from_dict, payoff
 from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
 from xvadg.fbsde import (BackwardSolution, PathEnsemble, RegressionGrid,
                          simulate_forward, solve_backward)
@@ -35,13 +38,18 @@ SPOTS = np.array([5.0, 10.0, 15.0, 20.0, 30.0])
 # small but honest budget: everything below runs in well under a second
 GRID = RegressionGrid(strata=150, paths_per_stratum=600, steps=10)
 
-ZERO_DRIVER = lambda t, s, v: 0.0 * v
-DISCOUNT_DRIVER = lambda t, s, v: 0.06 * np.asarray(v)
+# the market of F = 0: the `riskfree` kind at a zero risk-free rate
+ZERO_RATE = config_from_dict({"risk_free_rate": 0.0}).market
 
 
 @pytest.fixture(scope="module")
 def ensemble():
     return simulate_forward(GRID, MARKET, maturity=1.0, seed=7)
+
+
+def _zero_driver(ens):
+    """A pass with F = 0 on the paths of ``ens``: `riskfree` at a zero rate."""
+    return solve_backward(dataclasses.replace(ens, market=ZERO_RATE), "riskfree", PUT)
 
 
 def test_grid_validation_and_geometry():
@@ -153,7 +161,7 @@ def test_zero_driver_oracle(ensemble):
     # with no running cost the backward recursion is the plain conditional
     # expectation of the payoff; since the simulated drift equals the
     # risk-free rate this is e^{rT} times the closed form
-    sol = solve_backward(ensemble, "linear", PUT, driver_override=ZERO_DRIVER)
+    sol = _zero_driver(ensemble)
     ref = np.exp(0.06) * bs_value(PUT, SPOTS, 0.0, MARKET)
     err = np.abs(sol.value(SPOTS) - ref)
     tol = np.maximum(4.0 * sol.stderr(SPOTS), 2e-3 * (1.0 + np.abs(ref)))
@@ -163,7 +171,7 @@ def test_zero_driver_oracle(ensemble):
 def test_discount_driver_oracle(ensemble):
     # F = r y integrates to the risk-free discount: the recursion must
     # reproduce the closed-form option value itself
-    sol = solve_backward(ensemble, "linear", PUT, driver_override=DISCOUNT_DRIVER)
+    sol = solve_backward(ensemble, "riskfree", PUT)
     ref = bs_value(PUT, SPOTS, 0.0, MARKET)
     err = np.abs(sol.value(SPOTS) - ref)
     tol = np.maximum(4.0 * sol.stderr(SPOTS), 2e-3 * (1.0 + np.abs(ref)))
@@ -184,16 +192,14 @@ def test_stderr_shrinks_with_path_count(ensemble):
     # quadrupling the paths per stratum halves the regression error bars
     big = RegressionGrid(strata=150, paths_per_stratum=2400, steps=10)
     ens4 = simulate_forward(big, MARKET, 1.0, seed=7)
-    se1 = solve_backward(ensemble, "linear", PUT,
-                         driver_override=ZERO_DRIVER).stderr(SPOTS)
-    se4 = solve_backward(ens4, "linear", PUT,
-                         driver_override=ZERO_DRIVER).stderr(SPOTS)
+    se1 = _zero_driver(ensemble).stderr(SPOTS)
+    se4 = _zero_driver(ens4).stderr(SPOTS)
     ratio = se1 / se4
     assert np.all((ratio > 1.7) & (ratio < 2.4)), ratio
 
 
 def test_backward_solution_accessors(ensemble):
-    sol = solve_backward(ensemble, "linear", PUT, driver_override=ZERO_DRIVER)
+    sol = solve_backward(ensemble, "linear", PUT)
     assert isinstance(sol, BackwardSolution)
     # scalar in, scalar out
     assert isinstance(sol.value(15.0), float)
@@ -229,7 +235,7 @@ def test_empty_strata_are_never_read(monkeypatch):
     # poisoning the lines of those strata with NaN changes no bit
     grid = RegressionGrid(strata=80, paths_per_stratum=4, steps=8)
     ens = simulate_forward(grid, MARKET, 1.0, seed=3)
-    plain = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    plain = _zero_driver(ens)
     fit_strata = fbsde._fit_strata
     empties = []
 
@@ -241,7 +247,7 @@ def test_empty_strata_are_never_read(monkeypatch):
             name: np.where(empty, np.nan, getattr(fit, name)) for name in _FIT_LINES})
 
     monkeypatch.setattr(fbsde, "_fit_strata", poisoned)
-    sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    sol = _zero_driver(ens)
     assert sum(empties) > 0
     for name in ("counts", *_FIT_LINES):
         assert getattr(sol.fit, name).tobytes() == getattr(plain.fit, name).tobytes(), name
@@ -259,7 +265,7 @@ def test_query_in_a_stratum_empty_at_time_zero_raises():
                        times=np.array([0.0, 1.0]),
                        spots=np.array([start, 1.1 * start], dtype=np.float32),
                        meta={})
-    sol = solve_backward(ens, "linear", PUT, driver_override=ZERO_DRIVER)
+    sol = _zero_driver(ens)
     hole = float(grid.centers[2])
     # a line through the 2 paths of strata 0 and 1 leaves no residual
     # degree of freedom, so only stratum 3 has an error bar
@@ -317,11 +323,12 @@ def test_backward_input_validation(ensemble):
         solve_backward(ensemble, "linear", short)
 
 
-def test_linear_pass_evaluates_capital_once_per_level(ensemble):
+def test_linear_pass_evaluates_capital_once_per_level(ensemble, monkeypatch):
     # the mark and the capital on it depend on (t, S) only: one evaluation
     # per time level t_i serves the corrector of step i and the predictor of
-    # step i-1.  The hook is called once per chunk of paths, from the pool
-    # threads, so at each level its calls must see every path exactly once
+    # step i-1.  A level's capital is built once per chunk of paths, in the
+    # pool threads, so at each level its calls must see every path exactly
+    # once
     seen = defaultdict(list)
     lock = threading.Lock()
 
@@ -330,7 +337,8 @@ def test_linear_pass_evaluates_capital_once_per_level(ensemble):
             seen[t].append(spot.copy())
         return 0.0 * mark
 
-    sol = solve_backward(ensemble, "linear", PUT, capital_fn=counting)
+    use_capital_profile(monkeypatch, counting)
+    sol = solve_backward(ensemble, "linear", PUT)
     assert sorted(seen) == list(ensemble.times)
     for i, t in enumerate(ensemble.times):
         assert sum(s.size for s in seen[t]) == GRID.n_paths
@@ -355,8 +363,7 @@ def _chunked(n, chunk):
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _reference_backward(ensemble, kind, option, capital_fn=None,
-                        driver_override=None):
+def _reference_backward(ensemble, kind, option):
     """The per-step backward loop the level cache replaced: every driver
     evaluation recomputes its (t, S) work, every step upcasts both levels
     and every fit accumulates its own regressor moments, each sum with one
@@ -367,10 +374,7 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
     dt = times[1] - times[0]
 
     def driver_at(t, spot, v):
-        if driver_override is not None:
-            return driver_override(t, spot, v)
-        return driver_value(kind, t, spot, v, option, market, capital,
-                            capital_fn=capital_fn)
+        return driver_value(kind, t, spot, v, option, market, capital)
 
     def fit_at(bins, spot, y):
         # path-length products summed chunk by chunk, apart from the pass's
@@ -408,23 +412,22 @@ def _reference_backward(ensemble, kind, option, capital_fn=None,
 @pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
 @given(strata=st.integers(1, 20), paths=st.integers(2, 20),
        steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
-       hook=st.sampled_from(["none", "capital_fn", "driver_override"]),
-       chunk=st.sampled_from([fbsde._CHUNK, 7]), workers=st.sampled_from([1, 2]))
+       profile=st.booleans(), chunk=st.sampled_from([fbsde._CHUNK, 7]),
+       workers=st.sampled_from([1, 2]))
 def test_level_cache_equals_per_step_reference(kind, option, strata, paths,
-                                                steps, seed, hook, chunk, workers):
+                                                steps, seed, profile, chunk, workers):
     # the cached pass reorders no arithmetic: every fit array is identical
     # to the per-step loop's, also across chunk boundaries and on one or two
-    # pool threads, with a capital override and with a driver override
+    # pool threads, with the capital stack and with a capital profile of
+    # (t, S, mark)
     grid = RegressionGrid(strata=strata, paths_per_stratum=paths, steps=steps)
     ens = simulate_forward(grid, MARKET, 1.0, seed=seed)
-    hooks = {
-        "none": {},
-        "capital_fn": {"capital_fn": lambda t, s, m: 0.01 * np.abs(m) + 1e-3 * s * t},
-        "driver_override": {"driver_override": lambda t, s, v: 0.05 * v + 0.01 * s * t},
-    }[hook]
-    with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(workers):
-        sol = solve_backward(ens, kind, option, **hooks)
-        want = _reference_backward(ens, kind, option, **hooks)
+    with pytest.MonkeyPatch.context() as patch, \
+            mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(workers):
+        if profile:
+            use_capital_profile(patch, lambda t, s, m: 0.01 * np.abs(m) + 1e-3 * s * t)
+        sol = solve_backward(ens, kind, option)
+        want = _reference_backward(ens, kind, option)
     assert sol.meta["workers"] == min(workers, sol.meta["chunks"])
     _assert_same_fit(sol.fit, want)
 
@@ -539,11 +542,13 @@ class _ChunkFailure(RuntimeError):
 
 @pytest.mark.parametrize("hook", ["driver_override", "capital_fn"])
 def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
-    # a hook that fails on one chunk (the first, a middle one or the short
+    # a driver that fails on one chunk (the first, a middle one or the short
     # last one) of one level: at maturity and at t_{steps-1}, while the
-    # other chunks of the phase go on to their sums.  The pass raises that
-    # same exception once every task has ended, and no pool thread outlives
-    # the pass
+    # other chunks of the phase go on to their sums.  It fails where it is
+    # evaluated, as a driver put in place of the pass's driver_levels
+    # ("driver_override"), or where its level is built, as a capital
+    # profile ("capital_fn").  The pass raises that same exception once
+    # every task has ended, and no pool thread outlives the pass
     chunk = 7000
     chunks = _chunked(GRID.n_paths, chunk)
     for i in (GRID.steps, GRID.steps - 1):
@@ -555,10 +560,18 @@ def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
                     raise _ChunkFailure(t, k)
                 return 0.0 * v
 
+            def failing_driver(kind, times, spot, *args):
+                return lambda j: functools.partial(failing, float(times[j]), spot)
+
             before = threading.active_count()
-            with mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(2), \
+            with pytest.MonkeyPatch.context() as patch, \
+                    mock.patch.object(fbsde, "_CHUNK", chunk), _cpus(2), \
                     pytest.raises(_ChunkFailure) as info:
-                solve_backward(ensemble, "linear", PUT, **{hook: failing})
+                if hook == "capital_fn":
+                    use_capital_profile(patch, failing)
+                else:
+                    patch.setattr(fbsde, "driver_levels", failing_driver)
+                solve_backward(ensemble, "linear", PUT)
             assert info.value.args == (ensemble.times[i], k)
             assert threading.active_count() == before
 

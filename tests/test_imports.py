@@ -4,7 +4,8 @@ looks it up (``# noqa: F401``).  A name listed in ``__all__`` is not read by
 that, so no module re-exports an import, and each name has one home.  Every
 module-level definition of the package is read somewhere in the package,
 its tests or its benchmark.  Every Sphinx role reference in the package's
-docstrings and comments names an object of the package."""
+docstrings and comments names an object of the package.  Every test file
+of ``tests/`` and ``bench/`` has a row in README's validation map."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import xvadg
 PACKAGE = Path(xvadg.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+README = ROOT / "README.md"
 
 #: the names kept only as lookup points for bench/tracing.py's patches
 TRACER_ONLY = {("drivers", "capital_requirement"), ("fbsde", "driver_value")}
@@ -242,6 +244,43 @@ def test_the_check_sees_a_planted_unresolved_reference():
         ":mod:`xvadg.solver` :mod:`xvadg.nothing` :func:`numpy.log` "
         ":func:`xvadg.capital.capital_level_at`", "capital") == [
             "xvadg.nothing", "numpy.log", "xvadg.capital.capital_level_at"]
+
+
+def unmapped_test_files(readme: str, files) -> list:
+    """The ``files`` (``tests/test_x.py`` style paths) that the validation
+    map of ``readme``, its "## Validation map" section, does not name in
+    backticks."""
+    section = readme.partition("\n## Validation map\n")[2].partition("\n## ")[0]
+    named = set(re.findall(r"`((?:tests|bench)/test_\w+\.py)`", section))
+    return [name for name in files if name not in named]
+
+
+def _test_files() -> list:
+    return [f"{folder}/{path.name}" for folder in ("tests", "bench")
+            for path in sorted((ROOT / folder).glob("test_*.py"))]
+
+
+def test_every_test_file_is_in_the_validation_map():
+    files = _test_files()
+    assert len(files) > 10
+    assert unmapped_test_files(README.read_text(), files) == []
+
+
+def test_the_check_sees_a_planted_unmapped_test_file():
+    readme = README.read_text()
+    files = _test_files()
+    row = "| the ten acceptance criteria | `tests/test_acceptance.py` |\n"
+    assert row in readme
+    assert unmapped_test_files(readme.replace(row, ""), files) == [
+        "tests/test_acceptance.py"]
+    assert unmapped_test_files(readme, [*files, "bench/test_planted.py"]) == [
+        "bench/test_planted.py"]
+    # a file named outside the map's section is not in the map
+    planted = ("`tests/test_a.py`\n## Validation map\n| b | `bench/test_b.py` |\n"
+               "## Next\n`tests/test_c.py`\n")
+    assert unmapped_test_files(planted, ["tests/test_a.py", "bench/test_b.py",
+                                         "tests/test_c.py"]) == [
+        "tests/test_a.py", "tests/test_c.py"]
 
 
 def test_the_config_module_loads_no_other_module_of_the_package():

@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kernels_reference import capital_off
 from xvadg.cli import SWEEP_SPOTS
 from xvadg.config import MarketParams, benchmark_config, config_from_dict
 from xvadg.solver import solve, xva_breakdown
@@ -47,17 +48,16 @@ def test_nonlinear_minus_linear_is_second_order_in_the_costs(option_kind, degree
     assert np.all((ratios >= 3.8) & (ratios <= 4.2)), ratios
 
 
-def _capital_off(t, s, m):
-    return 0.0 * m
-
-
-def _strike_scale_gap(option_kind, driver, degree, spots, capital_fn=None):
+def _strike_scale_gap(option_kind, driver, degree, spots, capital=True):
     """The strike-150 xva read at 10x ``spots`` and divided by 10, minus
-    the strike-15 xva at ``spots``, and the latter, both on 320 cells."""
+    the strike-15 xva at ``spots``, and the latter, both on 320 cells; with
+    ``capital`` false, on the market whose hurdle switches capital off."""
     base = benchmark_config(option_kind, driver, cells=320, degree=degree)
+    if not capital:
+        base = dataclasses.replace(base, market=capital_off(base.market))
     big = dataclasses.replace(base, option=dataclasses.replace(base.option, strike=150.0))
-    small = solve(base, capital_fn=capital_fn).xva(spots)
-    return solve(big, capital_fn=capital_fn).xva(10.0 * spots) / 10.0 - small, small
+    small = solve(base).xva(spots)
+    return solve(big).xva(10.0 * spots) / 10.0 - small, small
 
 
 @pytest.mark.parametrize("driver, degree, option_kind, bound", [
@@ -71,14 +71,14 @@ def test_capital_off_the_model_scales_with_the_strike(driver, degree, option_kin
     # degree-1 calls.  Degree-2 calls read 2.5e-7-5.7e-7, the rounding
     # noise of their s_max boundary closure (ROADMAP item 2), so they are
     # left out
-    gap, xva = _strike_scale_gap(option_kind, driver, degree, SPOTS, _capital_off)
+    gap, xva = _strike_scale_gap(option_kind, driver, degree, SPOTS, capital=False)
     assert np.max(np.abs(gap)) <= bound * np.max(np.abs(xva))
 
 
 @pytest.mark.parametrize("option_kind", ("put", "call"))
 def test_capital_off_garcia_scales_with_the_strike_exactly(option_kind):
     # garcia with no capital has no source: both adjustments are exactly 0
-    gap, xva = _strike_scale_gap(option_kind, "garcia", 1, SPOTS, _capital_off)
+    gap, xva = _strike_scale_gap(option_kind, "garcia", 1, SPOTS, capital=False)
     assert not np.any(gap) and not np.any(xva)
 
 

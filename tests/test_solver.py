@@ -1,6 +1,7 @@
-"""End-to-end PDE solver: analytic-solution hook, adjustment anchors at a
-mid-size mesh, accessor identities, the quadrature decomposition, the
-reduced-equation rescaling check, and failure paths."""
+"""End-to-end PDE solver: the `riskfree` kind against the closed form,
+adjustment anchors at a mid-size mesh, accessor identities, capital off as
+a market, the quadrature decomposition, the reduced-equation rescaling
+check, and failure paths."""
 
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kernels_reference import capital_off, use_capital_profile
 from xvadg import imex, ldg, solver
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config, config_from_dict
@@ -88,7 +90,7 @@ def test_riskfree_hook_error_is_continuous_at_zero_speed():
         return replace(benchmark_config(option_kind="put", cells=160),
                        market=MarketParams(sigma=0.25, stock_repo_rate=repo))
     at_zero, near_zero = config(0.0625), config(0.0624)
-    assert solve(near_zero).time_grid.steps >= solve(at_zero).time_grid.steps
+    assert solve(near_zero).meta["steps"] >= solve(at_zero).meta["steps"]
     assert _riskfree_error(near_zero) <= 2.0 * _riskfree_error(at_zero)
 
 
@@ -240,7 +242,7 @@ def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
         solve(benchmark_config(cells=40))
 
 
-def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
+def _march_afresh(configs, kind) -> np.ndarray:
     """The (B, N) state at time zero of one ``solve_many`` group, marched
     with the driver built afresh by ``driver_value`` at every stage.  A group
     of one keeps its scalars here: it is the batch-of-one reference that
@@ -274,7 +276,7 @@ def _march_afresh(configs, kind, capital_fn=None) -> np.ndarray:
 
     def explicit_fn(state, tau):
         fwd = driver_value(kind, option.maturity - tau, spots, state.reshape(shape),
-                           option, market, capital, capital_fn)
+                           option, market, capital)
         return (-weights * fwd).reshape(state.shape)
 
     tau = 0.0
@@ -304,16 +306,15 @@ def test_levels_built_once_equal_a_march_built_afresh_bitwise(kind, option_kind,
         assert np.array_equal(got.view(np.int64), want[b].view(np.int64)), b
 
 
-def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise():
+def test_levels_with_a_capital_profile_equal_a_march_built_afresh_bitwise(monkeypatch):
     # a capital profile is called with each level's own time, as afresh
-    def capital_fn(t, s, m):
-        return (0.01 + 0.02 * t) * np.abs(m) + 1e-3 * s
-
+    use_capital_profile(monkeypatch,
+                        lambda t, s, m: (0.01 + 0.02 * t) * np.abs(m) + 1e-3 * s)
     configs = [replace(benchmark_config(option_kind="call", driver="nonlinear", cells=20),
                        degree=2)]
     for kind in ("nonlinear", "linear"):
-        want = _march_afresh(configs, kind, capital_fn)
-        got = solve(configs[0], kind, capital_fn).value_field.coeffs.ravel()
+        want = _march_afresh(configs, kind)
+        got = solve(configs[0], kind).value_field.coeffs.ravel()
         assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), kind
 
 
@@ -364,7 +365,7 @@ def test_large_steps_stay_accurate_when_convection_is_fast():
     assert np.max(np.abs(coarse.xva(spots) - fine.xva(spots))) < 3e-4
 
 
-def test_nonfinite_column_stops_the_batch():
+def test_nonfinite_column_stops_the_batch(monkeypatch):
     # a capital profile of 1e300 right of S = 30, at the last stage time of
     # the first step alone: third order's last stage enters the new state
     # through the explicit combination only, so the nonfinite nodes stay
@@ -372,16 +373,14 @@ def test_nonfinite_column_stops_the_batch():
     # takes 1e300 past the largest float
     base = replace(benchmark_config(option_kind="put", driver="linear", cells=40),
                    degree=2)
-    delta = solve(base).time_grid.delta
+    delta = solve(base).meta["delta_tau"]
     maturity = base.option.maturity
-
-    def capital_fn(t, s, m):
-        return np.where((t <= maturity - 0.9 * delta) & (s > 30.0), 1e300, 0.0 * m)
-
+    use_capital_profile(monkeypatch, lambda t, s, m: np.where(
+        (t <= maturity - 0.9 * delta) & (s > 30.0), 1e300, 0.0 * m))
     poisoned = replace(base, market=replace(base.market, capital_hurdle=1e10))
     with np.errstate(all="ignore"):
         with pytest.raises(SolverDivergedError, match="finiteness") as exc:
-            solve_many([base, poisoned], capital_fn=capital_fn)
+            solve_many([base, poisoned])
     assert exc.value.step == 1
     spots = Mesh(base.s_max, base.cells).quad_points(make_basis(base.degree))
     first = int(np.flatnonzero((spots > 30.0).any(axis=1))[0])
@@ -430,20 +429,21 @@ def test_batched_march_layout(monkeypatch):
 
 @pytest.mark.parametrize("kind, mark_shape", [("nonlinear", (2, 20, 3)),
                                               ("linear", (20, 3))])
-def test_capital_fn_sees_spots_and_batch_major_marks(kind, mark_shape):
-    # a capital profile is called with spots (cells, degree+1) and marks
+def test_capital_fn_sees_spots_and_batch_major_marks(kind, mark_shape, monkeypatch):
+    # a level's capital is built on spots (cells, degree+1) and reads marks
     # that broadcast against them: the marched values of a batch of B
     # scenarios as (B, cells, degree+1), or a mark kind's closed-form mark
     # on the spots' shape
     seen = set()
 
-    def capital_fn(t, s, m):
+    def profile(t, s, m):
         seen.add((s.shape, m.shape))
         return 0.01 * np.abs(m) + 0.0 * s
 
+    use_capital_profile(monkeypatch, profile)
     base = replace(benchmark_config(option_kind="call", driver=kind, cells=20), degree=2)
     solve_many([replace(base, market=replace(base.market, capital_hurdle=h))
-                for h in (0.06, 0.15)], capital_fn=capital_fn)
+                for h in (0.06, 0.15)])
     assert seen == {((20, 3), mark_shape)}
 
 
@@ -514,14 +514,15 @@ def test_sample_grid_is_sorted_interior():
     assert grid[0] > 0.0 and grid[-1] < sol.config.s_max
 
 
-def test_finiteness_guard_raises_with_location():
+def test_finiteness_guard_raises_with_location(monkeypatch):
     # a capital profile that evaluates to infinity poisons the first step;
     # the march must stop immediately and report where
     cfg = benchmark_config(option_kind="call", driver="nonlinear", cells=40)
-    bad = lambda t, s, m: np.full_like(np.asarray(m, dtype=float), np.inf)
+    use_capital_profile(monkeypatch,
+                        lambda t, s, m: np.full_like(np.asarray(m, dtype=float), np.inf))
     with np.errstate(all="ignore"):
         with pytest.raises(SolverDivergedError, match="finiteness") as exc:
-            solve(cfg, capital_fn=bad)
+            solve(cfg)
     assert exc.value.step == 1
     assert exc.value.tau > 0.0
     assert isinstance(exc.value, RuntimeError)
@@ -609,10 +610,27 @@ def test_decomposition_degenerate_markets():
 
 def test_capital_switch_off_zeroes_reduced_equation():
     # the reduced capital adjustment marches from zero terminal data, so
-    # removing the capital source keeps it identically zero
+    # the market that removes the capital source keeps it identically zero
     cfg = benchmark_config(option_kind="put", driver="garcia", cells=40)
-    sol = solve(cfg, capital_fn=lambda t, s, m: 0.0 * m)
+    sol = solve(replace(cfg, market=capital_off(cfg.market)))
     assert np.all(sol.value_field.coeffs == 0.0)
+
+
+@pytest.mark.parametrize("option_kind", ["put", "call"])
+@pytest.mark.parametrize("driver", ["linear", "nonlinear", "garcia"])
+def test_capital_off_market_equals_a_zero_capital_profile_bitwise(driver, option_kind,
+                                                                  monkeypatch):
+    # at hurdle = phi rB the capital coefficient is exactly 0, so the march
+    # is the one with the capital stack replaced by zero, bit for bit, and
+    # the quadrature's capital term is exactly 0
+    cfg = benchmark_config(option_kind=option_kind, driver=driver, cells=320)
+    off = replace(cfg, market=capital_off(cfg.market))
+    got = solve(off).value_field.coeffs
+    assert not np.array_equal(got, solve(cfg).value_field.coeffs)
+    assert xva_breakdown(15.0, off.option, off.market, off.capital).kva == 0.0
+    use_capital_profile(monkeypatch, lambda t, s, m: 0.0 * m)
+    want = solve(cfg).value_field.coeffs
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_garcia_check_degenerate_hurdle():
