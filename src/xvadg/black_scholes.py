@@ -50,6 +50,9 @@ _INV_SQRTPI = 1.0 / np.sqrt(np.pi)
 #: (2**-54 ~ 5.6e-17); erf reads ±1.0 at ±6 and on a dense grid of [6, 30]
 _ERF_SATURATES = 6.0
 
+#: Gauss-Hermite nodes of every lognormal expectation
+_HERMITE_ORDER = 64
+
 
 def norm_cdf(x: np.ndarray | float) -> np.ndarray | float:
     """Standard normal distribution function.
@@ -210,35 +213,34 @@ class LognormalKernel:
             raise ValueError("kernel horizon must be nonnegative")
 
 
-@functools.lru_cache(maxsize=8)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, built once per order and shared read-only."""
-    x, w = np.polynomial.hermite.hermgauss(order)
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built on first use, shared read-only."""
+    x, w = np.polynomial.hermite.hermgauss(_HERMITE_ORDER)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
 def lognormal_expectation(fn: Callable[[np.ndarray], np.ndarray],
-                          kernel: LognormalKernel, order: int = 64) -> float | np.ndarray:
+                          kernel: LognormalKernel) -> float | np.ndarray:
     """E[fn(S_h)] under ``kernel`` by Gauss-Hermite quadrature.
 
     ``fn`` must accept a vector of stock levels and return one value per
     level (a float expectation) or a stack of k rows of them (k expectations
     on one node set).  Each row is a dot product of its own, bit for bit a
     one-row call; a matrix product would sum in another order.  A zero
-    horizon is the point mass at ``spot``.  The rule integrates polynomials
-    in the normal increment exactly up to degree ``2*order - 1``; 64 nodes
-    leave the moment identities E[S_h] = spot*exp(drift*h) and E[S_h^2]
-    accurate to relative 1e-13 for the vol/horizon ranges used here.
+    horizon is the point mass at ``spot``.  The rule of ``_HERMITE_ORDER``
+    nodes integrates polynomials in the normal increment exactly up to
+    degree ``2 * _HERMITE_ORDER - 1``; 64 nodes leave the moment identities
+    E[S_h] = spot*exp(drift*h) and E[S_h^2] accurate to relative 1e-13 for
+    the vol/horizon ranges used here.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be at least 1")
     if kernel.horizon == 0.0 or kernel.sigma == 0.0:
         drift_move = kernel.spot * np.exp(kernel.drift * kernel.horizon)
         vals = np.asarray(fn(np.asarray([drift_move])), dtype=float)[..., 0]
         return float(vals) if vals.ndim == 0 else vals
-    x, w = _hermite_rule(order)
+    x, w = _hermite_rule()
     m = (kernel.drift - 0.5 * kernel.sigma ** 2) * kernel.horizon
     scale = kernel.sigma * np.sqrt(kernel.horizon) * _SQRT2
     levels = kernel.spot * np.exp(m + scale * x)

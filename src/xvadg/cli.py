@@ -8,14 +8,15 @@ regression Monte Carlo route on its own (``fbsde``), the term-by-term
 adjustment decomposition (``breakdown``) and the reduced-equation scaling
 diagnostic (``garcia-check``).
 
-Each subcommand is one entry of ``COMMANDS``: help text, CSV stem, default
-driver and cells, the flags it reads and a ``run(config, args) -> Output``.
+Each subcommand is one entry of ``COMMANDS``: help text, default driver
+and cells, the flags it reads and a ``run(config, args) -> Output``.
 Every subcommand takes ``--config`` and ``--out``; of the configuration
 overrides and ``--seed`` it takes only those it reads, so a flag that would
 change nothing is a usage error.  One runner does the rest: it builds the
 configuration, times the run and, only after it succeeds, writes
-``<stem>.csv`` and a ``<stem>.meta.json`` sidecar into ``--out``, whose common block (``command``, ``config``, ``outputs``,
-``runtime_seconds``, ``peak_rss_mb``) sits beside the command's own fields.
+``<stem>.csv`` and a ``<stem>.meta.json`` sidecar (stem: the command's name,
+``-`` as ``_``) into ``--out``, whose common block (``command``, ``config``,
+``outputs``, ``runtime_seconds``, ``peak_rss_mb``) sits beside its own fields.
 CSV content is byte-stable for fixed inputs and seeds (no timestamps or
 runtimes in the tables; those live in the sidecar).  On failure ``main``
 prints a machine-readable error record to stderr as JSON and exits nonzero.
@@ -160,10 +161,8 @@ class ConvergenceReport:
     """Self-referenced refinement study against a fine-mesh solution."""
 
     rows: tuple[ConvergenceRow, ...]
-    ref_cells: int
-    ref_steps: int
     #: the solves' metas: {"reference": ..., "ladder": [one per rung]}
-    solver_meta: dict = dataclasses.field(default_factory=dict)
+    solver_meta: dict
 
     def text_table(self) -> str:
         lines = [f"{'cells':>6s} {'steps':>6s} {'err_L2':>12s} {'EOC':>6s} "
@@ -173,7 +172,8 @@ class ConvergenceReport:
             ei = "" if np.isnan(r.eoc_linf) else f"{r.eoc_linf:6.3f}"
             lines.append(f"{r.cells:6d} {r.steps:6d} {r.err_l2:12.3e} {e2:>6s} "
                          f"{r.err_linf:12.3e} {ei:>6s}")
-        lines.append(f"reference: {self.ref_cells} cells, {self.ref_steps} steps")
+        ref = self.solver_meta["reference"]
+        lines.append(f"reference: {ref['cells']} cells, {ref['steps']} steps")
         return "\n".join(lines)
 
 
@@ -226,18 +226,17 @@ def run_convergence(config: RunConfig,
             eoci = float(np.log2(prev[2] / linf) / scale)
         rows.append(ConvergenceRow(n, sol.meta["steps"], l2, eoc2, linf, eoci))
         prev = (n, l2, linf)
-    return ConvergenceReport(tuple(rows), reference.meta["cells"],
-                             reference.meta["steps"],
-                             {"reference": reference.meta, "ladder": metas})
+    return ConvergenceReport(tuple(rows), {"reference": reference.meta, "ladder": metas})
 
 
 def _converge(config: RunConfig, args) -> Output:
     ladder = _parse_values(args.ladder, int) if args.ladder is not None else CONVERGENCE_LADDER
     report = run_convergence(config, ladder, args.ref_cells)
+    ref = report.solver_meta["reference"]
     return Output(config, [f.name for f in dataclasses.fields(ConvergenceRow)],
                   [dataclasses.astuple(r) for r in report.rows],
-                  {"ladder": list(ladder), "ref_cells": report.ref_cells,
-                   "ref_steps": report.ref_steps, "solver": report.solver_meta},
+                  {"ladder": list(ladder), "ref_cells": ref["cells"],
+                   "ref_steps": ref["steps"], "solver": report.solver_meta},
                   report.text_table())
 
 
@@ -339,17 +338,17 @@ def _table3(config: RunConfig, args) -> Output:
 
 
 def run_sweep(config: RunConfig, param: str,
-              values: tuple[float, ...] | None = None,
-              spots=SWEEP_SPOTS) -> dict:
-    """One PDE solve per parameter value; adjustment and delta at the
-    sample spots, plus pointwise monotonicity summaries across values.
+              values: tuple[float, ...] | None = None) -> dict:
+    """One PDE solve per parameter value; adjustment and delta at
+    ``SWEEP_SPOTS``, plus pointwise monotonicity summaries across values.
     The values go through one ``solve_many`` call, so the values of a
     ``capital-hurdle`` or ``collateral-rate`` sweep march as one batch;
     ``groups`` gives the batch widths and ``solver`` each value's meta.
 
-    ``capital-hurdle`` value 0.06 is labeled the no-KVA baseline (hurdle
-    equal to the risk-free rate, capital earning no excess return);
-    ``collateral-rate`` value 0.06 likewise has zero collateral spread.
+    The value equal to the risk-free rate r is labelled: ``no-CRA`` has zero
+    collateral spread, but ``no-KVA`` is only the hurdle r, whose capital
+    coefficient r - phi * r_B is small, not zero (-3.99e-4 by default);
+    capital is off at hurdle = phi * r_B (see :mod:`xvadg.drivers`).
     """
     if param not in _SWEEPS:
         raise ValueError(f"unknown sweep parameter {param!r}; "
@@ -361,7 +360,7 @@ def run_sweep(config: RunConfig, param: str,
     repeated = sorted({v for v in floats if floats.count(v) > 1})
     if repeated:   # delta_bounds is keyed by value: a repeat would lose an entry
         raise ValueError(f"repeated {param} sweep value(s): {repeated}")
-    spots = check_domain(spots, config.s_max)
+    spots = check_domain(SWEEP_SPOTS, config.s_max)
     configs = [dataclasses.replace(config, market=dataclasses.replace(
         config.market, **{field: float(v)})) for v in values]
     results = solve_many(configs)
@@ -452,8 +451,8 @@ def _garcia_check(config: RunConfig, args) -> Output:
     config = dataclasses.replace(config, driver="garcia")
     check = garcia_scaling_check(config)
     nodes = sample_grid(check.reduced)
-    lhs = np.asarray(check.lhs(nodes))
-    rhs = np.asarray(check.rhs(nodes))
+    lhs = np.asarray(check.reduced.value_field.evaluate(nodes))
+    rhs = np.asarray(check.factor * check.reference.value_field.evaluate(nodes))
     text = (f"reduced-equation scaling check ({config.option.kind}, "
             f"{config.cells} cells):\n"
             f"  scale factor  {check.factor:.6f}\n"
@@ -473,11 +472,10 @@ def _garcia_check(config: RunConfig, args) -> Output:
 
 @dataclasses.dataclass(frozen=True)
 class Command:
-    """One subcommand: help text, CSV stem, defaults, the flags it reads
-    beyond ``--config`` and ``--out``, and run."""
+    """One subcommand: help text, defaults, the flags it reads beyond
+    ``--config`` and ``--out``, and run."""
 
     help: str
-    stem: str
     run: Callable[[RunConfig, argparse.Namespace], Output]
     driver: str = "linear"
     cells: int | None = None
@@ -515,23 +513,23 @@ _MC_FLAGS = {
 }
 
 COMMANDS = {
-    "price": Command("one pricing run; value/delta/gamma/xva profile", "price", _price,
+    "price": Command("one pricing run; value/delta/gamma/xva profile", _price,
                      flags=_PDE_FLAGS),
     "converge": Command(
-        "refinement ladder with error norms and EOC", "converge", _converge, flags={
+        "refinement ladder with error norms and EOC", _converge, flags={
             **_shared("--option", "--driver", "--degree"),
             "--ladder": dict(metavar="N1,N2,...",
                              help=f"cell counts (default {_listed(CONVERGENCE_LADDER)})"),
             "--ref-cells": dict(type=int, default=_REFERENCE_CELLS,
                                 help="reference resolution (default %(default)s)")}),
     "table3": Command(
-        "benchmark adjustment table, PDE and Monte Carlo", "table3", _table3,
+        "benchmark adjustment table, PDE and Monte Carlo", _table3,
         cells=1280, flags={
             **_shared("--cells", "--degree", "--seed"),
             "--no-mc": dict(action="store_true", help="skip the Monte Carlo columns"),
             **_MC_FLAGS}),
     "sweep": Command(
-        "sensitivity sweep over one market parameter", "sweep", _sweep,
+        "sensitivity sweep over one market parameter", _sweep,
         driver="nonlinear", cells=320, flags={
             **_PDE_FLAGS,
             "--param": dict(required=True, choices=sorted(_SWEEPS),
@@ -539,16 +537,16 @@ COMMANDS = {
             "--values": dict(metavar="V1,V2,...",
                              help="values (defaults depend on the parameter)")}),
     "fbsde": Command(
-        "regression Monte Carlo adjustment at query spots", "fbsde", _fbsde, flags={
+        "regression Monte Carlo adjustment at query spots", _fbsde, flags={
             **_shared("--option", "--driver", "--seed"), **_MC_FLAGS,
             "--spots": dict(metavar="S1,S2,...",
                             help=f"query spots (default {_listed(TABLE_SPOTS)})")}),
     "breakdown": Command(
-        "term-by-term adjustment decomposition vs PDE", "breakdown", _breakdown,
+        "term-by-term adjustment decomposition vs PDE", _breakdown,
         cells=640, flags={**_shared("--option", "--cells", "--degree"),
                           "--spot": dict(type=float, default=15.0)}),
-    "garcia-check": Command("reduced-equation scaling diagnostic", "garcia_check",
-                            _garcia_check, driver="garcia", cells=640,
+    "garcia-check": Command("reduced-equation scaling diagnostic", _garcia_check,
+                            driver="garcia", cells=640,
                             flags=_shared("--option", "--cells", "--degree")),
 }
 
@@ -578,13 +576,14 @@ def _run(command: Command, args) -> None:
     output = command.run(config, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_name = f"{command.stem}.csv"
+    stem = args.command.replace("-", "_")
+    csv_name = f"{stem}.csv"
     write_csv(out / csv_name, output.header, output.rows)
     meta = {**output.meta, "command": args.command,
             "config": config_to_dict(output.config), "outputs": [csv_name],
             "runtime_seconds": round(time.perf_counter() - started, 3),
             "peak_rss_mb": _peak_rss_mb()}
-    with open(out / f"{command.stem}.meta.json", "w") as fh:
+    with open(out / f"{stem}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     print(output.text)

@@ -64,8 +64,9 @@ strata and offsets it was fitted on, the corrector in the next step's
 first phase, before those are overwritten.  So a stratum that no path
 reaches at some t_i > 0 keeps a zero line that nothing reads.  The
 time-zero surface is read only inside the strata's span
-[exp(log_lo), exp(log_hi)] and only in strata where paths started; a query
-spot outside the span, or in a stratum with no paths at t = 0, raises.
+[exp(LOG_SPOT_LO), exp(LOG_SPOT_HI)] and only in strata where paths
+started; a query spot outside the span, or in a stratum with no paths at
+t = 0, raises.
 
 The forward ensemble is simulated on a pool as well, in blocks of strata;
 each stratum draws from its own stream, so the paths do not depend on the
@@ -111,12 +112,24 @@ _CHUNK = 1 << 15
 #: scratch
 _BACKWARD_ARRAYS = 10
 
+#: the strata's span in log-spot: [exp(-5), exp(5)] = [6.74e-3, 148.4]
+LOG_SPOT_LO = -5.0
+LOG_SPOT_HI = 5.0
+
+
+def _workers(tasks: int) -> int:
+    """Pool threads for ``tasks`` tasks: one per CPU the process may run on
+    (``os.sched_getaffinity``, else ``os.cpu_count()``), at most ``tasks``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return min(cpus, tasks)
+
 
 @dataclass(frozen=True)
 class RegressionGrid:
     """Stratification and path budget of the regression Monte Carlo.
 
-    ``strata`` cells log-uniform on [exp(log_lo), exp(log_hi)], each
+    ``strata`` cells log-uniform on [exp(LOG_SPOT_LO), exp(LOG_SPOT_HI)], each
     launching ``paths_per_stratum`` paths from log-uniform initial spots,
     stepped on ``steps`` uniform intervals of [0, T].
     """
@@ -124,8 +137,6 @@ class RegressionGrid:
     strata: int = 500
     paths_per_stratum: int = 10000
     steps: int = 20
-    log_lo: float = -5.0
-    log_hi: float = 5.0
 
     def __post_init__(self) -> None:
         if self.strata < 1:
@@ -135,9 +146,6 @@ class RegressionGrid:
                 f"paths_per_stratum must be >= 2, got {self.paths_per_stratum}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not self.log_lo < self.log_hi:
-            raise ValueError(
-                f"need log_lo < log_hi, got {self.log_lo} >= {self.log_hi}")
 
     @property
     def n_paths(self) -> int:
@@ -145,7 +153,7 @@ class RegressionGrid:
 
     @property
     def log_edges(self) -> np.ndarray:
-        return np.linspace(self.log_lo, self.log_hi, self.strata + 1)
+        return np.linspace(LOG_SPOT_LO, LOG_SPOT_HI, self.strata + 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -166,16 +174,16 @@ class RegressionGrid:
     def stratum_of(self, spot: np.ndarray | float) -> np.ndarray:
         """Stratum index of each spot, clipped to the grid (vectorized)."""
         s = np.asarray(spot, dtype=float)
-        dlog = (self.log_hi - self.log_lo) / self.strata
-        x = np.floor((np.log(np.maximum(s, 1e-300)) - self.log_lo) / dlog)
+        dlog = (LOG_SPOT_HI - LOG_SPOT_LO) / self.strata
+        x = np.floor((np.log(np.maximum(s, 1e-300)) - LOG_SPOT_LO) / dlog)
         return np.clip(x, 0, self.strata - 1).astype(np.int64)
 
     def locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
         """The query spots as floats and their strata; a spot outside the
-        span [exp(log_lo), exp(log_hi)], or not finite, raises
+        span [exp(LOG_SPOT_LO), exp(LOG_SPOT_HI)], or not finite, raises
         ``ValueError``."""
         s = np.asarray(spot, dtype=float)
-        lo, hi = np.exp(self.log_lo), np.exp(self.log_hi)
+        lo, hi = np.exp(LOG_SPOT_LO), np.exp(LOG_SPOT_HI)
         outside = ~((s >= lo) & (s <= hi))
         if np.any(outside):
             raise ValueError(f"query spot {float(s[outside][0])!r} lies outside "
@@ -253,7 +261,7 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
             block[1:] += block[0]
             spots[:, j * pps:(j + 1) * pps] = np.exp(block)
 
-    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    workers = _workers(len(blocks))
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(simulate, blocks))
     return PathEnsemble(grid=grid, market=market, maturity=maturity,
@@ -284,18 +292,18 @@ class _StrataFit:
         return self.intercept[bins] + self.slope[bins] * dx
 
 
-def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
-                rows: int) -> np.ndarray:
+def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task,
+                strata: int) -> np.ndarray:
     """Run ``task(k, chunk)`` for every chunk on ``pool`` and return the
-    phase's ``rows`` per-stratum sums, shape (rows, strata).
+    phase's per-stratum sums, shape (rows, strata), one row per weight.
 
-    A task returns its chunk's strata and a tuple of ``rows`` weights; in
-    the same pool task each becomes one ``bincount`` row of the chunk, and a
-    weight of ``None`` gives the integer path count.  Once every task has
-    ended, the first error in chunk order is raised, or the chunk rows are
-    added in chunk order, in float64.  A count row is exact; the weighted
-    sums depend on the partition into chunks, which ``_CHUNK`` fixes, and
-    never on the worker count.
+    A task returns its chunk's strata and a tuple of weights, as many for
+    every chunk; in the same pool task each becomes one ``bincount`` row of
+    the chunk, and a weight of ``None`` gives the integer path count.  Once
+    every task has ended, the first error in chunk order is raised, or the
+    chunk rows are added in chunk order, in float64, starting from chunk
+    0's.  A count row is exact; the weighted sums depend on the partition
+    into chunks, which ``_CHUNK`` fixes, and never on the worker count.
     """
     def run(k: int, chunk) -> list:
         bins, weights = task(k, chunk)
@@ -303,8 +311,8 @@ def _phase_sums(pool: ThreadPoolExecutor, chunks: list, task, strata: int,
 
     futures = [pool.submit(run, k, chunk) for k, chunk in enumerate(chunks)]
     wait(futures)
-    sums = np.zeros((rows, strata))
-    for future in futures:
+    sums = np.array(futures[0].result(), dtype=float)
+    for future in futures[1:]:
         sums += future.result()
     return sums
 
@@ -370,7 +378,7 @@ class BackwardSolution:
     """Time-zero regression surface of one backward pass.
 
     ``value`` evaluates the fitted conditional expectation at query spots
-    in the strata's span [exp(log_lo), exp(log_hi)]; ``stderr`` its
+    in the strata's span [exp(LOG_SPOT_LO), exp(LOG_SPOT_HI)]; ``stderr`` its
     pointwise prediction standard error (of the regression mean, from the
     time-zero fit); ``xva`` the adjustment, i.e. value minus the
     closed-form mark for full-price kinds and the value itself for reduced
@@ -438,7 +446,7 @@ class BackwardSolution:
 
 
 def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
-                   capital: CapitalParams | None = None) -> BackwardSolution:
+                   capital: CapitalParams = CapitalParams()) -> BackwardSolution:
     """Run one backward regression pass over a forward ensemble.
 
     The driver is ``kind`` on the ensemble's market, built by
@@ -455,8 +463,6 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
             f"option maturity {option.maturity} does not match the ensemble's "
             f"{ensemble.maturity}")
     market = ensemble.market
-    if capital is None:
-        capital = CapitalParams()
     grid = ensemble.grid
     times = ensemble.times
     dt = times[1] - times[0]
@@ -465,7 +471,7 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     n_paths = ensemble.spots.shape[1]
     chunks = [slice(lo, min(lo + _CHUNK, n_paths))
               for lo in range(0, n_paths, _CHUNK)]
-    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    workers = _workers(len(chunks))
     meta = {"kind": kind, "option": option.kind, "strata": grid.strata,
             "paths_per_stratum": grid.paths_per_stratum, "steps": grid.steps,
             "seed": ensemble.seed, "levels_filled": 0, "driver_evaluations": 0,
@@ -511,19 +517,19 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         g = y[sl] - 0.5 * dt * (f_right[sl] + f_left)
         return b, (g, d * g) if i else (g, d * g, g * g)
 
-    def evaluate(phase, levels: int, rows: int) -> np.ndarray:
+    def evaluate(phase, levels: int) -> np.ndarray:
         meta["levels_filled"] += levels
         meta["driver_evaluations"] += 1
         meta["driver_points"] += n_paths
-        return _phase_sums(pool, chunks, phase, grid.strata, rows)
+        return _phase_sums(pool, chunks, phase, grid.strata)
 
     with ThreadPoolExecutor(workers) as pool:
         for i in range(grid.steps - 1, -1, -1):
             count, sx, sxx_raw, *response = evaluate(
-                right_and_level, 2 if fit is None else 1, 5)
+                right_and_level, 2 if fit is None else 1)
             moments = (count, sx, sxx_raw)
             fit_pred = _fit_strata(moments, response)
-            fit = _fit_strata(moments, evaluate(left, 0, 2 if i else 3))
+            fit = _fit_strata(moments, evaluate(left, 0))
 
     meta["runtime_seconds"] = round(time.perf_counter() - started, 3)
     return BackwardSolution(option=option, market=market, grid=grid,

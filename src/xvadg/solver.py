@@ -43,15 +43,16 @@ market carries the batched fields as (B, 1, 1) arrays, so each driver
 formula broadcasts its (t, S)-only part (closed-form mark, SA-CCR add-on),
 built once per stage time for the whole group, along the batch axis in
 front, and every elementwise loop runs over whole contiguous rows.
-``solve`` is ``solve_many`` on one configuration: one march loop, in one
-layout, serves both, B = 1 included.
+``solve`` marches its one configuration as a group of one: one march
+loop, in one layout, serves both, B = 1 included.
 
 ``xva_breakdown`` prices the adjustment a second, independent way: each
 cost component of the linear convention is integrated against the lognormal
 law of the stock and the issuer-plus-counterparty discount kernel
-(Gauss-Hermite in space, composite Simpson in time).  ``garcia_scaling_check``
-quantifies how far the reduced capital equation is from a constant-factor
-rescaling of the issuer-kernel one.
+(Gauss-Hermite in space by :func:`xvadg.black_scholes.lognormal_expectation`,
+composite Simpson in time).  ``garcia_scaling_check`` quantifies how far the
+reduced capital equation is from a constant-factor rescaling of the
+issuer-kernel one.
 """
 
 from __future__ import annotations
@@ -74,20 +75,12 @@ from .ldg import DGField, Mesh, assemble_implicit, convection_form, \
     diffusion_form, gradient_form, make_basis, mass_diag, project_payoff, \
     variant_for_option
 
-__all__ = [
-    "BATCHED_FIELDS", "SolveResult", "SolverDivergedError", "XVABreakdown",
-    "GarciaScalingCheck", "solve", "solve_many", "scenario_groups",
-    "xva_breakdown", "garcia_scaling_check", "sample_grid", "source_term",
-]
-
 #: market fields that enter the driver only as scalar coefficients: the
 #: configurations of one ``solve_many`` group may differ in these alone
 BATCHED_FIELDS = ("capital_hurdle", "collateral_rate")
 
-#: ``xva_breakdown`` quadrature: composite-Simpson time intervals (even) and
-#: Gauss-Hermite nodes per lognormal expectation
+#: ``xva_breakdown`` quadrature: composite-Simpson time intervals (even)
 _SIMPSON_INTERVALS = 200
-_HERMITE_ORDER = 64
 
 
 class SolverDivergedError(RuntimeError):
@@ -159,18 +152,18 @@ def solve(config: RunConfig, kind: str | None = None) -> SolveResult:
     does not expose.  A run without capital costs is a market whose hurdle
     is the funded rate (see :mod:`xvadg.drivers`), not another driver.
     """
-    return solve_many([config], kind)[0]
+    return _march_group([config], kind)[0]
 
 
-def solve_many(configs: Sequence[RunConfig], kind: str | None = None) -> list[SolveResult]:
+def solve_many(configs: Sequence[RunConfig]) -> list[SolveResult]:
     """``solve`` for each configuration, in input order, marching each group
-    of ``scenario_groups`` as one batch; ``kind`` applies to every
-    configuration.  Each result equals its ``solve`` bit for bit.
+    of ``scenario_groups`` as one batch.  Each result equals its ``solve``
+    bit for bit.
     """
     results: list = [None] * len(configs)
     for members in scenario_groups(configs):
         group = [configs[i] for i in members]
-        for i, result in zip(members, _march_group(group, kind)):
+        for i, result in zip(members, _march_group(group, None)):
             results[i] = result
     return results
 
@@ -178,8 +171,7 @@ def solve_many(configs: Sequence[RunConfig], kind: str | None = None) -> list[So
 def scenario_groups(configs: Sequence[RunConfig]) -> list[list[int]]:
     """Indices of the configurations that march together, in order of first
     appearance: equal in every field, the driver included, but
-    ``BATCHED_FIELDS``.  A ``solve_many`` kind override is the same for
-    every configuration, so it never changes the groups."""
+    ``BATCHED_FIELDS``."""
     groups: dict = {}
     for i, config in enumerate(configs):
         fields = config_to_dict(config)
@@ -321,8 +313,9 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
     Each component is E of a running cost discounted by the issuer-funding
     plus counterparty-intensity kernel.  At each time node u of composite
     Simpson on ``_SIMPSON_INTERVALS`` intervals, one closed-form mark on the
-    ``_HERMITE_ORDER`` Gauss-Hermite nodes of the lognormal law gives all
-    four cost integrands, and one quadrature call integrates them.
+    Gauss-Hermite nodes of the lognormal law gives all four cost
+    integrands, and one :func:`xvadg.black_scholes.lognormal_expectation`
+    call integrates them.
     """
     n = _SIMPSON_INTERVALS
     maturity = option.maturity
@@ -338,7 +331,7 @@ def xva_breakdown(spot: float, option: OptionSpec, market: MarketParams,
                              capital_requirement(u, z, mark, option, market, capital).k_total])
 
         kernel = LognormalKernel(spot, market.drift, market.sigma, horizon=u)
-        exposure, shortfall, coll, cap = lognormal_expectation(integrands, kernel, _HERMITE_ORDER)
+        exposure, shortfall, coll, cap = lognormal_expectation(integrands, kernel)
         disc = np.exp(-decay * u)
         return disc * np.array([
             market.cpty_spread * exposure,            # counterparty loss
@@ -371,12 +364,6 @@ class GarciaScalingCheck:
     reference: SolveResult      # issuer-kernel capital adjustment
     factor: float               # exp(-(hurdle - funding rate) * maturity)
     max_abs_diff: float
-
-    def lhs(self, s):
-        return self.reduced.value_field.evaluate(s)
-
-    def rhs(self, s):
-        return self.factor * self.reference.value_field.evaluate(s)
 
 
 def garcia_scaling_check(config: RunConfig) -> GarciaScalingCheck:

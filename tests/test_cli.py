@@ -20,6 +20,7 @@ from xvadg.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _cell,
 from xvadg.config import (benchmark_config, config_from_dict, config_to_dict,
                           save_config)
 from xvadg.fbsde import RegressionGrid
+from xvadg.solver import xva_breakdown
 
 
 def _read_csv(path):
@@ -198,6 +199,24 @@ def test_sweep_cli_and_labels(tmp_path):
     assert [m["batch_width"] for m in meta["solver"]] == [2, 2]
     assert meta["solver"][0]["implicit_solves"] == 2 * meta["solver"][0]["steps"]
     assert meta["peak_rss_mb"] > 0.0
+
+
+@pytest.mark.parametrize("option_kind", ["put", "call"])
+def test_the_no_kva_row_is_the_risk_free_hurdle_not_zero_capital_cost(option_kind):
+    # the label sits on the hurdle equal to r; capital is off only at
+    # hurdle = phi * r_B, so the labelled row's KVA is not zero but has the
+    # sign of its capital coefficient r - phi * r_B
+    config = benchmark_config(option_kind=option_kind, cells=20)
+    sweep = run_sweep(config, "capital-hurdle")
+    labelled = {value for _, value, label, *_ in sweep["rows"] if label == "no-KVA"}
+    market = config.market
+    assert labelled == {market.risk_free_rate}
+    coefficient = (market.risk_free_rate
+                   - market.capital_funding_fraction * market.issuer_funding_rate)
+    assert coefficient != 0.0
+    at_r = dataclasses.replace(market, capital_hurdle=market.risk_free_rate)
+    kva = xva_breakdown(15.0, config.option, at_r, config.capital).kva
+    assert kva != 0.0 and np.sign(kva) == np.sign(coefficient)
 
 
 def test_sigma_sweep_solves_each_value_alone(tmp_path):

@@ -4,8 +4,9 @@
 inside a pass, refused at t = 0), the per-chunk stratum sums of a phase,
 the per-level cache against the per-step reference loop at any chunking and
 worker count, the sums of y^2 formed only where they are read, errors
-raised in pool threads, the memory guard, queries
-outside the strata's span, and input validation.  All randomness is
+raised in pool threads, the pool size where the platform has no CPU
+affinity call, the memory guard, queries outside the strata's span, and
+input validation.  All randomness is
 seeded; every assertion is deterministic."""
 
 import dataclasses
@@ -27,8 +28,8 @@ from xvadg.black_scholes import bs_value
 from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, \
     config_from_dict, payoff
 from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
-from xvadg.fbsde import (BackwardSolution, PathEnsemble, RegressionGrid,
-                         simulate_forward, solve_backward)
+from xvadg.fbsde import (LOG_SPOT_HI, LOG_SPOT_LO, BackwardSolution, PathEnsemble,
+                         RegressionGrid, simulate_forward, solve_backward)
 
 PUT = OptionSpec(kind="put", strike=15.0, maturity=1.0)
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -59,21 +60,18 @@ def test_grid_validation_and_geometry():
         RegressionGrid(paths_per_stratum=1)
     with pytest.raises(ValueError, match="steps"):
         RegressionGrid(steps=0)
-    with pytest.raises(ValueError, match="log_lo"):
-        RegressionGrid(log_lo=1.0, log_hi=1.0)
-    grid = RegressionGrid(strata=10, paths_per_stratum=5, steps=3,
-                          log_lo=-1.0, log_hi=1.0)
+    grid = RegressionGrid(strata=10, paths_per_stratum=5, steps=3)
     assert grid.n_paths == 50
     edges = grid.log_edges
     assert edges.shape == (11,)
-    assert edges[0] == -1.0 and edges[-1] == 1.0
+    assert (LOG_SPOT_LO, LOG_SPOT_HI) == (-5.0, 5.0)
+    assert edges[0] == LOG_SPOT_LO and edges[-1] == LOG_SPOT_HI
     centers = grid.centers
     assert np.allclose(np.log(centers), 0.5 * (edges[:-1] + edges[1:]))
 
 
 def test_stratum_lookup_clips_and_bins():
-    grid = RegressionGrid(strata=10, paths_per_stratum=5, steps=3,
-                          log_lo=-1.0, log_hi=1.0)
+    grid = RegressionGrid(strata=10, paths_per_stratum=5, steps=3)
     # far outside the band clips to the end bins; zero spot is safe
     assert grid.stratum_of(np.array([1e-9]))[0] == 0
     assert grid.stratum_of(np.array([1e9]))[0] == 9
@@ -257,10 +255,10 @@ def test_empty_strata_are_never_read(monkeypatch):
 def test_query_in_a_stratum_empty_at_time_zero_raises():
     # every stratum launches its own paths, so only float32 rounding across
     # an edge can empty one at t = 0; built by hand here, stratum 2 of 4
-    # holds no path and its zero line must not be reported as a value
-    grid = RegressionGrid(strata=4, paths_per_stratum=2, steps=1,
-                          log_lo=0.0, log_hi=4.0)
-    start = np.exp([0.3, 0.7, 1.3, 1.7, 3.2, 3.4, 3.6, 3.8])
+    # (log-spot 0 to 2.5) holds no path and its zero line must not be
+    # reported as a value
+    grid = RegressionGrid(strata=4, paths_per_stratum=2, steps=1)
+    start = np.exp([-4.5, -3.5, -2.0, -1.0, 3.0, 3.5, 4.0, 4.5])
     ens = PathEnsemble(grid=grid, market=MARKET, maturity=1.0, seed=0,
                        times=np.array([0.0, 1.0]),
                        spots=np.array([start, 1.1 * start], dtype=np.float32),
@@ -269,10 +267,10 @@ def test_query_in_a_stratum_empty_at_time_zero_raises():
     hole = float(grid.centers[2])
     # a line through the 2 paths of strata 0 and 1 leaves no residual
     # degree of freedom, so only stratum 3 has an error bar
-    for query, spots in ((sol.value, [2.0, 5.0, 40.0]), (sol.stderr, [40.0]),
-                         (sol.xva, [2.0, 5.0, 40.0])):
+    for query, spots in ((sol.value, [0.02, 0.3, 60.0]), (sol.stderr, [60.0]),
+                         (sol.xva, [0.02, 0.3, 60.0])):
         assert np.all(np.isfinite(query(np.array(spots))))
-        for spot in (hole, np.array([40.0, hole])):
+        for spot in (hole, np.array([60.0, hole])):
             with pytest.raises(ValueError, match=re.escape(
                     f"query spot {hole!r} lies in a Monte Carlo stratum that "
                     f"holds no path at t = 0")):
@@ -298,11 +296,11 @@ def test_stderr_without_residual_freedom_raises():
 
 
 def test_queries_outside_the_strata_span_raise(ensemble):
-    # the fitted surface ends with the strata at [exp(log_lo), exp(log_hi)]:
-    # both ends are read, anything beyond them or not finite raises and
-    # names the spot
+    # the fitted surface ends with the strata at
+    # [exp(LOG_SPOT_LO), exp(LOG_SPOT_HI)]: both ends are read, anything
+    # beyond them or not finite raises and names the spot
     sol = solve_backward(ensemble, "linear", PUT)
-    lo, hi = np.exp(GRID.log_lo), np.exp(GRID.log_hi)
+    lo, hi = np.exp(LOG_SPOT_LO), np.exp(LOG_SPOT_HI)
     for query in (sol.value, sol.stderr, sol.xva):
         assert np.all(np.isfinite(query(np.array([lo, hi]))))
         assert np.isfinite(query(lo)) and np.isfinite(query(hi))
@@ -507,37 +505,92 @@ def test_production_chunks_do_not_depend_on_the_worker_count(ensemble):
 def test_phase_sums_add_chunk_bincounts_in_chunk_order(data, strata, n, chunk):
     # every chunk's rows are its own bincounts, added in chunk order once
     # the phase has ended: the same bits on one and on two pool threads,
-    # also with empty strata (n may be 0, and strata are drawn from a
-    # subset), -0.0 and magnitudes that round against each other; the path
-    # count, the row of a None weight, is exact
+    # also with empty strata (n may be 0, one empty chunk, and strata are
+    # drawn from a subset), -0.0 and magnitudes that round against each
+    # other; the path count, the row of a None weight, is exact.  The task's
+    # weights fix the rows, for tasks of 1, 3 and 5 weights with and without
+    # the count row, and the sum started from chunk 0's rows has the bits
+    # of one started from zeros
     used = data.draw(st.lists(st.integers(0, strata - 1), min_size=1, unique=True))
     bins = np.array(data.draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
                     dtype=np.int64)
     value = st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 1e-300]),
                       st.floats(-1e6, 1e6))
-    weights = tuple(np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
-                             dtype=float) for _ in range(3))
-    chunks = _chunked(n, chunk)
-    results = []
-    for workers in (1, 2):
-        with ThreadPoolExecutor(workers) as pool:
-            results.append(fbsde._phase_sums(
-                pool, chunks,
-                lambda k, sl: (bins[sl], (None, *(w[sl] for w in weights))),
-                strata, 1 + len(weights)))
-    (count, *sums), (count_2, *sums_2) = results
-    assert np.array_equal(np.array(sums).view(np.int64), np.array(sums_2).view(np.int64))
-    assert np.array_equal(count, count_2)
-    assert np.array_equal(count, np.bincount(bins, minlength=strata))
-    for row, w in zip(sums, weights):
-        want = np.zeros(strata)
-        for sl in chunks:
-            want += np.bincount(bins[sl], weights=w[sl], minlength=strata)
-        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    drawn = tuple(np.array(data.draw(st.lists(value, min_size=n, max_size=n)),
+                           dtype=float) for _ in range(5))
+    chunks = _chunked(n, chunk) or [slice(0, 0)]
+    for rows in (1, 3, 5):
+        for counted in (False, True):
+            weights = ((None,) if counted else ()) + drawn[:rows - counted]
+            results = []
+            for workers in (1, 2):
+                with ThreadPoolExecutor(workers) as pool:
+                    results.append(fbsde._phase_sums(
+                        pool, chunks,
+                        lambda k, sl: (bins[sl], tuple(w if w is None else w[sl]
+                                                       for w in weights)),
+                        strata))
+            sums, sums_2 = results
+            assert sums.shape == (rows, strata) and sums.dtype == np.float64
+            assert np.array_equal(sums.view(np.int64), sums_2.view(np.int64))
+            for row, w in zip(sums, weights):
+                want = np.zeros(strata)
+                for sl in chunks:
+                    want += np.bincount(bins[sl], weights=None if w is None else w[sl],
+                                        minlength=strata)
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+            if counted:
+                assert np.array_equal(sums[0], np.bincount(bins, minlength=strata))
 
 
 class _ChunkFailure(RuntimeError):
     pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phase_sums_raise_the_first_chunks_error_first(workers):
+    # the sum starts from chunk 0's rows, so chunk 0's error is the one
+    # raised, also when a later chunk failed before it (on two threads,
+    # chunk 0 fails only once chunk 2 has), and only once every task ended
+    chunks = _chunked(30, 7)
+    later_failed = threading.Event()
+    ended = []
+
+    def task(k, sl):
+        try:
+            if k == 0:
+                if workers > 1:
+                    assert later_failed.wait(timeout=60)
+                raise _ChunkFailure(k)
+            if k == 2:
+                later_failed.set()
+                raise _ChunkFailure(k)
+            return np.zeros(sl.stop - sl.start, dtype=np.int64), (None,)
+        finally:
+            ended.append(k)
+
+    with ThreadPoolExecutor(workers) as pool, pytest.raises(_ChunkFailure) as info:
+        fbsde._phase_sums(pool, chunks, task, 3)
+    assert info.value.args == (0,)
+    assert sorted(ended) == list(range(len(chunks)))
+
+
+def test_the_pools_fall_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    # os.sched_getaffinity is Linux-only: without it, a forward and a
+    # backward pass size their pools by os.cpu_count(), and by one thread
+    # where that is unknown too
+    monkeypatch.delattr(fbsde.os, "sched_getaffinity")
+    monkeypatch.setattr(fbsde, "_CHUNK", 8)
+    grid = RegressionGrid(strata=4, paths_per_stratum=10, steps=2)
+    ens = simulate_forward(grid, MARKET, 1.0, seed=7)
+    sol = solve_backward(ens, "linear", PUT)
+    tasks, chunks = ens.meta["tasks"], sol.meta["chunks"]
+    assert (tasks, chunks) == (4, 5)
+    assert ens.meta["workers"] == min(os.cpu_count(), tasks)
+    assert sol.meta["workers"] == min(os.cpu_count(), chunks)
+    monkeypatch.setattr(fbsde.os, "cpu_count", lambda: None)
+    assert simulate_forward(grid, MARKET, 1.0, seed=7).meta["workers"] == 1
+    assert solve_backward(ens, "linear", PUT).meta["workers"] == 1
 
 
 @pytest.mark.parametrize("hook", ["driver_override", "capital_fn"])

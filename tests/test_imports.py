@@ -1,7 +1,9 @@
 """Every module-level import of the package is read by its module, or is
 one of the names kept only for tools that wrap a function where each module
 looks it up (``# noqa: F401``).  A name listed in ``__all__`` is not read by
-that, so no module re-exports an import, and each name has one home.  Every
+that, so no module re-exports an import, and each name has one home.  No
+module of the package assigns ``__all__`` at all: the modules are the API,
+and nothing star-imports them.  Every
 module-level definition of the package is read somewhere in the package,
 its tests or its benchmark.  Every Sphinx role reference in the package's
 docstrings and comments names an object of the package.  Every test file
@@ -185,6 +187,32 @@ def test_the_check_sees_a_planted_unused_definition():
     assert unread_definitions({"m": "f = 1\n"}, ["PATCHES = (('m', 'f'),)\n"]) == {}
     assert unread_definitions({"m": "__all__ = ['g']\nif True:\n    g = 1\n"}, []) == {
         "m": ["g"]}
+
+
+def all_assignments(source: str) -> list:
+    """The lines on which ``source`` binds ``__all__``: plain, annotated or
+    augmented assignment, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "__all__"
+                  and isinstance(node.ctx, ast.Store))
+
+
+def test_no_module_assigns_all():
+    assigned = {module: lines for module, source in _package_sources().items()
+                if (lines := all_assignments(source))}
+    assert assigned == {}
+
+
+def test_the_check_sees_a_planted_all():
+    source = (PACKAGE / "solver.py").read_text()
+    assert all_assignments(source) == []
+    planted = source + '\n__all__ = ["solve"]\n'
+    assert all_assignments(planted) == [len(source.splitlines()) + 2]
+    assert all_assignments("x = 1\n__all__: list = []\nif x:\n    __all__ += ['x']\n"
+                           "try:\n    (__all__, y) = ([], 0)\nexcept Exception:\n"
+                           "    pass\n") == [2, 4, 6]
+    # a read of the name, or the name in a string, binds nothing
+    assert all_assignments("names = ['__all__']\nprint(__all__)\n") == []
 
 
 #: a Sphinx cross-reference: its role and its target, ``~`` aside

@@ -173,25 +173,21 @@ def test_scenario_groups_follow_the_operator():
                            ) == [[0], [1], [2], [3]]
 
 
-@pytest.mark.parametrize("kind", [None, "garcia", "riskfree"])
-def test_a_kind_override_keeps_the_groups(kind):
-    # the grouping key holds each configuration's driver, and an override is
-    # the same kind for every configuration: it neither joins nor splits
+def test_the_driver_splits_the_groups():
+    # the grouping key holds each configuration's driver: the hurdles of
+    # one driver march as one batch, and two configurations that differ
+    # only in the driver march apart
     base = benchmark_config(option_kind="put", driver="nonlinear", cells=20)
     hurdles = [replace(base, market=replace(base.market, capital_hurdle=h))
                for h in (0.06, 0.1, 0.15, 0.2, 0.25)]
     linear = replace(base, driver="linear")
     configs = hurdles + [linear]
     assert scenario_groups(configs) == [[0, 1, 2, 3, 4], [5]]
-    results = solve_many(configs, kind=kind)
+    results = solve_many(configs)
     assert [r.meta["batch_width"] for r in results] == [5, 5, 5, 5, 5, 1]
-    # two configurations that differ only in the driver march apart, each
-    # as the one kind it is given
-    pair = solve_many([base, linear], kind=kind)
+    pair = solve_many([base, linear])
     assert [r.meta["batch_width"] for r in pair] == [1, 1]
-    if kind is not None:
-        assert np.array_equal(pair[0].value_field.coeffs, pair[1].value_field.coeffs)
-        assert np.array_equal(results[5].value_field.coeffs, pair[1].value_field.coeffs)
+    assert [r.meta["kind"] for r in pair] == ["nonlinear", "linear"]
 
 
 @pytest.mark.parametrize("degree,solves,evaluations", [(1, 2, 2), (2, 3, 4)])
@@ -301,7 +297,7 @@ def test_levels_built_once_equal_a_march_built_afresh_bitwise(kind, option_kind,
                                             collateral_rate=r))
                for h, r in ((0.1, 0.04), (0.2, 0.07))[:width]]
     want = _march_afresh(configs, kind)
-    for b, result in enumerate(solve_many(configs, kind)):
+    for b, result in enumerate(solver._march_group(configs, kind)):
         got = result.value_field.coeffs.ravel()
         assert np.array_equal(got.view(np.int64), want[b].view(np.int64)), b
 
@@ -651,9 +647,11 @@ def test_garcia_check_structure_and_domination():
     # the reduced adjustment never exceeds the issuer-kernel one in size
     assert np.all(np.abs(chk.reduced.value_field.coeffs)
                   <= np.abs(chk.reference.value_field.coeffs) + 1e-12)
-    # lhs/rhs accessors are the nodal fields behind max_abs_diff
+    # the reduced field and the rescaled reference are the nodal fields
+    # behind max_abs_diff
     s = sample_grid(chk.reduced)
-    gap = np.max(np.abs(chk.lhs(s) - chk.rhs(s)))
+    gap = np.max(np.abs(chk.reduced.value_field.evaluate(s)
+                        - chk.factor * chk.reference.value_field.evaluate(s)))
     assert gap == pytest.approx(chk.max_abs_diff, rel=1e-10)
     # the discrepancy at this resolution is genuine, not noise
     assert 1e-3 < chk.max_abs_diff < 1e-2
