@@ -45,10 +45,13 @@ itself: at a hurdle equal to the funded rate, ``capital_hurdle =
 capital_funding_fraction * issuer_funding_rate``, the coefficient
 (gK - phi rB) of ``linear``, ``nonlinear`` and ``garcia_ref`` is exactly
 zero, and so is the (gK - rB) of ``garcia`` at phi = 1.  The three mark
-kinds are affine in v, F = rate v + rest(t, S): their level holds, beyond
-scalars, the one array ``rest``, the terms free of v summed left to right
-in the order of the formulas above, and an evaluation is ``rate * v +
-rest``.  A ``nonlinear`` level holds its capital level; its evaluation
+kinds are affine in v, F = rate v + rest(t, S): their level is an
+:class:`AffineLevel`, whose fields are the coefficient ``rate`` (rB + lamC
+for ``linear`` and ``garcia_ref``, gK + lamC for ``garcia``) and the one
+array ``rest``, the terms free of v summed left to right in the order of
+the formulas above, and whose evaluation is ``rate * v + rest``.  The
+regression Monte Carlo reads those fields to tabulate ``rest`` over the
+spot.  A ``nonlinear`` level holds its capital level; its evaluation
 forms the collateral, the gap ``v - X`` and the replacement cost
 ``(v - X)^+`` once, for both the loss term and the capital, takes the
 capital total without building its audit breakdown, and sums its terms in
@@ -60,9 +63,10 @@ and :func:`xvadg.capital.capital_levels`, each made once per call; each
 builder keeps to itself how it splits its (t, S) work.  It is the one
 builder of a level: :func:`driver_value` is a level at one time applied
 once, so the PDE, which builds one level per distinct stage time of its
-march, and the regression Monte Carlo, which builds one per chunk of paths
-at one time and reuses it for two steps, share one definition of each
-formula.
+march, and the regression Monte Carlo, which builds a mark kind's level
+once per time on a log-spot table and any other kind's once per chunk of
+paths at one time, each reused for two steps, share one definition of
+each formula.
 Evaluations allocate their buffers per call, since the Monte Carlo runs
 them in pool threads.  The PDE's conservative-form source, which reads F
 from a level, is defined in :mod:`xvadg.solver`.
@@ -70,6 +74,7 @@ from a level, is defined in :mod:`xvadg.solver`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,6 +96,20 @@ _MARCHES_ADJUSTMENT = {"linear": False, "nonlinear": False, "garcia": True,
 ALL_DRIVER_KINDS = tuple(_MARCHES_ADJUSTMENT)
 
 DriverEval = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class AffineLevel:
+    """The level of a mark kind, F = rate * v + rest: ``rate`` is the
+    coefficient of v (a scalar, or a batch's (B, 1, 1) array where it reads
+    the capital hurdle) and ``rest`` the terms free of v at the level's
+    (t, S)."""
+
+    rate: float | np.ndarray
+    rest: np.ndarray
+
+    def __call__(self, v) -> np.ndarray:
+        return self.rate * v + self.rest
 
 
 def is_adjustment_kind(kind: str) -> bool:
@@ -115,8 +134,8 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     neither.  Each call of the returned function builds the kernels'
     levels at one time afresh and returns the driver's level, a
     function of v with the arithmetic of :func:`driver_value`; the caller
-    keeps the levels it reuses.  A mark kind's level holds ``rest(t, S)``
-    and evaluates ``rate * v + rest``.
+    keeps the levels it reuses.  A mark kind's level is the
+    :class:`AffineLevel` of its ``rate`` and ``rest(t, S)``.
 
     v and the market's coefficients broadcast against ``spot``.  The
     Monte Carlo passes (n,) spots and (n,) values.  The PDE passes spots
@@ -166,14 +185,14 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     # every mark kind is affine: F = rate v + rest(t, S)
     rate, k_coef = (hurdle + lam_c, hurdle - rb) if kind == "garcia" else (rb + lam_c, k_coef)
 
-    def mark_level(i: int) -> DriverEval:
+    def mark_level(i: int) -> AffineLevel:
         mark = np.asarray(mark_of(i), dtype=float)
         coll, gap, rc = _exposure(mark, frac, np.broadcast(mark, like_spot).shape)
         rest = k_coef * capital_at(i).total(mark, gap, rc)
         if kind == "linear":
             # -lamC M + lamC (1-RC) (M-X)^+ + (rX-rB) X + (gK - phi rB) K
             rest = -lam_c * mark + loss_c * rc + rx_rb * coll + rest
-        return lambda v: rate * v + rest
+        return AffineLevel(rate, rest)
     return mark_level
 
 

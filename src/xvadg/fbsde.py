@@ -36,17 +36,28 @@ or the add-on and PFE denominator of the capital stack; see
 builds that part, the float64 spots, their strata and offsets once per
 time level t_i, uses them for the corrector of step i and, with the same
 spots, for the predictor of step i-1, and then overwrites them: 21 levels
-serve the 40 driver evaluations of a 20-step pass.  All per-path work runs
-in cache-sized chunks of ``_CHUNK`` paths, one task per chunk on a thread
-pool with one worker per available CPU that lives for one pass, in two
-phases per step.  The first predicts the values at t_{i+1} from the
-previous fit, evaluates the driver on them and builds the level at t_i
-with the predictor's regression target and its products; the second
-predicts the values at t_i, evaluates the driver on them and forms the
-corrector's target and products.  scipy's ``erf`` and the capital chain
-release the GIL, so the chunks run side by side.  Each of those operations
-is elementwise with a scalar t, so chunk boundaries and worker count do
-not change a bit.
+serve the 40 driver evaluations of a 20-step pass.
+The mark kinds (``linear``, ``garcia``, ``garcia_ref``) are affine in Y,
+F = rate Y + rest(t, S), and at one level every path shares t, so rest is
+a function of the spot alone.  Their level is built once, in the main
+thread, on a table of ``_TABLE_NODES`` spots log-uniform from the level's
+smallest to its largest path spot, and each path reads rest by linear
+interpolation in log-spot between the two nodes around it; the first and
+last nodes sit at the level's smallest and largest log-spot, so no path is
+extrapolated.  The closed forms then run on a few thousand nodes per level
+instead of on every path.  Any other level (the ``nonlinear`` capital
+reads Y, and ``riskfree`` has no (t, S) part) is built on each chunk's own
+spots.  All per-path work runs in cache-sized chunks of ``_CHUNK`` paths,
+one task per chunk on a thread pool with one worker per available CPU that
+lives for one pass, in two phases per step.  The first predicts the values
+at t_{i+1} from the previous fit, evaluates the driver on them and builds
+the level at t_i with the predictor's regression target and its products;
+the second predicts the values at t_i, evaluates the driver on them and
+forms the corrector's target and products.  scipy's ``erf`` and the
+capital chain release the GIL, so the chunks run side by side.  Each of
+those operations is elementwise with a scalar t, and a table depends on
+the whole level's spots only, so chunk boundaries and worker count do not
+change a bit.
 The per-stratum sums of the fits are the one reduction: each chunk's task
 ends with one ``bincount`` per product, without waiting for other chunks,
 and once every task of the phase has ended the chunk rows are added in
@@ -55,10 +66,12 @@ and dx g; the second sums g and dx g, and g^2 only in the last step,
 because the residual variance is read only from the time-zero fit (its
 ``stderr``) and the intercepts and slopes never read it.  ``_CHUNK`` fixes
 the chunks, so the results do not depend on the worker count; they are not
-bitwise a ``bincount`` over the whole path array.  Only that add and the
-per-stratum solves between the phases are serial.  The results are those
-of evaluating the driver and the moments afresh at every use and summing
-them chunk by chunk, bit for bit.
+bitwise a ``bincount`` over the whole path array.  Only that add, the
+tables and the per-stratum solves between the phases are serial.  The
+results are those of evaluating the driver and the moments afresh at
+every use and summing them chunk by chunk, bit for bit: for the mark kinds
+the driver so evaluated is the tabulated one, rate Y plus the interpolated
+rest, and for ``nonlinear`` and ``riskfree`` the driver itself.
 A level's fit is read only at that level's own paths: the predictor at the
 strata and offsets it was fitted on, the corrector in the next step's
 first phase, before those are overwritten.  So a stratum that no path
@@ -90,7 +103,7 @@ import numpy as np
 
 from .black_scholes import bs_value
 from .config import CapitalParams, MarketParams, OptionSpec, payoff
-from .drivers import DriverEval, driver_levels, is_adjustment_kind
+from .drivers import AffineLevel, DriverEval, driver_levels, is_adjustment_kind
 # not called here; it stays a name of this module for tools that wrap the
 # driver where each module looks it up (bench/tracing.py)
 from .drivers import driver_value  # noqa: F401
@@ -112,9 +125,27 @@ _CHUNK = 1 << 15
 #: scratch
 _BACKWARD_ARRAYS = 10
 
+#: nodes of the log-spot table on which a pass builds each level of an
+#: affine driver (see ``solve_backward``).  Linear interpolation errs by
+#: O(h^2) in the node spacing h: at 4,097 nodes the table3 xva moves by at
+#: most 5e-4 of its standard error at 500 x 500 paths.  The build is a
+#: serial fixed cost per level, 0.5 ms on 2 vCPUs against 1.35 ms at 16,385
+#: nodes, which kept under a third of the time 4,097 nodes save on a linear
+#: pass over 200 x 250 paths
+_TABLE_NODES = 4097
+
 #: the strata's span in log-spot: [exp(-5), exp(5)] = [6.74e-3, 148.4]
 LOG_SPOT_LO = -5.0
 LOG_SPOT_HI = 5.0
+
+
+def _physical_bytes() -> int | None:
+    """Physical memory in bytes, or ``None`` where the platform gives no
+    page counts (Windows has no ``os.sysconf``)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError):
+        return None
 
 
 def _workers(tasks: int) -> int:
@@ -225,13 +256,13 @@ def simulate_forward(grid: RegressionGrid, market: MarketParams,
     lives for this call; the streams make ``spots`` the same bits at any
     blocking and worker count.  A budget whose ``grid.memory_bytes``
     exceeds the physical memory raises ``ValueError`` before anything is
-    allocated.
+    allocated; where the platform gives no page counts there is no guard.
     """
     started = time.perf_counter()
     if not maturity > 0.0:
         raise ValueError(f"maturity must be positive, got {maturity}")
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if grid.memory_bytes > physical:
+    physical = _physical_bytes()
+    if physical is not None and grid.memory_bytes > physical:
         raise ValueError(
             f"a Monte Carlo budget of {grid.strata} strata x "
             f"{grid.paths_per_stratum} paths_per_stratum over {grid.steps} steps "
@@ -450,11 +481,14 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
     """Run one backward regression pass over a forward ensemble.
 
     The driver is ``kind`` on the ensemble's market, built by
-    :func:`xvadg.drivers.driver_levels` once per chunk of paths and level,
-    in the pass's pool threads.  The analytic oracles are a kind too: on
-    paths that drift at the risk-free rate r, ``riskfree`` (F = r y)
-    reproduces the closed-form value, and on a market with r = 0 it is
-    F = 0, whose pass is the plain conditional expectation of the payoff.
+    :func:`xvadg.drivers.driver_levels`: an affine level once per time
+    level, on its log-spot table of ``_TABLE_NODES`` nodes, and read per
+    path by linear interpolation; any other level once per chunk of paths
+    and level, in the pass's pool threads.  The analytic oracles are a
+    kind too: on paths that drift at the risk-free rate r, ``riskfree``
+    (F = r y) reproduces the closed-form value, and on a market with r = 0
+    it is F = 0, whose pass is the plain conditional expectation of the
+    payoff.
     """
     started = time.perf_counter()
     is_adjustment = is_adjustment_kind(kind)
@@ -477,11 +511,43 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
             "seed": ensemble.seed, "levels_filled": 0, "driver_evaluations": 0,
             "driver_points": 0, "workers": workers, "chunks": len(chunks)}
 
-    def driver_for(i: int, sl: slice) -> tuple[np.ndarray, DriverEval]:
-        """The float64 spots of one chunk at t_i and the driver on them."""
-        t = float(times[i])
-        spot = ensemble.spots[i, sl].astype(np.float64)
-        return spot, driver_levels(kind, (t,), spot, option, market, capital)(0)
+    def level_at(i: int):
+        """The driver at t_i as a function of one chunk's float64 spots.
+        The level is built once on the level's table: ``_TABLE_NODES``
+        spots log-uniform from the smallest to the largest path spot at t_i.
+        Where it is affine, a chunk's level is that record with ``rest``
+        interpolated linearly in log-spot between the two nodes around each
+        path.  The first level, at maturity, decides: where it is not
+        affine, it and every later level are built on each chunk's own
+        spots."""
+        nonlocal tabulated
+        t = times[i:i + 1]
+        if tabulated:
+            lo, hi = (np.log(float(f(ensemble.spots[i]))) for f in (np.min, np.max))
+            table = driver_levels(kind, t, np.exp(np.linspace(lo, hi, _TABLE_NODES)),
+                                  option, market, capital)(0)
+            tabulated = isinstance(table, AffineLevel)
+        if not tabulated:
+            return lambda spot: driver_levels(kind, t, spot, option, market, capital)(0)
+        rate, base, slope = table.rate, table.rest[:-1], np.diff(table.rest)
+        # nodes per unit of log-spot; where all spots are equal every path
+        # reads node 0
+        scale = (_TABLE_NODES - 1) / (hi - lo) if hi > lo else 0.0
+
+        def on(spot: np.ndarray) -> AffineLevel:
+            # x = (log S - lo) * scale and j its integer part, at most
+            # nodes - 2: rest = base[j] + (x - j) * slope[j], in place
+            x = np.log(spot)
+            x -= lo
+            x *= scale
+            j = x.astype(np.int64)
+            np.minimum(j, _TABLE_NODES - 2, out=j)
+            x -= j
+            at = np.take(slope, j)
+            x *= at
+            x += np.take(base, j, out=at)
+            return AffineLevel(rate, x)
+        return on
 
     # the path-length state of the pass: the values y at t_{i+1}, the driver
     # on them, and the level at t_i (strata, offsets, driver parts per chunk),
@@ -499,12 +565,13 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         # maturity is built here, in the first step), then the level at t_i
         # over the chunk's part of the one at t_{i+1}
         if fit is None:
-            driver = driver_for(grid.steps, sl)[1]
+            driver = at_maturity(ensemble.spots[grid.steps, sl].astype(np.float64))
         else:
             y[sl] = fit.predict(bins[sl], dx[sl])
             driver = drivers[k]
         f_right[sl] = driver(y[sl])
-        spot, drivers[k] = driver_for(i, sl)
+        spot = ensemble.spots[i, sl].astype(np.float64)
+        drivers[k] = at_level(spot)
         b = bins[sl] = grid.stratum_of(spot)
         d = dx[sl] = spot - centers[b]
         g = y[sl] - dt * f_right[sl]
@@ -523,13 +590,17 @@ def solve_backward(ensemble: PathEnsemble, kind: str, option: OptionSpec,
         meta["driver_points"] += n_paths
         return _phase_sums(pool, chunks, phase, grid.strata)
 
+    tabulated = True
+    at_maturity = level_at(grid.steps)
     with ThreadPoolExecutor(workers) as pool:
         for i in range(grid.steps - 1, -1, -1):
+            at_level = level_at(i)
             count, sx, sxx_raw, *response = evaluate(
                 right_and_level, 2 if fit is None else 1)
             moments = (count, sx, sxx_raw)
             fit_pred = _fit_strata(moments, response)
             fit = _fit_strata(moments, evaluate(left, 0))
+            at_maturity = None   # read in the first step only
 
     meta["runtime_seconds"] = round(time.perf_counter() - started, 3)
     return BackwardSolution(option=option, market=market, grid=grid,

@@ -1,5 +1,6 @@
 """Driver right-hand sides: the kind table, affine structure of the
-default-free-mark convention, monotonicity of the semilinear one, the
+default-free-mark convention and a mark kind's level as the record of its
+rate and rest, monotonicity of the semilinear one, the
 closed-form mark computed inside the driver, capital switched off by the
 market, the capital stack as a test's capital profile, and the source-term
 sign convention."""
@@ -20,7 +21,7 @@ from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
     benchmark_config
-from xvadg.drivers import ALL_DRIVER_KINDS, driver_levels, driver_value, \
+from xvadg.drivers import ALL_DRIVER_KINDS, AffineLevel, driver_levels, driver_value, \
     is_adjustment_kind
 from xvadg.solver import solve, source_term
 
@@ -319,6 +320,39 @@ def test_a_mark_kind_level_holds_one_array(kind, most):
         tracemalloc.stop()
     assert callable(level)
     assert held <= most
+
+
+@pytest.mark.parametrize("kind", ["linear", "garcia", "garcia_ref"])
+@pytest.mark.parametrize("batched", [False, True], ids=["mc", "pde"])
+def test_a_mark_kind_level_is_its_rate_times_v_plus_rest(kind, batched):
+    # a mark kind's level is the record of its coefficient of v, rB + lamC
+    # (gK + lamC for garcia, batched through the capital hurdle), and of
+    # rest(t, S): F(t, S, v) - F(t, S, 0) of the one-line reference driver is
+    # rate * v within a few ulp of |F|, on the Monte Carlo's (n,) spots and
+    # values and on the PDE's (cells, nodes) spots under (B, cells, nodes)
+    # values with a (B, 1, 1) hurdle and collateral rate
+    rng = np.random.default_rng(24)
+    market = MARKET
+    if batched:
+        spot = rng.uniform(0.5, 60.0, (40, 3))
+        v = rng.uniform(-2.0, 8.0, (3, 40, 3))
+        market = dataclasses.replace(
+            MARKET, capital_hurdle=np.array([0.04, 0.12, 0.3]).reshape(3, 1, 1),
+            collateral_rate=np.array([0.0, 0.01, 0.03]).reshape(3, 1, 1))
+    else:
+        spot = rng.uniform(0.5, 60.0, 200)
+        v = rng.uniform(-2.0, 8.0, 200)
+    level = driver_levels(kind, (0.4,), spot, PUT, market, CAP)(0)
+    assert isinstance(level, AffineLevel)
+    lam_c = market.cpty_intensity
+    rate = (market.capital_hurdle if kind == "garcia" else market.issuer_funding_rate) + lam_c
+    assert np.array_equal(bits(level.rate), bits(rate))
+    assert np.array_equal(bits(level(v)), bits(level.rate * v + level.rest))
+    f_v = ref.driver(kind, 0.4, spot, v, PUT, market, CAP)
+    f_0 = ref.driver(kind, 0.4, spot, 0.0 * v, PUT, market, CAP)
+    assert f_v.shape == v.shape
+    assert np.all(np.abs(f_v - f_0 - rate * v)
+                  <= 4.0 * np.spacing(np.maximum(np.abs(f_v), np.abs(f_0))))
 
 
 def test_riskfree_driver():

@@ -3,11 +3,14 @@
 `riskfree` kind, error-bar scaling, strata without paths (never read
 inside a pass, refused at t = 0), the per-chunk stratum sums of a phase,
 the per-level cache against the per-step reference loop at any chunking and
-worker count, the sums of y^2 formed only where they are read, errors
-raised in pool threads, the pool size where the platform has no CPU
-affinity call, the memory guard, queries outside the strata's span, and
-input validation.  All randomness is
-seeded; every assertion is deterministic."""
+worker count, the log-spot tables of the mark kinds' levels (one capital
+evaluation per level on its nodes, spanning the level's paths, a level of
+equal spots, and within a hundredth of a standard error of the exact
+pass), the sums of y^2 formed only where they are read, errors raised in
+pool threads, the pool size where the platform has no CPU affinity call,
+the memory guard and its absence where the platform gives no page counts,
+queries outside the strata's span, and input validation.  All randomness
+is seeded; every assertion is deterministic."""
 
 import dataclasses
 import functools
@@ -27,7 +30,8 @@ from xvadg import fbsde
 from xvadg.black_scholes import bs_value
 from xvadg.config import CapitalParams, MarketParams, OptionSpec, benchmark_config, \
     config_from_dict, payoff
-from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
+from xvadg.drivers import ALL_DRIVER_KINDS, driver_levels, driver_value, \
+    is_adjustment_kind
 from xvadg.fbsde import (LOG_SPOT_HI, LOG_SPOT_LO, BackwardSolution, PathEnsemble,
                          RegressionGrid, simulate_forward, solve_backward)
 
@@ -324,9 +328,8 @@ def test_backward_input_validation(ensemble):
 def test_linear_pass_evaluates_capital_once_per_level(ensemble, monkeypatch):
     # the mark and the capital on it depend on (t, S) only: one evaluation
     # per time level t_i serves the corrector of step i and the predictor of
-    # step i-1.  A level's capital is built once per chunk of paths, in the
-    # pool threads, so at each level its calls must see every path exactly
-    # once
+    # step i-1.  A linear level's capital is built once, on the level's
+    # table of nodes, so at each level its one call must see those nodes
     seen = defaultdict(list)
     lock = threading.Lock()
 
@@ -339,9 +342,9 @@ def test_linear_pass_evaluates_capital_once_per_level(ensemble, monkeypatch):
     sol = solve_backward(ensemble, "linear", PUT)
     assert sorted(seen) == list(ensemble.times)
     for i, t in enumerate(ensemble.times):
-        assert sum(s.size for s in seen[t]) == GRID.n_paths
-        assert np.array_equal(np.sort(np.concatenate(seen[t])),
-                              np.sort(ensemble.spots[i].astype(np.float64)))
+        (nodes,) = seen[t]
+        assert nodes.shape == (fbsde._TABLE_NODES,)
+        assert np.array_equal(nodes, _table(ensemble, "linear", PUT, i)[0])
     meta = sol.meta
     assert meta["levels_filled"] == GRID.steps + 1
     assert meta["driver_evaluations"] == 2 * GRID.steps
@@ -349,6 +352,63 @@ def test_linear_pass_evaluates_capital_once_per_level(ensemble, monkeypatch):
     chunks = -(-GRID.n_paths // fbsde._CHUNK)
     assert meta["chunks"] == chunks
     assert meta["workers"] == min(len(os.sched_getaffinity(0)), chunks)
+
+
+def test_a_table_spans_its_levels_paths(ensemble, monkeypatch):
+    # the first and last nodes of each level's table sit at the level's
+    # smallest and largest log-spot, log-uniform in between, so every path
+    # lies between two nodes and none is extrapolated
+    tables = {}
+
+    def record(t, spot, mark):
+        tables[t] = spot.copy()
+        return 0.0 * mark
+
+    use_capital_profile(monkeypatch, record)
+    solve_backward(ensemble, "garcia", CALL)
+    assert sorted(tables) == list(ensemble.times)
+    for i, t in enumerate(ensemble.times):
+        spots = ensemble.spots[i].astype(np.float64)
+        log_nodes = np.log(tables[t])
+        assert np.array_equal(tables[t][[0, -1]], np.exp(np.log([spots.min(), spots.max()])))
+        steps = np.diff(log_nodes)
+        assert np.allclose(steps, steps.mean(), rtol=1e-9, atol=0.0)
+        x = (np.log(spots) - log_nodes[0]) / steps.mean()
+        assert x.min() > -1e-9 and x.max() < fbsde._TABLE_NODES - 1 + 1e-9
+
+
+def test_a_level_whose_spots_are_all_equal_reads_its_first_node():
+    # one spot for every path at every level: the table spans no log-spot,
+    # nothing divides by that zero span (RuntimeWarnings are errors here),
+    # and every path reads node 0, the reference's level bit for bit
+    grid = RegressionGrid(strata=2, paths_per_stratum=3, steps=2)
+    spots = np.repeat(np.float32([[12.0], [13.5], [15.0]]), grid.n_paths, axis=1)
+    ens = PathEnsemble(grid=grid, market=MARKET, maturity=1.0, seed=0,
+                       times=np.linspace(0.0, 1.0, 3), spots=spots, meta={})
+    for kind in _MARK_KINDS:
+        sol = solve_backward(ens, kind, PUT)
+        _assert_same_fit(sol.fit, _reference_backward(ens, kind, PUT))
+        assert np.all(np.isfinite(sol.fit.intercept))
+
+
+@pytest.mark.parametrize("option", [PUT, CALL], ids=["put", "call"])
+@pytest.mark.parametrize("kind", ["linear", "garcia"])
+def test_tabulated_levels_track_the_exact_pass(kind, option, monkeypatch):
+    # the exact route builds every level on each chunk's own spots: a level
+    # that is a plain function, not an AffineLevel record, is never
+    # tabulated.  On the same paths the tabulated xva lies within a
+    # hundredth of a standard error of it
+    grid = RegressionGrid(strata=200, paths_per_stratum=250)
+    ens = simulate_forward(grid, MARKET, 1.0, seed=3)
+    tabulated = solve_backward(ens, kind, option)
+    levels = fbsde.driver_levels
+    monkeypatch.setattr(fbsde, "driver_levels",
+                        lambda *args: lambda i: levels(*args)(i).__call__)
+    exact = solve_backward(ens, kind, option)
+    se = exact.stderr(SPOTS)
+    assert np.all(np.abs(tabulated.xva(SPOTS) - exact.xva(SPOTS)) < 0.01 * se)
+    assert np.all(np.abs(tabulated.stderr(SPOTS) - se) < 0.01 * se)
+    assert not np.array_equal(tabulated.fit.intercept, exact.fit.intercept)
 
 
 def _cpus(n):
@@ -361,18 +421,47 @@ def _chunked(n, chunk):
     return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
+#: the kinds whose levels the pass tabulates: F = rate v + rest(t, S)
+_MARK_KINDS = ("linear", "garcia", "garcia_ref")
+
+
+def _table(ensemble, kind, option, i):
+    """The level of a mark kind at t_i as the pass defines it: built on
+    ``fbsde._TABLE_NODES`` spots log-uniform from the smallest to the
+    largest path spot at t_i, and read at a spot S by linear interpolation
+    in x = (log S - log lo) * scale, scale the nodes per unit of log-spot
+    (0 where all spots are equal), between nodes j = int(x), at most
+    nodes - 2, and j + 1.  Returns the nodes and the level on spots."""
+    n = fbsde._TABLE_NODES
+    spots = ensemble.spots[i].astype(np.float64)
+    lo, hi = np.log(spots.min()), np.log(spots.max())
+    nodes = np.exp(np.linspace(lo, hi, n))
+    table = driver_levels(kind, ensemble.times[i:i + 1], nodes, option,
+                          ensemble.market, CapitalParams())(0)
+    scale = (n - 1) / (hi - lo) if hi > lo else 0.0
+
+    def level(spot):
+        x = (np.log(spot) - lo) * scale
+        j = np.minimum(x.astype(np.int64), n - 2)
+        rest = table.rest[j] + (x - j) * (table.rest[j + 1] - table.rest[j])
+        return lambda v: table.rate * v + rest
+    return nodes, level
+
+
 def _reference_backward(ensemble, kind, option):
     """The per-step backward loop the level cache replaced: every driver
-    evaluation recomputes its (t, S) work, every step upcasts both levels
-    and every fit accumulates its own regressor moments, each sum with one
-    bincount per ``fbsde._CHUNK`` slice of the whole path array, added in
-    chunk order."""
+    evaluation recomputes its (t, S) work (a mark kind's on its table, see
+    ``_table``), every step upcasts both levels and every fit accumulates
+    its own regressor moments, each sum with one bincount per
+    ``fbsde._CHUNK`` slice of the whole path array, added in chunk order."""
     market, grid, times = ensemble.market, ensemble.grid, ensemble.times
     capital = CapitalParams()
     dt = times[1] - times[0]
 
-    def driver_at(t, spot, v):
-        return driver_value(kind, t, spot, v, option, market, capital)
+    def driver_at(i, spot, v):
+        if kind in _MARK_KINDS:
+            return _table(ensemble, kind, option, i)[1](spot)(v)
+        return driver_value(kind, float(times[i]), spot, v, option, market, capital)
 
     def fit_at(bins, spot, y):
         # path-length products summed chunk by chunk, apart from the pass's
@@ -395,12 +484,12 @@ def _reference_backward(ensemble, kind, option):
     y = np.zeros_like(s_term) if is_adjustment_kind(kind) else payoff(option, s_term)
     for i in range(grid.steps - 1, -1, -1):
         s_next = ensemble.spots[i + 1].astype(np.float64)
-        f_right = driver_at(float(times[i + 1]), s_next, y)
+        f_right = driver_at(i + 1, s_next, y)
         s_now = ensemble.spots[i].astype(np.float64)
         bins = grid.stratum_of(s_now)
         y_star = fit_at(bins, s_now, y - dt * f_right).predict(
             bins, s_now - grid.centers[bins])
-        f_left = driver_at(float(times[i]), s_now, y_star)
+        f_left = driver_at(i, s_now, y_star)
         fit = fit_at(bins, s_now, y - 0.5 * dt * (f_right + f_left))
         y = fit.predict(bins, s_now - grid.centers[bins])
     return fit
@@ -599,9 +688,10 @@ def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
     # last one) of one level: at maturity and at t_{steps-1}, while the
     # other chunks of the phase go on to their sums.  It fails where it is
     # evaluated, as a driver put in place of the pass's driver_levels
-    # ("driver_override"), or where its level is built, as a capital
-    # profile ("capital_fn").  The pass raises that same exception once
-    # every task has ended, and no pool thread outlives the pass
+    # ("driver_override"), or as the capital profile of the nonlinear
+    # driver, whose levels are built per chunk in the pool threads
+    # ("capital_fn").  The pass raises that same exception once every task
+    # has ended, and no pool thread outlives the pass
     chunk = 7000
     chunks = _chunked(GRID.n_paths, chunk)
     for i in (GRID.steps, GRID.steps - 1):
@@ -624,9 +714,18 @@ def test_error_in_one_chunk_leaves_the_pass(ensemble, hook):
                     use_capital_profile(patch, failing)
                 else:
                     patch.setattr(fbsde, "driver_levels", failing_driver)
-                solve_backward(ensemble, "linear", PUT)
+                solve_backward(ensemble, "nonlinear" if hook == "capital_fn" else "linear",
+                               PUT)
             assert info.value.args == (ensemble.times[i], k)
             assert threading.active_count() == before
+
+
+def test_the_forward_pass_runs_without_page_counts(monkeypatch):
+    # Windows has no os.sysconf: the memory guard is skipped there, and the
+    # paths are the same bits
+    want = simulate_forward(GRID, MARKET, 1.0, seed=11).spots
+    monkeypatch.delattr(fbsde.os, "sysconf")
+    assert np.array_equal(simulate_forward(GRID, MARKET, 1.0, seed=11).spots, want)
 
 
 def test_memory_guard_rejects_budget_before_allocating(monkeypatch):
