@@ -4,7 +4,9 @@ The engine prices a single European call or put held against a defaulting
 counterparty under a collateral agreement, with the dealer funding itself at
 a spread over the risk-free rate and holding regulatory capital against the
 position.  Everything downstream (drivers, capital charges, PDE domain) is
-parameterized by the three frozen dataclasses here.
+parameterized by the three frozen dataclasses here, whose numeric fields
+each hold one finite real number: a bool, a string or an array is refused
+by name.
 
 Two credit triples are internally constrained:
 
@@ -23,6 +25,7 @@ import dataclasses
 import json
 import logging
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +42,17 @@ _TRIPLES = {
 
 
 def _is_number(value) -> bool:
-    """A real scalar or array; a bool or a string is not a number."""
-    return isinstance(value, (numbers.Real, np.ndarray)) and not isinstance(value, bool)
+    """A real Python or numpy scalar; a bool, a string or an array is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_finite(items) -> None:
     """Raise naming the first ``(name, value)`` pair whose value is not a
-    finite number.  A value may be a (B,) array: ``solver`` batches the
-    ``BATCHED_FIELDS``."""
+    finite number; an integer beyond the float range is not finite."""
     for name, value in items:
         if not _is_number(value):
             raise ValueError(f"{name} must be a number, got {value!r}")
-        if not np.all(np.isfinite(value)):
+        if not abs(value) <= sys.float_info.max:   # NaN, inf, or past the float range
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -66,7 +66,7 @@ once, so the PDE, which builds one level per distinct stage time of its
 march, and the regression Monte Carlo, which builds a mark kind's level
 once per time on a log-spot table and any other kind's once per chunk of
 paths at one time, each reused for two steps, share one definition of
-each formula.
+each formula; the PDE passes it a batch's ``BATCHED_FIELDS`` as arrays.
 Evaluations allocate their buffers per call, since the Monte Carlo runs
 them in pool threads.  The PDE's conservative-form source, which reads F
 from a level, is defined in :mod:`xvadg.solver`.
@@ -94,6 +94,10 @@ _MARCHES_ADJUSTMENT = {"linear": False, "nonlinear": False, "garcia": True,
 
 #: kinds accepted by driver_levels / driver_value
 ALL_DRIVER_KINDS = tuple(_MARCHES_ADJUSTMENT)
+
+#: market fields that enter F only as coefficients; driver_levels takes
+#: them as keyword arguments of these names
+BATCHED_FIELDS = ("capital_hurdle", "collateral_rate")
 
 DriverEval = Callable[[np.ndarray], np.ndarray]
 
@@ -123,8 +127,8 @@ def is_adjustment_kind(kind: str) -> bool:
 
 
 def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
-                  market: MarketParams,
-                  capital: CapitalParams) -> Callable[[int], DriverEval]:
+                  market: MarketParams, capital: CapitalParams, *,
+                  capital_hurdle=None, collateral_rate=None) -> Callable[[int], DriverEval]:
     """The driver F(t, S, .) on ``spot`` at each time of ``times``, as a
     function of the index ``i`` that builds the level at ``times[i]``.
 
@@ -137,12 +141,12 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     keeps the levels it reuses.  A mark kind's level is the
     :class:`AffineLevel` of its ``rate`` and ``rest(t, S)``.
 
-    v and the market's coefficients broadcast against ``spot``.  The
-    Monte Carlo passes (n,) spots and (n,) values.  The PDE passes spots
-    of shape (cells, degree+1) and values of shape (B, cells, degree+1),
-    with a batch's capital hurdle and collateral rate as (B, 1, 1) arrays,
-    so the (t, S) arrays of a level broadcast along the leading batch axis
-    and every elementwise loop runs over whole contiguous rows.
+    The two ``BATCHED_FIELDS`` default to the market's numbers; v and they
+    broadcast against ``spot``.  The Monte Carlo passes (n,) spots and (n,)
+    values.  The PDE passes spots of shape (cells, degree+1), values of
+    shape (B, cells, degree+1) and its batch's two coefficients as (B, 1, 1)
+    arrays, so the (t, S) arrays of a level broadcast along the leading
+    batch axis and every elementwise loop runs over whole contiguous rows.
     """
     is_adjustment_kind(kind)
     times = np.asarray(times, dtype=float)
@@ -153,9 +157,9 @@ def driver_levels(kind: str, times, spot: np.ndarray, option: OptionSpec,
     rb = market.issuer_funding_rate
     lam_c = market.cpty_intensity
     loss_c = market.cpty_spread
-    hurdle = market.capital_hurdle
+    hurdle = market.capital_hurdle if capital_hurdle is None else capital_hurdle
     frac = market.collateral_fraction
-    rx_rb = market.collateral_rate - rb
+    rx_rb = (market.collateral_rate if collateral_rate is None else collateral_rate) - rb
     k_coef = hurdle - market.capital_funding_fraction * rb
 
     # K(mark, gap, rc) at times[i] is capital_at(i).total; gap is scratch

@@ -30,19 +30,20 @@ stepping, degree 2 -> third order) and the step to the mesh width
 (:func:`xvadg.imex.select_time_grid`), both fixed from the configuration.
 
 ``solve_many`` prices several configurations at once.  Configurations that
-differ only in the market fields of ``BATCHED_FIELDS`` (the capital hurdle
-and the collateral rate, which enter the driver as scalar coefficients)
-form one group; everything else -- option, mesh, degree, CFL constant,
-volatility, drift, every other rate and capital parameter, and the driver
-kind -- must match exactly.  A group shares one operator assembly, one
-banded factorisation and one time grid, and marches its B scenarios as
-one C-contiguous (B, N) state, N = cells * (degree+1), row b holding
-scenario b's nodal values cell by cell.  The driver sees that state as
-(B, cells, degree+1) on spots of shape (cells, degree+1), and the group's
-market carries the batched fields as (B, 1, 1) arrays, so each driver
-formula broadcasts its (t, S)-only part (closed-form mark, SA-CCR add-on),
-built once per stage time for the whole group, along the batch axis in
-front, and every elementwise loop runs over whole contiguous rows.
+differ only in the market fields of :data:`xvadg.drivers.BATCHED_FIELDS`
+(the capital hurdle and the collateral rate, which enter the driver as
+coefficients) form one group; everything else -- option, mesh, degree,
+CFL constant, volatility, drift, every other rate and capital parameter,
+and the driver kind -- must match exactly.  A group shares one operator
+assembly, one banded factorisation and one time grid, and marches its B
+scenarios as one C-contiguous (B, N) state, N = cells * (degree+1), row b
+holding scenario b's nodal values cell by cell.  The driver sees that
+state as (B, cells, degree+1) on spots of shape (cells, degree+1), and
+the march passes it the group's two coefficients as (B, 1, 1) arrays
+beside a market of numbers, so each driver formula broadcasts its
+(t, S)-only part (closed-form mark, SA-CCR add-on), built once per stage
+time for the whole group, along the batch axis in front, and every
+elementwise loop runs over whole contiguous rows.
 ``solve`` marches its one configuration as a group of one: one march
 loop, in one layout, serves both, B = 1 included.
 
@@ -57,7 +58,6 @@ issuer-kernel one.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,14 +70,10 @@ from .black_scholes import LognormalKernel, bs_delta, bs_gamma, bs_value, \
 from .capital import capital_requirement
 from .config import CapitalParams, MarketParams, OptionSpec, RunConfig, \
     config_to_dict
-from .drivers import driver_levels, is_adjustment_kind
+from .drivers import BATCHED_FIELDS, driver_levels, is_adjustment_kind
 from .ldg import DGField, Mesh, assemble_implicit, convection_form, \
     diffusion_form, gradient_form, make_basis, mass_diag, project_payoff, \
     variant_for_option
-
-#: market fields that enter the driver only as scalar coefficients: the
-#: configurations of one ``solve_many`` group may differ in these alone
-BATCHED_FIELDS = ("capital_hurdle", "collateral_rate")
 
 #: ``xva_breakdown`` quadrature: composite-Simpson time intervals (even)
 _SIMPSON_INTERVALS = 200
@@ -174,10 +170,9 @@ def scenario_groups(configs: Sequence[RunConfig]) -> list[list[int]]:
     ``BATCHED_FIELDS``."""
     groups: dict = {}
     for i, config in enumerate(configs):
-        fields = config_to_dict(config)
-        for name in BATCHED_FIELDS:
-            del fields[name]
-        groups.setdefault(tuple(sorted(fields.items())), []).append(i)
+        key = sorted(item for item in config_to_dict(config).items()
+                     if item[0] not in BATCHED_FIELDS)
+        groups.setdefault(tuple(key), []).append(i)
     return list(groups.values())
 
 
@@ -188,9 +183,8 @@ def _march_group(group: list[RunConfig], kind: str | None) -> list[SolveResult]:
     is_adjustment = is_adjustment_kind(kind)
     option, capital, market = config.option, config.capital, config.market
     width = len(group)
-    market = dataclasses.replace(market, **{
-        name: np.array([getattr(c.market, name) for c in group]).reshape(width, 1, 1)
-        for name in BATCHED_FIELDS})
+    coefficients = {name: np.array([getattr(c.market, name) for c in group])
+                    .reshape(width, 1, 1) for name in BATCHED_FIELDS}
     mesh = Mesh(config.s_max, config.cells)
     basis = make_basis(config.degree)
     variant = variant_for_option(option)
@@ -220,7 +214,7 @@ def _march_group(group: list[RunConfig], kind: str | None) -> list[SolveResult]:
     stage_taus = imex.stage_times(order, grid)
     stage_index = {tau: i for i, tau in enumerate(stage_taus)}
     level_at = driver_levels(kind, [option.maturity - tau for tau in stage_taus],
-                             spots, option, market, capital)
+                             spots, option, market, capital, **coefficients)
     last = {}   # the level of the last stage time met, by its index
     meta = {"kind": kind, "option": option.kind, "cells": mesh.cells,
             "degree": basis.degree, "variant": variant.value, "steps": grid.steps,

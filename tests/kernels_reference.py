@@ -86,12 +86,15 @@ def capital_parts(mark, collateral, spot, t, option, capital) -> dict:
                 k_total=np.maximum(k_ccr + k_cva, k_lr))
 
 
-def driver(kind, t, spot, v, option, market, capital):
-    """F(t, S, v) of every driver kind under the default capital stack."""
+def driver(kind, t, spot, v, option, market, capital, *, capital_hurdle=None,
+           collateral_rate=None):
+    """F(t, S, v) of every driver kind under the default capital stack; the
+    hurdle and the collateral rate default to the market's."""
     rb = market.issuer_funding_rate
     lam_c = market.cpty_intensity
     loss_c = market.cpty_spread
-    hurdle = market.capital_hurdle
+    hurdle = market.capital_hurdle if capital_hurdle is None else capital_hurdle
+    r_x = market.collateral_rate if collateral_rate is None else collateral_rate
     phi = market.capital_funding_fraction
     frac = market.collateral_fraction
     if kind == "riskfree":
@@ -100,13 +103,13 @@ def driver(kind, t, spot, v, option, market, capital):
         coll = frac * v
         k = capital_parts(v, coll, spot, t, option, capital)["k_total"]
         return (rb * v + loss_c * np.maximum(v - coll, 0.0)
-                + (market.collateral_rate - rb) * coll + (hurdle - phi * rb) * k)
+                + (r_x - rb) * coll + (hurdle - phi * rb) * k)
     mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
     k = capital_parts(mark, frac * mark, spot, t, option, capital)["k_total"]
     if kind == "linear":
         coll = frac * mark
         return (rb + lam_c) * v + (-lam_c * mark + loss_c * np.maximum(mark - coll, 0.0)
-                                   + (market.collateral_rate - rb) * coll
+                                   + (r_x - rb) * coll
                                    + (hurdle - phi * rb) * k)
     if kind == "garcia":
         return (hurdle + lam_c) * v + (hurdle - rb) * k

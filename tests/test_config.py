@@ -1,6 +1,7 @@
 """Configuration validation, derived credit quantities, JSON round trip."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -90,14 +91,28 @@ _FLOAT_FIELDS = [(cls, f.name) for cls in (OptionSpec, MarketParams, CapitalPara
                          ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
 def test_every_float_field_refuses_a_bool_and_a_string(cls, name):
     # JSON true once ran as 1.0 (sigma 1, capital ratio 100%, strike 1), and
-    # "0.3" stopped later on an unnamed comparison of str with float
-    for bad in (True, False, "0.3", None):
-        with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad!r}$"):
+    # "0.3" stopped later on an unnamed comparison of str with float; a
+    # field holds one number, so an array, 0-d or batched, is no number
+    for bad in (True, False, "0.3", None, np.array(0.3), np.array([0.07, 0.08]),
+                np.full((2, 1, 1), 0.07)):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a number, got {re.escape(repr(bad))}$"):
             dataclasses.replace(cls(), **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        dataclasses.replace(cls(), **{name: np.float64(np.nan)})
+
+
+@pytest.mark.parametrize("name", [name for _, name in _NUMERIC_FIELDS])
+def test_an_integer_past_the_float_range_is_named(name):
+    # a 401-digit JSON integer once stopped on an unnamed TypeError of
+    # np.isfinite, and math.isfinite raises OverflowError on it
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        config_from_dict({name: 10 ** 400})
 
 
 def test_batched_fields_take_finite_arrays():
-    # solve_many marches a group with (B,) arrays in the batched market fields
+    # solve_many marches a two-value hurdle group as one batch; its
+    # markets hold numbers, and the march hands the driver the hurdles
     base = benchmark_config(cells=8)
     configs = [dataclasses.replace(base, market=dataclasses.replace(base.market,
                                                                     capital_hurdle=h))
@@ -105,8 +120,6 @@ def test_batched_fields_take_finite_arrays():
     results = solve_many(configs)
     assert results[0].meta["batch_width"] == 2
     assert all(np.isfinite(r.xva(15.0)) for r in results)
-    with pytest.raises(ValueError, match="^collateral_rate must be finite"):
-        dataclasses.replace(base.market, collateral_rate=np.array([0.07, np.nan]))
 
 
 def test_strike_off_node_warns_not_raises(caplog):

@@ -7,6 +7,7 @@ sign convention."""
 
 import dataclasses
 import gc
+import inspect
 import itertools
 import tracemalloc
 import weakref
@@ -21,8 +22,8 @@ from xvadg.black_scholes import bs_value
 from xvadg.capital import capital_requirement
 from xvadg.config import DRIVER_KINDS, CapitalParams, MarketParams, OptionSpec, \
     benchmark_config
-from xvadg.drivers import ALL_DRIVER_KINDS, AffineLevel, driver_levels, driver_value, \
-    is_adjustment_kind
+from xvadg.drivers import ALL_DRIVER_KINDS, BATCHED_FIELDS, AffineLevel, driver_levels, \
+    driver_value, is_adjustment_kind
 from xvadg.solver import solve, source_term
 
 CALL = OptionSpec(kind="call", strike=15.0, maturity=1.0)
@@ -173,7 +174,9 @@ def _driver_case(draw, kinds=ALL_DRIVER_KINDS, layouts=_LAYOUTS):
     capital hurdle and the collateral rate; or batch-last, spots
     (cells, nodes, 1) with values of that shape ("column"), of shape
     (cells, nodes, B) ("batched") or widened by the batch ("widened"), and
-    (B,) arrays of the two fields."""
+    (B,) arrays of the two coefficients.  The coefficients come as the
+    keyword arguments of ``driver_levels``, empty where the market's
+    numbers stand."""
     n, cells, nodes, width = (draw(st.integers(1, 7)), draw(st.integers(1, 4)),
                               draw(st.integers(2, 3)), draw(st.integers(2, 4)))
     layout = draw(st.sampled_from(layouts))
@@ -185,14 +188,21 @@ def _driver_case(draw, kinds=ALL_DRIVER_KINDS, layouts=_LAYOUTS):
         spot_shape = (n,) if layout == "flat" else (cells, nodes, 1)
         v_shape = (cells, nodes, width) if layout == "batched" else spot_shape
         field_shape = (width,) if layout in ("batched", "widened") else None
-    market = MARKET
+    coefs = {}
     if field_shape is not None:
-        market = dataclasses.replace(
-            MARKET, capital_hurdle=_floats(draw, st.floats(0.0, 0.3), field_shape),
-            collateral_rate=_floats(draw, st.floats(0.0, 0.1), field_shape))
+        coefs = dict(capital_hurdle=_floats(draw, st.floats(0.0, 0.3), field_shape),
+                     collateral_rate=_floats(draw, st.floats(0.0, 0.1), field_shape))
     t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     return (draw(st.sampled_from(kinds)), draw(st.sampled_from([PUT, CALL])),
-            t, _floats(draw, _SPOT, spot_shape), _floats(draw, _VALUE, v_shape), market)
+            t, _floats(draw, _SPOT, spot_shape), _floats(draw, _VALUE, v_shape), coefs)
+
+
+def _value(kind, t, spot, v, option, coefs):
+    """F(t, S, v) on ``MARKET``: ``driver_value``, or with coefficients the
+    level of ``driver_levels`` at ``t`` applied once."""
+    if not coefs:
+        return driver_value(kind, t, spot, v, option, MARKET, CAP)
+    return driver_levels(kind, (t,), spot, option, MARKET, CAP, **coefs)(0)(v)
 
 
 @settings(max_examples=150)
@@ -202,13 +212,13 @@ def test_driver_kernels_equal_the_formulas_bitwise(case):
     # of kernels_reference bit for bit, in every layout the two routes use
     # and with batched coefficients that widen the result beyond v, for v
     # of ±0, ±1e308 and 1e-300 and spots whose add-on is exactly ±0
-    kind, option, t, spot, v, market = case
+    kind, option, t, spot, v, coefs = case
     with np.errstate(all="ignore"):
-        want = ref.driver(kind, t, spot, v, option, market, CAP)
-        got = driver_value(kind, t, spot, v, option, market, CAP)
-        level = driver_levels(kind, (t,), spot, option, market, CAP)(0)
+        want = ref.driver(kind, t, spot, v, option, MARKET, CAP, **coefs)
+        got = _value(kind, t, spot, v, option, coefs)
+        level = driver_levels(kind, (t,), spot, option, MARKET, CAP, **coefs)(0)
         again = [level(w) for w in (v, v[::-1], v)]
-        want_reversed = ref.driver(kind, t, spot, v[::-1], option, market, CAP)
+        want_reversed = ref.driver(kind, t, spot, v[::-1], option, MARKET, CAP, **coefs)
     assert np.array_equal(bits(got), bits(want)), kind
     assert np.array_equal(bits(again[0]), bits(want)), kind
     assert np.array_equal(bits(again[1]), bits(want_reversed)), kind
@@ -221,18 +231,21 @@ def test_linear_level_moves_only_at_rounding_level(case):
     # the level adds rate * v to the v-free rest last; the one-line formula
     # of the same five terms, summed left to right, lies within 4 ulps of
     # the sum of their magnitudes
-    _, option, t, spot, v, market = case
+    _, option, t, spot, v, coefs = case
+    market = MARKET
     rb, lam = market.issuer_funding_rate, market.cpty_intensity
+    r_x = coefs.get("collateral_rate", market.collateral_rate)
+    hurdle = coefs.get("capital_hurdle", market.capital_hurdle)
     with np.errstate(all="ignore"):
         mark = np.asarray(bs_value(option, spot, t, market), dtype=float)
         coll = market.collateral_fraction * mark
         k = ref.capital_parts(mark, coll, spot, t, option, CAP)["k_total"]
         terms = [(rb + lam) * v, -lam * mark,
                  market.cpty_spread * np.maximum(mark - coll, 0.0),
-                 (market.collateral_rate - rb) * coll,
-                 (market.capital_hurdle - market.capital_funding_fraction * rb) * k]
+                 (r_x - rb) * coll,
+                 (hurdle - market.capital_funding_fraction * rb) * k]
         left_to_right = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-        got = driver_value("linear", t, spot, v, option, market, CAP)
+        got = _value("linear", t, spot, v, option, coefs)
     magnitude = sum(np.abs(term) for term in terms)
     assert np.all(np.abs(got - left_to_right) <= 4.0 * np.spacing(magnitude))
 
@@ -250,13 +263,13 @@ def test_the_capital_stack_as_an_override_is_the_default_bitwise(kind, layout, d
     # a level reaches its capital through the total of its capital level
     # alone: the stack put in its place as a test's profile gives the
     # default's bits, so a profile stands exactly where the stack stands
-    _, _, drawn, spot, v, market = data.draw(_driver_case((kind,), (layout,)))
+    _, _, drawn, spot, v, coefs = data.draw(_driver_case((kind,), (layout,)))
     for option, t in itertools.product((PUT, CALL), (0.0, PUT.maturity, drawn)):
         with np.errstate(all="ignore"):
-            want = driver_value(kind, t, spot, v, option, market, CAP)
+            want = _value(kind, t, spot, v, option, coefs)
             with pytest.MonkeyPatch.context() as patch:
-                use_capital_profile(patch, _stack(option, market, CAP))
-                got = driver_value(kind, t, spot, v, option, market, CAP)
+                use_capital_profile(patch, _stack(option, MARKET, CAP))
+                got = _value(kind, t, spot, v, option, coefs)
         assert np.array_equal(bits(got), bits(want)), (option.kind, t)
 
 
@@ -332,27 +345,46 @@ def test_a_mark_kind_level_is_its_rate_times_v_plus_rest(kind, batched):
     # values and on the PDE's (cells, nodes) spots under (B, cells, nodes)
     # values with a (B, 1, 1) hurdle and collateral rate
     rng = np.random.default_rng(24)
-    market = MARKET
+    market, coefs = MARKET, {}
     if batched:
         spot = rng.uniform(0.5, 60.0, (40, 3))
         v = rng.uniform(-2.0, 8.0, (3, 40, 3))
-        market = dataclasses.replace(
-            MARKET, capital_hurdle=np.array([0.04, 0.12, 0.3]).reshape(3, 1, 1),
-            collateral_rate=np.array([0.0, 0.01, 0.03]).reshape(3, 1, 1))
+        coefs = dict(capital_hurdle=np.array([0.04, 0.12, 0.3]).reshape(3, 1, 1),
+                     collateral_rate=np.array([0.0, 0.01, 0.03]).reshape(3, 1, 1))
     else:
         spot = rng.uniform(0.5, 60.0, 200)
         v = rng.uniform(-2.0, 8.0, 200)
-    level = driver_levels(kind, (0.4,), spot, PUT, market, CAP)(0)
+    level = driver_levels(kind, (0.4,), spot, PUT, market, CAP, **coefs)(0)
     assert isinstance(level, AffineLevel)
     lam_c = market.cpty_intensity
-    rate = (market.capital_hurdle if kind == "garcia" else market.issuer_funding_rate) + lam_c
+    hurdle = coefs.get("capital_hurdle", market.capital_hurdle)
+    rate = (hurdle if kind == "garcia" else market.issuer_funding_rate) + lam_c
     assert np.array_equal(bits(level.rate), bits(rate))
     assert np.array_equal(bits(level(v)), bits(level.rate * v + level.rest))
-    f_v = ref.driver(kind, 0.4, spot, v, PUT, market, CAP)
-    f_0 = ref.driver(kind, 0.4, spot, 0.0 * v, PUT, market, CAP)
+    f_v = ref.driver(kind, 0.4, spot, v, PUT, market, CAP, **coefs)
+    f_0 = ref.driver(kind, 0.4, spot, 0.0 * v, PUT, market, CAP, **coefs)
     assert f_v.shape == v.shape
     assert np.all(np.abs(f_v - f_0 - rate * v)
                   <= 4.0 * np.spacing(np.maximum(np.abs(f_v), np.abs(f_0))))
+
+
+@pytest.mark.parametrize("kind", ALL_DRIVER_KINDS)
+def test_coefficients_given_as_numbers_are_the_markets_bitwise(kind):
+    # the keyword coefficients of driver_levels, named by BATCHED_FIELDS,
+    # stand exactly where the market's fields stand: the market's own
+    # numbers give the defaults' bits, and other numbers the bits of a
+    # market that holds them
+    keywords = [name for name, p in inspect.signature(driver_levels).parameters.items()
+                if p.kind is p.KEYWORD_ONLY]
+    assert tuple(keywords) == BATCHED_FIELDS
+    spot = np.linspace(0.0, 60.0, 41)
+    v = np.linspace(-2.0, 8.0, 41)
+    other = dataclasses.replace(MARKET, capital_hurdle=0.21, collateral_rate=0.03)
+    for market, option in itertools.product((MARKET, other), (PUT, CALL)):
+        coefs = {name: getattr(market, name) for name in BATCHED_FIELDS}
+        want = driver_levels(kind, (0.4,), spot, option, market, CAP)(0)(v)
+        got = driver_levels(kind, (0.4,), spot, option, MARKET, CAP, **coefs)(0)(v)
+        assert np.array_equal(bits(got), bits(want)), (market is MARKET, option.kind)
 
 
 def test_riskfree_driver():

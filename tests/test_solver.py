@@ -13,11 +13,11 @@ from kernels_reference import capital_off, use_capital_profile
 from xvadg import imex, ldg, solver
 from xvadg.black_scholes import bs_delta, bs_gamma, bs_value
 from xvadg.config import MarketParams, benchmark_config, config_from_dict
-from xvadg.drivers import ALL_DRIVER_KINDS, driver_value, is_adjustment_kind
+from xvadg.drivers import ALL_DRIVER_KINDS, BATCHED_FIELDS, driver_levels, is_adjustment_kind
 from xvadg.ldg import (DGField, Mesh, assemble_implicit, convection_form, diffusion_form,
                        gradient_form, make_basis, mass_diag, project_payoff,
                        variant_for_option)
-from xvadg.solver import (BATCHED_FIELDS, GarciaScalingCheck, SolverDivergedError,
+from xvadg.solver import (GarciaScalingCheck, SolverDivergedError,
                           XVABreakdown, garcia_scaling_check, sample_grid,
                           scenario_groups, solve, solve_many, xva_breakdown)
 
@@ -240,17 +240,18 @@ def test_a_stage_time_off_the_schedule_is_an_error(monkeypatch):
 
 def _march_afresh(configs, kind) -> np.ndarray:
     """The (B, N) state at time zero of one ``solve_many`` group, marched
-    with the driver built afresh by ``driver_value`` at every stage.  A group
-    of one keeps its scalars here: it is the batch-of-one reference that
-    pins the solver's (1, 1, 1) batched fields to the scalar march, bit for
-    bit."""
+    with the driver built afresh at every stage by a one-time
+    ``driver_levels``, given the group's (B, 1, 1) coefficients.  A group
+    of one keeps its market's numbers here: it is the batch-of-one
+    reference that pins the solver's (1, 1, 1) coefficients to the scalar
+    march, bit for bit."""
     config = configs[0]
     option, capital, market = config.option, config.capital, config.market
     width = len(configs)
+    coefs = {}
     if width > 1:
-        market = replace(market, **{
-            name: np.array([getattr(c.market, name) for c in configs]).reshape(width, 1, 1)
-            for name in BATCHED_FIELDS})
+        coefs = {name: np.array([getattr(c.market, name) for c in configs])
+                 .reshape(width, 1, 1) for name in BATCHED_FIELDS}
     mesh, basis = Mesh(config.s_max, config.cells), make_basis(config.degree)
     speed = market.sigma ** 2 - market.drift
     grid = imex.select_time_grid(mesh, config.degree, speed, option.maturity,
@@ -271,8 +272,8 @@ def _march_afresh(configs, kind) -> np.ndarray:
     spots = mesh.quad_points(basis)
 
     def explicit_fn(state, tau):
-        fwd = driver_value(kind, option.maturity - tau, spots, state.reshape(shape),
-                           option, market, capital)
+        fwd = driver_levels(kind, (option.maturity - tau,), spots, option, market, capital,
+                            **coefs)(0)(state.reshape(shape))
         return (-weights * fwd).reshape(state.shape)
 
     tau = 0.0
